@@ -1,9 +1,9 @@
 package bullion
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// cascade recursion depth (§2.6's open question), sparse restart interval,
-// column reordering + coalesced reads (§2.5), and the normalized-BF16
-// packing (§2.4 opportunity 2).
+// Ablation benchmarks for the paper's open design choices: cascade
+// recursion depth (§2.6's open question), sparse restart interval, and the
+// normalized-BF16 packing (§2.4 opportunity 2). The §2.5 column-reordering
+// comparison is `go run ./cmd/experiments -exp reorder`.
 
 import (
 	"fmt"
@@ -12,7 +12,6 @@ import (
 
 	"bullion/internal/core"
 	"bullion/internal/enc"
-	"bullion/internal/iostats"
 	"bullion/internal/quant"
 	"bullion/internal/sparse"
 	"bullion/internal/workload"
@@ -69,96 +68,6 @@ func BenchmarkAblationSparseRestart(b *testing.B) {
 				size = len(encoded)
 			}
 			b.ReportMetric(100*float64(size)/float64(raw), "size_%ofplain")
-		})
-	}
-}
-
-// BenchmarkReorderCoalesced measures §2.5 column reordering: a 20-column
-// hot set projected from a 200-column table, per read strategy.
-func BenchmarkReorderCoalesced(b *testing.B) {
-	b.ReportAllocs()
-	const nCols = 200
-	const nRows = 10000
-	hot := make([]string, 20)
-	for i := range hot {
-		hot[i] = fmt.Sprintf("feat_%03d", i*10)
-	}
-	build := func(reorder bool) (*core.File, *iostats.Counters) {
-		rng := rand.New(rand.NewSource(45))
-		fields := make([]core.Field, nCols)
-		cols := make([]core.ColumnData, nCols)
-		for i := 0; i < nCols; i++ {
-			fields[i] = core.Field{Name: fmt.Sprintf("feat_%03d", i), Type: core.Type{Kind: core.Int64}}
-			vs := make(core.Int64Data, nRows)
-			for r := range vs {
-				vs[r] = rng.Int63n(1 << 20)
-			}
-			cols[i] = vs
-		}
-		schema, err := core.NewSchema(fields...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if reorder {
-			reordered, perm, err := core.ReorderFields(schema, hot)
-			if err != nil {
-				b.Fatal(err)
-			}
-			schema = reordered
-			cols = core.ReorderBatchColumns(cols, perm)
-		}
-		batch, err := core.NewBatch(schema, cols)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mf := &benchFile{}
-		w, err := core.NewWriter(mf, schema, core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Write(batch); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		var c iostats.Counters
-		c.Reset()
-		f, err := core.Open(&iostats.ReaderAt{R: mf, C: &c}, mf.Size())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f, &c
-	}
-
-	for _, tc := range []struct {
-		name     string
-		reorder  bool
-		coalesce bool
-	}{
-		{"scattered-naive", false, false},
-		{"scattered-coalesced", false, true},
-		{"hotfirst-coalesced", true, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			f, c := build(tc.reorder)
-			b.ResetTimer()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				before := c.Snapshot()
-				var err error
-				if tc.coalesce {
-					_, err = f.ProjectCoalesced(hot...)
-				} else {
-					_, err = f.Project(hot...)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops += c.Snapshot().Sub(before).ReadOps
-			}
-			b.ReportMetric(float64(ops)/float64(b.N), "read_ops/op")
 		})
 	}
 }

@@ -101,23 +101,27 @@
 //
 // # Reading at scale
 //
-// The scan path is built to be I/O-minimal and allocation-flat, pairing
-// the paper's §2.5 levers:
+// Every read of a File — Scan, and Project, ReadColumn, ReadRows and
+// ProjectEvolved, which are one scan whose single batch is the whole
+// range — runs the same engine, built to be I/O-minimal and
+// allocation-flat by pairing the paper's §2.5 levers:
 //
 //  1. Reorder hot features at write time. ReorderFields moves the
 //     frequently-read columns to the front of the schema, so their chunks
 //     are physically adjacent within every row group.
 //
-//  2. Coalesced reads. Scan plans, per batch, the maximal byte-adjacent
-//     page runs across all projected columns and fetches each run with a
-//     single read of up to 1.25 MiB (core.CoalesceLimit); decode workers
-//     slice their pages out of the shared run buffer zero-copy. Runs
-//     separated by at most ScanOptions.CoalesceGap cold bytes (default
-//     DefaultCoalesceGap = 4 KiB) merge too — a few wasted kilobytes beat
-//     a second seek or object-storage request. Cross-column merging needs
-//     the projected chunks adjacent within the batch's span, so set
-//     BatchRows to the writer's GroupRows for I/O-bound scans: a
-//     hot-reordered projection then costs one read per row group.
+//  2. Coalesced reads. The engine plans, per batch, the maximal
+//     byte-adjacent page runs across all projected columns and fetches
+//     each run with a single read of up to 1.25 MiB (core.CoalesceLimit);
+//     decode workers slice their pages out of the shared run buffer
+//     zero-copy. Runs separated by at most ScanOptions.CoalesceGap cold
+//     bytes (default DefaultCoalesceGap = 4 KiB) merge too — a few wasted
+//     kilobytes beat a second seek or object-storage request; a negative
+//     gap merges only exactly adjacent runs, for storage that penalizes
+//     wasted transfer. Cross-column merging needs the projected chunks
+//     adjacent within the batch's span, so set BatchRows to the writer's
+//     GroupRows for I/O-bound scans: a hot-reordered projection then
+//     costs one read per row group.
 //
 //  3. Batch recycling. With ScanOptions.ReuseBatches, return each
 //     finished batch via Scanner.Recycle and later batches decode into
@@ -147,11 +151,9 @@
 //
 // ScanStats reports the effect: ReadOps (physical reads issued),
 // CoalescedBytes (bytes fetched by multi-column reads), and WastedBytes
-// (gap bytes read through). ScanOptions.DisableCoalesce pins the
-// per-column read path; both paths return identical batches. Byte-string
-// columns decode zero-copy out of the read buffers, so projections that
-// include them keep the buffers alive for the batch's lifetime instead of
-// pooling them.
+// (gap bytes read through). Byte-string columns decode zero-copy out of
+// the read buffers, so projections that include them keep the buffers
+// alive for the batch's lifetime instead of pooling them.
 //
 // Decode kernels. Once the bytes are in memory, scans are decode-bound,
 // so the hot inner loops decode word-at-a-time rather than value-at-a-
@@ -482,8 +484,8 @@ type (
 const DefaultScanBatchRows = core.DefaultScanBatchRows
 
 // DefaultCoalesceGap is the default ScanOptions.CoalesceGap: the largest
-// run of cold bytes a coalesced scan read will fetch to avoid splitting
-// into two I/O operations.
+// run of cold bytes a read will fetch through to avoid splitting into two
+// I/O operations.
 const DefaultCoalesceGap = core.DefaultCoalesceGap
 
 // Column kinds.
@@ -665,20 +667,15 @@ func (f *File) ReadColumnByIndex(c int) (ColumnData, error) { return f.cf.ReadCo
 // overlapping pages.
 func (f *File) ReadRows(c int, lo, hi uint64) (ColumnData, error) { return f.cf.ReadRows(c, lo, hi) }
 
-// Project reads the named columns — the §2.3 feature-projection path.
+// Project reads the named columns in one pass — the §2.3
+// feature-projection path, with physically adjacent chunks sharing reads
+// (§2.5; see "Reading at scale").
 func (f *File) Project(names ...string) (*Batch, error) { return f.cf.Project(names...) }
 
 // Scan starts a streaming scan over the projected columns, decoding
 // batches in parallel while preserving file order. See the package
 // Quickstart for the iteration loop; Next returns io.EOF at end of scan.
 func (f *File) Scan(opts ScanOptions) (*Scanner, error) { return f.cf.Scan(opts) }
-
-// ProjectCoalesced reads the named columns, bundling physically adjacent
-// column chunks into single reads of up to core.CoalesceLimit bytes — the
-// §2.5 column-reordering + coalesced-read path for hot feature sets.
-func (f *File) ProjectCoalesced(names ...string) (*Batch, error) {
-	return f.cf.ProjectCoalesced(names...)
-}
 
 // ReorderFields moves the named hot columns to the front of the schema so
 // their chunks are written adjacent within every row group (§2.5 column

@@ -88,7 +88,7 @@ func usage() {
   bullion info [-json] <file|dir|url>...
   bullion verify <file>
   bullion project <file> <column>...
-  bullion scan [-batch N] [-workers N] [-file-workers N] [-coalesce-gap N] [-no-coalesce]
+  bullion scan [-batch N] [-workers N] [-file-workers N] [-coalesce-gap N]
                [-degraded] [-json] [-filter-int col:lo:hi] [-filter-float col:lo:hi]
                [-filter-in col:v1,v2] <file|dir|url>... [column]...
   bullion ingest [-rows N] [-cols N] [-group N] [-workers N] [-shards N] [-no-cache] <file>... | <dir>
@@ -537,7 +537,6 @@ func scan(args []string) error {
 	fileWorkers := fs.Int("file-workers", 0, "dataset member files streamed concurrently (0 = GOMAXPROCS)")
 	coalesceGap := fs.Int("coalesce-gap", 0,
 		"cold bytes to read through when merging reads (0 = default, negative = none)")
-	noCoalesce := fs.Bool("no-coalesce", false, "one read per column chunk run (pre-planner path)")
 	degraded := fs.Bool("degraded", false,
 		"skip and report dataset members that stay unreachable after retries instead of failing")
 	asJSON := fs.Bool("json", false, "emit one JSON document per path")
@@ -568,13 +567,12 @@ func scan(args []string) error {
 	}
 
 	opts := bullion.ScanOptions{
-		Columns:         cols,
-		BatchRows:       *batchRows,
-		Workers:         *workers,
-		CoalesceGap:     *coalesceGap,
-		DisableCoalesce: *noCoalesce,
-		ReuseBatches:    true,
-		Filters:         filters,
+		Columns:      cols,
+		BatchRows:    *batchRows,
+		Workers:      *workers,
+		CoalesceGap:  *coalesceGap,
+		ReuseBatches: true,
+		Filters:      filters,
 	}
 	var results []scanResult
 	for _, path := range paths {

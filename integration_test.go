@@ -2,13 +2,15 @@ package bullion
 
 // End-to-end integration: the paper's headline workflow on a (scaled)
 // Table 1 ads table through the public API — write, 10% feature
-// projection, coalesced hot-set reads, GDPR user erasure, integrity
+// projection, a streaming scan of the hot set, GDPR user erasure, integrity
 // verification, and schema evolution, all against one file on disk.
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bullion/internal/core"
@@ -78,27 +80,36 @@ func TestAdsTableEndToEnd(t *testing.T) {
 		t.Fatalf("projection: %d rows x %d cols", proj.NumRows(), len(proj.Columns))
 	}
 
-	// 3. The same hot set through coalesced reads must agree.
-	proj2, err := f.ProjectCoalesced(hot...)
+	// 3. The same hot set through a streaming scan must agree.
+	sc, err := f.Scan(ScanOptions{Columns: hot, BatchRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := range hot {
-		a, ok := proj.Columns[c].(ListInt64Data)
-		if !ok {
-			continue
+	defer sc.Close()
+	row := 0
+	for {
+		b, err := sc.Next()
+		if err == io.EOF {
+			break
 		}
-		b := proj2.Columns[c].(ListInt64Data)
-		for r := range a {
-			if len(a[r]) != len(b[r]) {
-				t.Fatalf("coalesced projection disagrees at %s row %d", hot[c], r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range hot {
+			want, ok := proj.Columns[c].(ListInt64Data)
+			if !ok {
+				continue
 			}
-			for k := range a[r] {
-				if a[r][k] != b[r][k] {
-					t.Fatalf("coalesced projection disagrees at %s row %d elem %d", hot[c], r, k)
+			for r, got := range b.Columns[c].(ListInt64Data) {
+				if !reflect.DeepEqual(got, want[row+r]) {
+					t.Fatalf("scan disagrees with projection at %s row %d", hot[c], row+r)
 				}
 			}
 		}
+		row += b.NumRows()
+	}
+	if row != rows {
+		t.Fatalf("scan emitted %d rows, want %d", row, rows)
 	}
 
 	// 4. GDPR: user 3 (rows 24..31, uid = i/8) requests erasure.

@@ -78,6 +78,7 @@ type runSeg struct {
 	col           int    // position in the scanner's projected column list
 	first, last   int    // global page indices, inclusive
 	firstRowStart uint64 // global row id of the first page's first row
+	rows          int    // rows of the span these pages cover
 }
 
 // spanRun is one physical read planned for a batch span: a byte range
@@ -97,31 +98,33 @@ type spanRun struct {
 // planSpanRuns computes the minimal physical reads for one batch span
 // across all projected columns (cols holds column indices; segments record
 // positions into that slice). Per column, maximal index-adjacent page runs
-// overlapping the span are collected exactly like the per-column scan
-// path; the runs of all columns are then sorted by file offset and merged
-// when they are byte-adjacent, or separated by at most gap cold bytes,
-// while the merged read stays at or under CoalesceLimit. A single
-// segment larger than CoalesceLimit still becomes one read — pages must
-// be fetched whole.
+// overlapping the span are collected (global pages are laid out densely,
+// so index adjacency is byte adjacency); the runs of all columns are then
+// sorted by file offset and merged when they are byte-adjacent, or
+// separated by at most gap cold bytes, while the merged read stays at or
+// under CoalesceLimit. A single segment larger than CoalesceLimit still
+// becomes one read — pages must be fetched whole.
 //
 // With hot columns reordered to the front at write time (ReorderFields), a
 // hot-set projection collapses to one read per row group per batch.
-func planSpanRuns(src scanSource, cols []int, span rowSpan, gap int64) []*spanRun {
+func planSpanRuns(f *File, cols []int, span rowSpan, gap int64) []*spanRun {
 	type colSeg struct {
 		seg      runSeg
 		off, end int64
 	}
 	var segs []colSeg
 	for pos, ci := range cols {
-		forEachPageInSpan(src, ci, span, func(p int, rowLo, _ uint64) bool {
+		forEachPageInSpan(f, ci, span, func(p int, rowLo, rowHi uint64) bool {
+			rows := int(min(rowHi, span.hi) - max(rowLo, span.lo))
 			if n := len(segs); n > 0 && segs[n-1].seg.col == pos && segs[n-1].seg.last == p-1 {
-				_, segs[n-1].end = src.pageByteRange(p)
+				_, segs[n-1].end = f.pageByteRange(p)
 				segs[n-1].seg.last = p
+				segs[n-1].seg.rows += rows
 				return true
 			}
-			off, end := src.pageByteRange(p)
+			off, end := f.pageByteRange(p)
 			segs = append(segs, colSeg{
-				seg: runSeg{col: pos, first: p, last: p, firstRowStart: rowLo},
+				seg: runSeg{col: pos, first: p, last: p, firstRowStart: rowLo, rows: rows},
 				off: off, end: end,
 			})
 			return true
@@ -145,136 +148,42 @@ func planSpanRuns(src scanSource, cols []int, span rowSpan, gap int64) []*spanRu
 	return runs
 }
 
-// readPlan is one physical read covering one or more column chunks.
-type readPlan struct {
-	off    int64
-	size   int64
-	chunks []planChunk
-}
-
-type planChunk struct {
-	col      int
-	group    int
-	chunkOff int64 // offset within the coalesced buffer
-	chunkLen int64
-}
-
-// planCoalesced builds a minimal set of reads for the given columns of one
-// group: chunks are sorted by file offset and adjacent (or identical-gap)
-// ranges merge until CoalesceLimit.
-func (f *File) planCoalesced(group int, cols []int) []readPlan {
-	type span struct {
-		col  int
-		off  int64
-		size int64
-	}
-	spans := make([]span, 0, len(cols))
-	for _, c := range cols {
-		off, size := f.view.ChunkByteRange(group, c)
-		spans = append(spans, span{col: c, off: int64(off), size: int64(size)})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-
-	var plans []readPlan
-	for _, s := range spans {
-		n := len(plans)
-		if n > 0 {
-			cur := &plans[n-1]
-			end := cur.off + cur.size
-			// Merge when exactly adjacent and under the coalesce limit.
-			if s.off == end && cur.size+s.size <= CoalesceLimit {
-				cur.chunks = append(cur.chunks, planChunk{
-					col: s.col, group: group, chunkOff: s.off - cur.off, chunkLen: s.size,
-				})
-				cur.size += s.size
-				continue
-			}
+// forEachPageInSpan visits the pages of column ci whose rows overlap span,
+// passing the global page index and the page's global row range. The
+// callback returns false to stop early.
+func forEachPageInSpan(f *File, ci int, span rowSpan, fn func(p int, rowLo, rowHi uint64) bool) {
+	counts, starts := f.ftr.groupGeometry()
+	v := f.view
+	// Binary-search the first group overlapping the span; it is called per
+	// batch per column, so a linear walk from group 0 would make full
+	// scans quadratic in the group count.
+	g0 := sort.Search(len(counts), func(g int) bool {
+		return starts[g]+uint64(counts[g]) > span.lo
+	})
+	for g := g0; g < v.NumGroups(); g++ {
+		groupStart := starts[g]
+		if groupStart >= span.hi {
+			return
 		}
-		plans = append(plans, readPlan{
-			off:  s.off,
-			size: s.size,
-			chunks: []planChunk{{
-				col: s.col, group: group, chunkOff: 0, chunkLen: s.size,
-			}},
-		})
-	}
-	return plans
-}
-
-// ProjectCoalesced reads the named columns like Project but bundles
-// adjacent column chunks into single reads of up to CoalesceLimit bytes.
-// When the schema was written with the hot columns reordered to the front
-// (ReorderFields), a hot-set projection collapses to one read per row
-// group.
-func (f *File) ProjectCoalesced(names ...string) (*Batch, error) {
-	cols := make([]int, len(names))
-	fields := make([]Field, len(names))
-	for i, name := range names {
-		ci, ok := f.LookupColumn(name)
-		if !ok {
-			return nil, fmt.Errorf("core: no column %q", name)
-		}
-		cols[i] = ci
-		fields[i] = f.FieldByIndex(ci)
-	}
-	out := make([]ColumnData, len(names))
-	colPos := make(map[int]int, len(cols)) // column index -> output slot
-	for i, c := range cols {
-		colPos[c] = i
-	}
-
-	for g := 0; g < f.view.NumGroups(); g++ {
-		rowStart := f.groupRowStart(g)
-		for _, plan := range f.planCoalesced(g, cols) {
-			buf := make([]byte, plan.size)
-			if _, err := f.r.ReadAt(buf, plan.off); err != nil {
-				return nil, fmt.Errorf("core: coalesced read at %d: %w", plan.off, err)
-			}
-			for _, ch := range plan.chunks {
-				data, err := f.decodeChunkFromBuffer(
-					buf[ch.chunkOff:ch.chunkOff+ch.chunkLen], g, ch.col, rowStart)
-				if err != nil {
-					return nil, err
+		first, count := v.ChunkPages(g, ci)
+		pageStart := groupStart
+		for p := first; p < first+count; p++ {
+			pageEnd := pageStart + uint64(v.PageRows(p))
+			if pageEnd > span.lo && pageStart < span.hi {
+				if !fn(p, pageStart, pageEnd) {
+					return
 				}
-				slot := colPos[ch.col]
-				out[slot] = appendColumn(out[slot], data)
 			}
+			if pageEnd >= span.hi {
+				return
+			}
+			pageStart = pageEnd
 		}
 	}
-	for i := range out {
-		if out[i] == nil {
-			out[i] = emptyColumn(fields[i])
-		}
-	}
-	schema := &Schema{Fields: fields}
-	return &Batch{Schema: schema, Columns: out}, nil
 }
 
-// decodeChunkFromBuffer decodes one column chunk whose bytes are already
-// in memory (shared with ReadChunk's per-page loop).
-func (f *File) decodeChunkFromBuffer(buf []byte, group, col int, rowStart uint64) (ColumnData, error) {
-	field := f.FieldByIndex(col)
-	chunkOff, _ := f.view.ChunkByteRange(group, col)
-	first, count := f.view.ChunkPages(group, col)
-
-	var out ColumnData
-	pageRowStart := rowStart
-	for p := first; p < first+count; p++ {
-		off, end := f.pageByteRange(p)
-		payload := buf[off-int64(chunkOff) : end-int64(chunkOff)]
-		logical := f.view.PageRows(p)
-		data, err := decodePage(field, payload, logical)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-		}
-		if f.deletedInRange(pageRowStart, pageRowStart+uint64(logical)) > 0 {
-			data = filterDeleted(data, f.view, pageRowStart, logical)
-		}
-		out = appendColumn(out, data)
-		pageRowStart += uint64(logical)
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
+func countPagesInSpan(f *File, ci int, span rowSpan) int {
+	n := 0
+	forEachPageInSpan(f, ci, span, func(int, uint64, uint64) bool { n++; return true })
+	return n
 }

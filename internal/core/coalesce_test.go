@@ -94,52 +94,42 @@ func TestReorderFields(t *testing.T) {
 	}
 }
 
-func TestProjectCoalescedCorrectness(t *testing.T) {
-	f, _, want := wideFixture(t, nil)
-	names := []string{"feat_05", "feat_06", "feat_07", "feat_30"}
-	batch, err := f.ProjectCoalesced(names...)
+// One projection of N adjacent columns must coalesce into fewer physical
+// reads than N single-column projections of the same columns, for the
+// same bytes.
+func TestCoalescedFewerReads(t *testing.T) {
+	hot := []string{"feat_10", "feat_20", "feat_30", "feat_35"}
+	f, c, want := wideFixture(t, hot)
+
+	before := c.Snapshot()
+	for _, name := range hot {
+		if _, err := f.Project(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perColumn := c.Snapshot().Sub(before)
+
+	before = c.Snapshot()
+	batch, err := f.Project(hot...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range names {
-		got := batch.Columns[i].(Int64Data)
-		for r := range want[name] {
-			if got[r] != want[name][r] {
-				t.Fatalf("%s row %d = %d, want %d", name, r, got[r], want[name][r])
-			}
-		}
-	}
-}
-
-// Adjacent chunks must coalesce into fewer physical reads than the naive
-// per-column projection.
-func TestCoalescedFewerReads(t *testing.T) {
-	hot := []string{"feat_10", "feat_20", "feat_30", "feat_35"}
-	f, c, _ := wideFixture(t, hot)
-
-	before := c.Snapshot()
-	if _, err := f.Project(hot...); err != nil {
-		t.Fatal(err)
-	}
-	naive := c.Snapshot().Sub(before)
-
-	before = c.Snapshot()
-	if _, err := f.ProjectCoalesced(hot...); err != nil {
-		t.Fatal(err)
-	}
 	coalesced := c.Snapshot().Sub(before)
+	for i, name := range hot {
+		assertColumnEqual(t, name, want[name], batch.Columns[i])
+	}
 
 	// Hot columns are physically adjacent (reordered to the front), so the
 	// 4 chunks per group collapse to 1 read per group: 2 groups -> 2 reads.
-	if coalesced.ReadOps >= naive.ReadOps {
-		t.Fatalf("coalesced %d ops >= naive %d", coalesced.ReadOps, naive.ReadOps)
+	if coalesced.ReadOps >= perColumn.ReadOps {
+		t.Fatalf("coalesced %d ops >= per-column %d", coalesced.ReadOps, perColumn.ReadOps)
 	}
 	if coalesced.ReadOps != 2 {
 		t.Fatalf("coalesced ops = %d, want 2 (1 per group)", coalesced.ReadOps)
 	}
-	if coalesced.ReadBytes != naive.ReadBytes {
-		t.Fatalf("coalesced bytes %d != naive %d (must read the same chunks)",
-			coalesced.ReadBytes, naive.ReadBytes)
+	if coalesced.ReadBytes != perColumn.ReadBytes {
+		t.Fatalf("coalesced bytes %d != per-column %d (must read the same chunks)",
+			coalesced.ReadBytes, perColumn.ReadBytes)
 	}
 }
 
@@ -150,13 +140,13 @@ func TestScatteredHotSetReadsMore(t *testing.T) {
 	fOrdered, co, _ := wideFixture(t, hot)
 
 	before := cs.Snapshot()
-	if _, err := fScattered.ProjectCoalesced(hot...); err != nil {
+	if _, err := fScattered.Project(hot...); err != nil {
 		t.Fatal(err)
 	}
 	scattered := cs.Snapshot().Sub(before)
 
 	before = co.Snapshot()
-	if _, err := fOrdered.ProjectCoalesced(hot...); err != nil {
+	if _, err := fOrdered.Project(hot...); err != nil {
 		t.Fatal(err)
 	}
 	ordered := co.Snapshot().Sub(before)
@@ -166,31 +156,4 @@ func TestScatteredHotSetReadsMore(t *testing.T) {
 	}
 	t.Logf("column reordering: %d reads (hot-first layout) vs %d (scattered)",
 		ordered.ReadOps, scattered.ReadOps)
-}
-
-func TestCoalescedWithDeletions(t *testing.T) {
-	f, _, want := wideFixture(t, nil)
-	mf := f.r.(*iostats.ReaderAt).R.(*memFile)
-	if err := f.DeleteRows(mf, []uint64{5, 6, 7}); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := f.ProjectCoalesced("feat_00")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := batch.Columns[0].(Int64Data)
-	if len(got) != 3997 {
-		t.Fatalf("rows = %d, want 3997", len(got))
-	}
-	orig := want["feat_00"]
-	if got[5] != orig[8] {
-		t.Fatalf("row alignment after deletion: got[5]=%d, want orig[8]=%d", got[5], orig[8])
-	}
-}
-
-func TestCoalescedUnknownColumn(t *testing.T) {
-	f, _, _ := wideFixture(t, nil)
-	if _, err := f.ProjectCoalesced("nope"); err == nil {
-		t.Fatal("unknown column accepted")
-	}
 }

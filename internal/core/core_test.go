@@ -174,6 +174,21 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// assertColumnsEqual compares a read column set to its ground truth:
+// same column count, same row counts, same values.
+func assertColumnsEqual(t *testing.T, schema *Schema, want, got []ColumnData) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("read %d columns, want %d", len(got), len(want))
+	}
+	for i, f := range schema.Fields {
+		if got[i].Len() != want[i].Len() {
+			t.Fatalf("column %q: %d rows, want %d", f.Name, got[i].Len(), want[i].Len())
+		}
+		assertColumnEqual(t, f.Name, want[i], got[i])
+	}
+}
+
 func assertColumnEqual(t *testing.T, name string, want, got ColumnData) {
 	t.Helper()
 	switch w := want.(type) {

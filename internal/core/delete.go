@@ -344,57 +344,59 @@ func (f *File) rewriteFooter(w io.WriterAt, ftr *footer.Footer) error {
 }
 
 // RewriteWithoutRows is the legacy baseline the paper contrasts against:
-// copy the entire file, dropping the given rows. It reads every page and
-// writes a complete new file to out, returning the new file's
-// WrittenStats so commit paths (dataset compaction) can lift manifest
-// entries without reopening what they just wrote. Used by the deletion
-// experiment to measure the I/O cost Level 2 avoids.
+// copy the entire file, dropping the given rows. It streams every live
+// row through one scan into a new file on out (the writer cuts row groups
+// from the row stream, so the scan's batch size leaves no mark on the
+// output) and returns the new file's WrittenStats so commit paths (dataset
+// compaction) can lift manifest entries without reopening what they just
+// wrote. Used by the deletion experiment to measure the I/O cost Level 2
+// avoids.
 func (f *File) RewriteWithoutRows(out io.Writer, rows []uint64, opts *Options) (*WrittenStats, error) {
-	del := map[uint64]bool{}
+	drop := make(map[uint64]bool, len(rows))
 	for _, r := range rows {
-		del[r] = true
+		drop[r] = true
 	}
-	schema := f.Schema()
-	w, err := NewWriter(out, schema, opts)
+	w, err := NewWriter(out, f.Schema(), opts)
 	if err != nil {
 		return nil, err
 	}
-	// Read group by group, filter, and write.
-	var rowStart uint64
-	for g := 0; g < f.view.NumGroups(); g++ {
-		cols := make([]ColumnData, len(schema.Fields))
-		var n int
-		for c := range schema.Fields {
-			data, err := f.ReadChunk(g, c)
-			if err != nil {
-				return nil, err
+	// Close joins the writer's pipeline goroutines; it is a no-op after
+	// the explicit Close below.
+	defer w.Close()
+	sc, err := f.Scan(ScanOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	// The scan emits exactly the live rows in file order (no filter, so
+	// only all-deleted batches are pruned): row walks their global ids.
+	var row uint64
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(drop) > 0 {
+			n := batch.NumRows()
+			keep := make([]int, 0, n)
+			for i := 0; i < n; i, row = i+1, row+1 {
+				for f.view.RowDeleted(row) {
+					row++
+				}
+				if !drop[row] {
+					keep = append(keep, i)
+				}
 			}
-			cols[c] = data
-			n = data.Len()
-		}
-		keep := make([]int, 0, n)
-		// ReadChunk already filters previously-deleted rows; filter the new
-		// set against the live row ids.
-		live := make([]uint64, 0, n)
-		groupRows := f.GroupRowCounts()[g]
-		for i := 0; i < groupRows; i++ {
-			if !f.view.RowDeleted(rowStart + uint64(i)) {
-				live = append(live, rowStart+uint64(i))
+			for c := range batch.Columns {
+				batch.Columns[c] = permuteColumn(batch.Columns[c], keep)
 			}
 		}
-		for i, lr := range live {
-			if !del[lr] {
-				keep = append(keep, i)
-			}
-		}
-		for c := range cols {
-			cols[c] = permuteColumn(cols[c], keep)
-		}
-		batch := &Batch{Schema: schema, Columns: cols}
 		if err := w.Write(batch); err != nil {
 			return nil, err
 		}
-		rowStart += uint64(groupRows)
 	}
 	if err := w.Close(); err != nil {
 		return nil, err

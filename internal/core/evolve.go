@@ -17,6 +17,9 @@ import "fmt"
 func (f *File) ProjectEvolved(fields []Field) (*Batch, error) {
 	nRows := int(f.NumLiveRows())
 	cols := make([]ColumnData, len(fields))
+	// Stored columns are read together in one pass: stored[j] lands at
+	// output position at[j].
+	var stored, at []int
 	for i, want := range fields {
 		ci, ok := f.LookupColumn(want.Name)
 		if !ok {
@@ -28,19 +31,23 @@ func (f *File) ProjectEvolved(fields []Field) (*Batch, error) {
 			return nil, fmt.Errorf("core: column %q evolved incompatibly: stored %v (nullable=%v), requested %v (nullable=%v)",
 				want.Name, have.Type, have.Nullable, want.Type, want.Nullable)
 		}
-		data, err := f.ReadColumnByIndex(ci)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = data
+		stored, at = append(stored, ci), append(at, i)
+	}
+	read, err := f.collect(stored, nil)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range at {
+		cols[i] = read.Columns[j]
 	}
 	schema := &Schema{Fields: fields}
 	return &Batch{Schema: schema, Columns: cols}, nil
 }
 
-// defaultColumn materializes n default-valued rows for a field the file
-// predates: zero for scalars, null for nullable columns, empty for lists
-// and strings.
+// defaultColumn materializes n default-valued rows of the field's type:
+// zero for scalars, null for nullable columns, empty for lists and
+// strings. ProjectEvolved fills fields the file predates with it; n = 0
+// is the typed empty column.
 func defaultColumn(f Field, n int) ColumnData {
 	switch {
 	case f.Nullable:

@@ -211,10 +211,6 @@ func (f *File) groupRowStart(g int) uint64 {
 	return starts[g]
 }
 
-// parsedColumnBloom returns column c's parsed file-level bloom (nil when
-// absent), memoized on the shared Footer.
-func (f *File) parsedColumnBloom(c int) *enc.Bloom { return f.ftr.ColumnBloomFilter(c) }
-
 // pageByteRange returns the file byte span of global page p.
 func (f *File) pageByteRange(p int) (off, end int64) {
 	off = int64(f.view.PageOffset(p))
@@ -249,42 +245,6 @@ func (f *File) deletedInRange(lo, hi uint64) int {
 	return n
 }
 
-// ReadChunk reads and decodes one column chunk, returning only live rows.
-func (f *File) ReadChunk(group, col int) (ColumnData, error) {
-	field := f.FieldByIndex(col)
-	chunkOff, chunkSize := f.view.ChunkByteRange(group, col)
-	buf := make([]byte, chunkSize)
-	if _, err := f.r.ReadAt(buf, int64(chunkOff)); err != nil {
-		return nil, fmt.Errorf("core: reading chunk (%d,%d): %w", group, col, err)
-	}
-	first, count := f.view.ChunkPages(group, col)
-	rowStart := f.groupRowStart(group)
-
-	var out ColumnData
-	pageRowStart := rowStart
-	for p := first; p < first+count; p++ {
-		off, end := f.pageByteRange(p)
-		payload := buf[off-int64(chunkOff) : end-int64(chunkOff)]
-		logical := f.view.PageRows(p)
-		data, err := decodePage(field, payload, logical)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-		}
-		// Pages always hold their logical row count: Level-2 erasure masks
-		// in place rather than compacting, so alignment is intact and the
-		// deletion vector drives filtering at every compliance level.
-		if f.deletedInRange(pageRowStart, pageRowStart+uint64(logical)) > 0 {
-			data = filterDeleted(data, f.view, pageRowStart, logical)
-		}
-		out = appendColumn(out, data)
-		pageRowStart += uint64(logical)
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
-}
-
 // filterDeleted drops rows marked in the deletion vector (Level-1 reads).
 func filterDeleted(data ColumnData, v *footer.View, rowStart uint64, logical int) ColumnData {
 	keep := make([]int, 0, logical)
@@ -296,32 +256,29 @@ func filterDeleted(data ColumnData, v *footer.View, rowStart uint64, logical int
 	return permuteColumn(data, keep)
 }
 
-// emptyColumn returns a zero-length column of the field's type.
-func emptyColumn(f Field) ColumnData {
-	switch {
-	case f.Nullable:
-		return NullableInt64Data{}
-	case f.Type.Kind == Int64 || f.Type.Kind == Int32:
-		return Int64Data{}
-	case f.Type.Kind == Float64:
-		return Float64Data{}
-	case f.Type.Kind == Float32:
-		return Float32Data{}
-	case f.Type.Kind == Bool:
-		return BoolData{}
-	case f.Type.Kind == Binary || f.Type.Kind == String:
-		return BytesData{}
-	case f.Type.Kind == List && f.Type.Elem == Int64:
-		return ListInt64Data{}
-	case f.Type.Kind == List && f.Type.Elem == Float32:
-		return ListFloat32Data{}
-	case f.Type.Kind == List && f.Type.Elem == Float64:
-		return ListFloat64Data{}
-	case f.Type.Kind == List && f.Type.Elem == Binary:
-		return ListBytesData{}
-	default:
-		return ListListInt64Data{}
+// collect is the read behind every whole-column and row-range accessor:
+// one scan of column indices cols over rng (nil = the whole file) whose
+// single batch is the whole range. Live rows only; a range with no live
+// row (empty, or entirely deleted) yields typed zero-length columns.
+func (f *File) collect(cols []int, rng *RowRange) (*Batch, error) {
+	if len(cols) == 0 {
+		// The scanner reads an empty projection as "every column".
+		return &Batch{Schema: &Schema{}, Columns: []ColumnData{}}, nil
 	}
+	sc, err := newScanner(f, cols, ScanOptions{Range: rng, BatchRows: int(f.NumRows())})
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	batch, err := sc.Next()
+	if err == io.EOF {
+		empty := make([]ColumnData, len(cols))
+		for i, fd := range sc.schema.Fields {
+			empty[i] = defaultColumn(fd, 0)
+		}
+		return &Batch{Schema: sc.schema, Columns: empty}, nil
+	}
+	return batch, err
 }
 
 // ReadRows reads global rows [lo, hi) of a column, touching only the pages
@@ -329,76 +286,20 @@ func emptyColumn(f Field) ColumnData {
 // exploit (§2.5): with rows presorted by quality, a threshold read becomes
 // one contiguous page run instead of scattered page fetches.
 func (f *File) ReadRows(col int, lo, hi uint64) (ColumnData, error) {
-	if hi > f.view.NumRows() || lo > hi {
-		return nil, fmt.Errorf("core: row range [%d,%d) out of [0,%d]", lo, hi, f.view.NumRows())
+	b, err := f.collect([]int{col}, &RowRange{Lo: lo, Hi: hi})
+	if err != nil {
+		return nil, err
 	}
-	field := f.FieldByIndex(col)
-	var out ColumnData
-	counts := f.GroupRowCounts()
-	var groupStart uint64
-	for g := 0; g < f.view.NumGroups(); g++ {
-		groupEnd := groupStart + uint64(counts[g])
-		if groupEnd <= lo || groupStart >= hi {
-			groupStart = groupEnd
-			continue
-		}
-		first, count := f.view.ChunkPages(g, col)
-		pageStart := groupStart
-		for p := first; p < first+count; p++ {
-			logical := uint64(f.view.PageRows(p))
-			pageEnd := pageStart + logical
-			if pageEnd <= lo || pageStart >= hi {
-				pageStart = pageEnd
-				continue
-			}
-			off, end := f.pageByteRange(p)
-			payload := make([]byte, end-off)
-			if _, err := f.r.ReadAt(payload, off); err != nil {
-				return nil, fmt.Errorf("core: reading page %d: %w", p, err)
-			}
-			data, err := decodePage(field, payload, int(logical))
-			if err != nil {
-				return nil, fmt.Errorf("core: decoding page %d: %w", p, err)
-			}
-			// Clip to the requested range, then filter deletions.
-			clipLo, clipHi := 0, int(logical)
-			if pageStart < lo {
-				clipLo = int(lo - pageStart)
-			}
-			if pageEnd > hi {
-				clipHi = int(logical - (pageEnd - hi))
-			}
-			keep := make([]int, 0, clipHi-clipLo)
-			for i := clipLo; i < clipHi; i++ {
-				if !f.view.RowDeleted(pageStart + uint64(i)) {
-					keep = append(keep, i)
-				}
-			}
-			out = appendColumn(out, permuteColumn(data, keep))
-			pageStart = pageEnd
-		}
-		groupStart = groupEnd
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
+	return b.Columns[0], nil
 }
 
 // ReadColumnByIndex reads a full column (live rows only).
 func (f *File) ReadColumnByIndex(col int) (ColumnData, error) {
-	var out ColumnData
-	for g := 0; g < f.view.NumGroups(); g++ {
-		chunk, err := f.ReadChunk(g, col)
-		if err != nil {
-			return nil, err
-		}
-		out = appendColumn(out, chunk)
+	b, err := f.collect([]int{col}, nil)
+	if err != nil {
+		return nil, err
 	}
-	if out == nil {
-		out = emptyColumn(f.FieldByIndex(col))
-	}
-	return out, nil
+	return b.Columns[0], nil
 }
 
 // ReadColumn reads a full column by name.
@@ -411,24 +312,16 @@ func (f *File) ReadColumn(name string) (ColumnData, error) {
 }
 
 // Project reads the named columns (live rows only), in the order given —
-// the paper's feature projection path.
+// the paper's feature projection path: one pass, physically adjacent
+// chunks sharing reads of up to CoalesceLimit bytes. When the schema was
+// written with the hot columns reordered to the front (ReorderFields), a
+// hot-set projection collapses to one read per row group.
 func (f *File) Project(names ...string) (*Batch, error) {
-	fields := make([]Field, len(names))
-	cols := make([]ColumnData, len(names))
-	for i, name := range names {
-		ci, ok := f.LookupColumn(name)
-		if !ok {
-			return nil, fmt.Errorf("core: no column %q", name)
-		}
-		fields[i] = f.FieldByIndex(ci)
-		data, err := f.ReadColumnByIndex(ci)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = data
+	cols, err := f.lookupColumns(names)
+	if err != nil {
+		return nil, err
 	}
-	schema := &Schema{Fields: fields}
-	return &Batch{Schema: schema, Columns: cols}, nil
+	return f.collect(cols, nil)
 }
 
 // VerifyChecksums re-hashes every page and validates the Merkle tree

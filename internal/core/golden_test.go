@@ -434,53 +434,6 @@ func TestGoldenV2BackwardCompat(t *testing.T) {
 	}
 }
 
-// TestGoldenScanCoalescedIdentical pins read-path equivalence on the
-// committed golden file: the coalesced scan (cross-column read planner,
-// pooled run buffers, decode-into) must emit batch-for-batch identical
-// data to the uncoalesced per-column scan, including at a batch size that
-// misaligns with the golden file's 256-row pages.
-func TestGoldenScanCoalescedIdentical(t *testing.T) {
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	f, err := Open(bytes.NewReader(want), int64(len(want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batchRows := range []int{700, 1024} {
-		plain, err := f.Scan(ScanOptions{Workers: 2, BatchRows: batchRows, DisableCoalesce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coal, err := f.Scan(ScanOptions{Workers: 2, BatchRows: batchRows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b := 0; ; b++ {
-			pb, perr := plain.Next()
-			cb, cerr := coal.Next()
-			if perr == io.EOF || cerr == io.EOF {
-				if perr != cerr {
-					t.Fatalf("batchRows=%d: scans ended at different batches", batchRows)
-				}
-				break
-			}
-			if perr != nil || cerr != nil {
-				t.Fatal(perr, cerr)
-			}
-			for i := range pb.Columns {
-				if !reflect.DeepEqual(cb.Columns[i], pb.Columns[i]) {
-					t.Errorf("batchRows=%d batch %d: column %q differs between coalesced and uncoalesced scan",
-						batchRows, b, f.FieldByIndex(i).Name)
-				}
-			}
-		}
-		plain.Close()
-		coal.Close()
-	}
-}
-
 // compareGoldenColumn compares a decoded column to the source data.
 // Nullable columns compare mask-aware: values under null slots are
 // unspecified on disk.

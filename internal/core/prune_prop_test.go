@@ -6,8 +6,9 @@ package core_test
 // and misaligned page/group/batch geometries) and a random predicate set,
 // then runs the scan twice:
 //
-//	reference — no filters, DisableCoalesce (the plain per-column path);
-//	pruned    — the filters installed, coalescing on.
+//	reference — no filters (the property is about pruning, so the
+//	            unfiltered scan is the reference);
+//	pruned    — the filters installed.
 //
 // Applying the predicates exactly to both outputs must yield identical
 // row sequences: statistics pruning (page zone maps, page blooms, the
@@ -319,7 +320,7 @@ func runFileCase(t *testing.T, pc *propCase) {
 		}
 	}
 
-	ref, err := f.Scan(core.ScanOptions{BatchRows: pc.batchRows, Workers: pc.workers, DisableCoalesce: true})
+	ref, err := f.Scan(core.ScanOptions{BatchRows: pc.batchRows, Workers: pc.workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func runDatasetCase(t *testing.T, pc *propCase, rng *rand.Rand) {
 	}
 
 	ref, err := d.Scan(dataset.ScanOptions{ScanOptions: core.ScanOptions{
-		BatchRows: pc.batchRows, Workers: pc.workers, DisableCoalesce: true,
+		BatchRows: pc.batchRows, Workers: pc.workers,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -3,14 +3,12 @@ package core
 import (
 	"math/rand"
 	"os"
-	"reflect"
 	"testing"
 )
 
 // These tests pin the compaction primitive the dataset layer builds on:
 // RewriteWithoutRows must produce a file whose scan output is exactly the
-// original's live rows minus the dropped set, and the rewritten file must
-// behave identically under the coalesced and per-column scan paths.
+// original's live rows minus the dropped set.
 
 // liveMinus returns the original columns restricted to rows not in
 // deleted and not in dropped (all indices in the original row space).
@@ -49,22 +47,10 @@ func rewriteAndReopen(t *testing.T, f *File, drop []uint64, opts *Options) *File
 	return rf
 }
 
-// scanColumns drains a full scan with the given options into one
-// concatenated column set.
-func scanColumns(t *testing.T, f *File, opts ScanOptions) []ColumnData {
-	t.Helper()
-	sc, err := f.Scan(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	return drainScanner(t, sc)
-}
-
 // TestRewriteWithoutRowsScanRoundTrip: deletion-vector deletes plus an
-// explicit drop set, rewritten, reopened, and scanned through the
-// coalesced planner — the output must equal the original scan minus every
-// removed row, for every column type.
+// explicit drop set, rewritten, reopened, and scanned — the output must
+// equal the written batch minus every removed row, for every column type,
+// including at a batch size that misaligns with the pages.
 func TestRewriteWithoutRowsScanRoundTrip(t *testing.T) {
 	schema := testSchema(t)
 	rng := rand.New(rand.NewSource(77))
@@ -86,66 +72,22 @@ func TestRewriteWithoutRowsScanRoundTrip(t *testing.T) {
 	}
 	dropped = append(dropped, 255, 3000, 4998) // 255 overlaps the deleted set
 
-	// Expected rows come from scanning the original file before any
-	// deletion, restricted to the surviving row ids.
-	_, clean := writeTestFile(t, schema, batch, opts)
-	original := scanColumns(t, clean, ScanOptions{BatchRows: 1024})
-	want := liveMinus(original, n, deleted, dropped)
+	want := liveMinus(batch.Columns, n, deleted, dropped)
 
 	rf := rewriteAndReopen(t, f, dropped, opts)
 	if got, wantRows := rf.NumRows(), uint64(n-len(deleted)-len(dropped)+1); got != wantRows {
 		t.Fatalf("rewritten file has %d rows, want %d", got, wantRows)
 	}
 
-	for _, batchRows := range []int{256, 1024, 100000} {
-		coalesced := scanColumns(t, rf, ScanOptions{BatchRows: batchRows})
-		for i := range want {
-			if !reflect.DeepEqual(coalesced[i], want[i]) {
-				t.Errorf("b%d: column %q differs from original-minus-removed",
-					batchRows, schema.Fields[i].Name)
-			}
-		}
-	}
-
-	// The rewritten file must be batch-for-batch identical across the
-	// coalesced and per-column scan paths (including page-misaligned
-	// batches).
-	scanBatchEquivalence(t, rf, 300)
-}
-
-// scanBatchEquivalence compares a coalesced and an uncoalesced scan of f
-// batch by batch.
-func scanBatchEquivalence(t *testing.T, f *File, batchRows int) {
-	t.Helper()
-	a, err := f.Scan(ScanOptions{BatchRows: batchRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := f.Scan(ScanOptions{BatchRows: batchRows, DisableCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	for i := 0; ; i++ {
-		ba, errA := a.Next()
-		bb, errB := b.Next()
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("batch %d: coalesced err %v, uncoalesced err %v", i, errA, errB)
-		}
-		if errA != nil {
-			return
-		}
-		if !reflect.DeepEqual(ba.Columns, bb.Columns) {
-			t.Fatalf("batch %d differs between coalesced and per-column paths", i)
-		}
+	for _, batchRows := range []int{256, 300, 1024, 100000} {
+		got, _ := scanAll(t, rf, ScanOptions{BatchRows: batchRows})
+		assertColumnsEqual(t, schema, want, got)
 	}
 }
 
 // TestGoldenRewriteWithoutRowsRoundTrip runs the same round-trip over the
 // committed golden file: rewriting the pinned format, reopening, and
-// coalesced-scanning must reproduce the golden table minus the dropped
-// rows.
+// scanning must reproduce the golden table minus the dropped rows.
 func TestGoldenRewriteWithoutRowsRoundTrip(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -158,22 +100,18 @@ func TestGoldenRewriteWithoutRowsRoundTrip(t *testing.T) {
 	}
 	n := int(f.NumRows())
 
-	original := scanColumns(t, f, ScanOptions{BatchRows: 1024})
 	dropped := []uint64{0, 7, 255, 256, 999, 1000, 1001, 2000, uint64(n - 1)}
 
-	schema, _, opts := goldenTable(t)
+	schema, table, opts := goldenTable(t)
 	rf := rewriteAndReopen(t, f, dropped, opts)
 	if got := rf.NumRows(); got != uint64(n-len(dropped)) {
 		t.Fatalf("rewritten golden has %d rows, want %d", got, n-len(dropped))
 	}
-	want := liveMinus(original, n, nil, dropped)
-	got := scanColumns(t, rf, ScanOptions{BatchRows: 700}) // misaligned with 256-row pages
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("golden column %q differs after rewrite round-trip", schema.Fields[i].Name)
-		}
+	want := liveMinus(table.Columns, n, nil, dropped)
+	for _, batchRows := range []int{256, 700} { // 700 misaligns with the 256-row pages
+		got, _ := scanAll(t, rf, ScanOptions{BatchRows: batchRows})
+		assertColumnsEqual(t, schema, want, got)
 	}
-	scanBatchEquivalence(t, rf, 256)
 
 	// The rewrite must also leave a verifiable checksum tree.
 	if err := rf.VerifyChecksums(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,6 +64,29 @@ func TestFooterRegionCorruption(t *testing.T) {
 		}
 		for c := 0; c < f2.NumColumns() && c < 3; c++ {
 			_, _ = f2.ReadColumnByIndex(c)
+		}
+	}
+}
+
+// TestRowCountDisagreesWithPageIndex: the footer header's row count is
+// only a claim; reads follow the page index and refuse a file where the
+// two disagree instead of planning batches over rows no page holds.
+func TestRowCountDisagreesWithPageIndex(t *testing.T) {
+	schema := testSchema(t)
+	batch := testBatch(t, schema, rand.New(rand.NewSource(54)), 200)
+	mf, f := writeTestFile(t, schema, batch, nil)
+	for _, claimed := range []uint64{0, 199, 201, 1 << 62} {
+		cp := &memFile{data: append([]byte{}, mf.data...)}
+		binary.LittleEndian.PutUint64(cp.data[f.ftr.footerOff+12:], claimed)
+		f2, err := Open(cp, cp.Size())
+		if err != nil {
+			continue
+		}
+		if _, err := f2.ReadColumnByIndex(0); err == nil {
+			t.Fatalf("read a file whose header claims %d rows over a 200-row page index", claimed)
+		}
+		if _, err := f2.Scan(ScanOptions{}); err == nil {
+			t.Fatalf("scanned a file whose header claims %d rows over a 200-row page index", claimed)
 		}
 	}
 }

@@ -127,42 +127,6 @@ func scanAll(t *testing.T, f *File, opts ScanOptions) ([]ColumnData, ScanStats) 
 	return out, sc.Stats()
 }
 
-// TestScanCoalescedMatchesUncoalesced asserts the coalesced planner path
-// returns batches identical to the per-column path over every column type,
-// page-misaligned batches, and deletions — while issuing fewer reads.
-func TestScanCoalescedMatchesUncoalesced(t *testing.T) {
-	schema := testSchema(t)
-	rng := rand.New(rand.NewSource(23))
-	batch := testBatch(t, schema, rng, 5000)
-	mf, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 256, GroupRows: 1500, Compliance: Level1})
-	if err := f.DeleteRows(mf, []uint64{3, 700, 701, 702, 4999}); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, batchRows := range []int{97, 256, 1024, 100000} {
-		t.Run(fmt.Sprintf("b%d", batchRows), func(t *testing.T) {
-			base := ScanOptions{BatchRows: batchRows, Workers: 4}
-			plain := base
-			plain.DisableCoalesce = true
-			want, wantStats := scanAll(t, f, plain)
-			got, gotStats := scanAll(t, f, base)
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("column %q differs between coalesced and uncoalesced scan",
-						schema.Fields[i].Name)
-				}
-			}
-			if gotStats.ReadOps >= wantStats.ReadOps {
-				t.Errorf("coalesced scan used %d reads, uncoalesced %d",
-					gotStats.ReadOps, wantStats.ReadOps)
-			}
-			if gotStats.RowsEmitted != wantStats.RowsEmitted {
-				t.Errorf("rows: %d vs %d", gotStats.RowsEmitted, wantStats.RowsEmitted)
-			}
-		})
-	}
-}
-
 // TestScanReuseBatchesCorrect asserts recycled batches decode to the same
 // data as a fresh scan: the recycled storage must be fully overwritten.
 func TestScanReuseBatchesCorrect(t *testing.T) {
@@ -192,7 +156,7 @@ func TestScanReuseBatchesCorrect(t *testing.T) {
 			// appendColumn(nil, c) would alias c's soon-recycled storage.
 			got = make([]ColumnData, len(b.Columns))
 			for i := range got {
-				got[i] = emptyColumn(schema.Fields[i])
+				got[i] = defaultColumn(schema.Fields[i], 0)
 			}
 		}
 		// Deep-copy before recycling: the storage is about to be reused.

@@ -12,12 +12,14 @@ import (
 	"bullion/internal/quant"
 )
 
-// This file implements the streaming scan subsystem: instead of
-// materializing whole columns (ReadColumnByIndex / Project), a Scanner
+// This file is the read engine: every read of a File — streaming scans
+// and the whole-column wrappers in file.go alike — is a Scanner. It
 // iterates the projected column set in fixed-size row batches — the shape
-// ML data loaders consume — decoding the columns of in-flight batches on a
-// GOMAXPROCS-bounded worker pool while preserving file order. Batches that
-// provably contain no useful rows are skipped before any I/O happens:
+// ML data loaders consume — planning each batch's physical reads across
+// all projected columns (coalesce.go) and decoding the columns of
+// in-flight batches on a GOMAXPROCS-bounded worker pool while preserving
+// file order. Batches that provably contain no useful rows are skipped
+// before any I/O happens:
 //   - batches outside ScanOptions.Range are never planned,
 //   - batches whose rows are all deleted are dropped (deleted-heavy files
 //     touch proportionally less I/O),
@@ -88,23 +90,18 @@ type ScanOptions struct {
 	Range *RowRange
 	// Filters prune batches via the footer's page zone maps.
 	Filters []ColumnFilter
-	// CoalesceGap is the largest run of cold bytes a coalesced read may
-	// read through to merge two wanted page runs into one I/O (see
+	// CoalesceGap is the largest run of cold bytes a read may read
+	// through to merge two wanted page runs into one I/O (see
 	// DefaultCoalesceGap, used when 0). Negative disables read-through:
-	// only exactly byte-adjacent page runs merge.
+	// only exactly byte-adjacent page runs merge, which together with the
+	// CoalesceLimit cap is the setting for storage that penalizes large
+	// or wasteful requests.
 	CoalesceGap int
-	// DisableCoalesce reverts to one read per column chunk run (the
-	// pre-planner scan path). Coalesced and uncoalesced scans return
-	// identical batches; this exists for measurement and as an escape
-	// hatch for readers whose storage penalizes large requests.
-	DisableCoalesce bool
 	// ReuseBatches opts into batch recycling: when the caller returns a
 	// finished batch via Scanner.Recycle, later batches decode into its
 	// column storage instead of allocating, making steady-state Next
 	// calls allocation-free for fixed-width columns. Batches must not be
-	// read after being recycled. Recycling is implemented by the
-	// coalesced decode path only; with DisableCoalesce, Recycle is a
-	// no-op.
+	// read after being recycled.
 	ReuseBatches bool
 }
 
@@ -124,9 +121,8 @@ type ScanStats struct {
 	// batches and are not counted here.
 	BatchesSkipped int64
 	RowsEmitted    int64
-	// ReadOps counts physical ReadAt calls issued so far. On the
-	// coalesced path, adjacent column chunks share reads, so ReadOps can
-	// be far below columns x batches.
+	// ReadOps counts physical ReadAt calls issued so far. Adjacent column
+	// chunks share reads, so ReadOps can be far below columns x batches.
 	ReadOps int64
 	// CoalescedBytes counts bytes fetched by reads that merged page runs
 	// of two or more columns into one I/O.
@@ -153,9 +149,8 @@ type scanSlot struct {
 	idx  int
 	span rowSpan
 	cols []ColumnData
-	// runs/colSegs are set on the coalesced path: the planned physical
-	// reads for this span and, per projected column, its page segments in
-	// row order.
+	// runs are the planned physical reads for this span; colSegs holds,
+	// per projected column, its page segments in row order.
 	runs    []*spanRun
 	colSegs [][]segRef
 	// reuse holds a recycled batch's column storage (ReuseBatches).
@@ -180,17 +175,15 @@ type scanTask struct {
 
 // Scanner streams a projected column set in row batches. One Scanner must
 // be used from a single goroutine; any number of Scanners may run
-// concurrently over the same *File. The scanner reaches its file only
-// through the scanSource interface — one engine instance per source.
+// concurrently over the same *File.
 type Scanner struct {
-	src    scanSource
+	f      *File
 	cols   []int
 	schema *Schema
 
 	batches []rowSpan
 	workers int
 
-	coalesce    bool
 	gap         int64
 	reuseOn     bool
 	poolRunBufs bool // run buffers recyclable: no projected column aliases them
@@ -222,16 +215,53 @@ type Scanner struct {
 }
 
 // Scan plans a streaming scan and starts its decode pool.
-func (f *File) Scan(opts ScanOptions) (*Scanner, error) { return newScanner(f, opts) }
-
-// newScanner plans a streaming scan over any scanSource and starts its
-// decode pool.
-func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
-	cols, schema, err := resolveProjection(src, opts.Columns)
-	if err != nil {
-		return nil, err
+func (f *File) Scan(opts ScanOptions) (*Scanner, error) {
+	var cols []int
+	if len(opts.Columns) == 0 {
+		cols = make([]int, f.NumColumns())
+		for i := range cols {
+			cols[i] = i
+		}
+	} else {
+		var err error
+		if cols, err = f.lookupColumns(opts.Columns); err != nil {
+			return nil, err
+		}
 	}
-	v := src.View()
+	return newScanner(f, cols, opts)
+}
+
+// lookupColumns resolves column names to indices.
+func (f *File) lookupColumns(names []string) ([]int, error) {
+	cols := make([]int, len(names))
+	for i, name := range names {
+		ci, ok := f.LookupColumn(name)
+		if !ok {
+			return nil, fmt.Errorf("core: no column %q", name)
+		}
+		cols[i] = ci
+	}
+	return cols, nil
+}
+
+// newScanner plans a scan of column indices cols (opts.Columns, already
+// resolved) and starts its decode pool.
+func newScanner(f *File, cols []int, opts ScanOptions) (*Scanner, error) {
+	fields := make([]Field, len(cols))
+	for i, ci := range cols {
+		fields[i] = f.FieldByIndex(ci)
+	}
+	// Reads are driven by the page index; a header row count that
+	// disagrees with it would plan batches over rows no page holds.
+	numRows := f.NumRows()
+	counts, starts := f.ftr.groupGeometry()
+	var indexed uint64
+	if g := len(counts) - 1; g >= 0 {
+		indexed = starts[g] + uint64(counts[g])
+	}
+	if indexed != numRows {
+		return nil, fmt.Errorf("core: footer claims %d rows, page index holds %d", numRows, indexed)
+	}
 	batchRows := opts.BatchRows
 	if batchRows <= 0 {
 		batchRows = DefaultScanBatchRows
@@ -243,14 +273,14 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 	if workers > maxScanWorkers {
 		workers = maxScanWorkers
 	}
-	lo, hi := uint64(0), v.NumRows()
+	lo, hi := uint64(0), numRows
 	if r := opts.Range; r != nil {
-		if r.Lo > r.Hi || r.Hi > v.NumRows() {
-			return nil, fmt.Errorf("core: scan range [%d,%d) out of [0,%d]", r.Lo, r.Hi, v.NumRows())
+		if r.Lo > r.Hi || r.Hi > numRows {
+			return nil, fmt.Errorf("core: scan range [%d,%d) out of [0,%d]", r.Lo, r.Hi, numRows)
 		}
 		lo, hi = r.Lo, r.Hi
 	}
-	filters, err := resolveFilters(src, opts.Filters)
+	filters, err := resolveFilters(f, opts.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -262,30 +292,26 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 		gap = 0
 	}
 	s := &Scanner{
-		src:      src,
-		cols:     cols,
-		schema:   schema,
-		workers:  workers,
-		coalesce: !opts.DisableCoalesce,
-		gap:      gap,
-		// Only the coalesced decode path implements decode-into, so
-		// recycling is pointless (and would silently drop recycled
-		// storage) without it.
-		reuseOn:     opts.ReuseBatches && !opts.DisableCoalesce,
-		poolRunBufs: !projectionAliases(schema.Fields),
+		f:           f,
+		cols:        cols,
+		schema:      &Schema{Fields: fields},
+		workers:     workers,
+		gap:         gap,
+		reuseOn:     opts.ReuseBatches,
+		poolRunBufs: !projectionAliases(fields),
 		pending:     map[int]*scanSlot{},
 		stop:        make(chan struct{}),
 	}
 	// Whole-file pruning first: when the footer's file-level stats or
 	// blooms prove the filters cannot match anywhere, no batch is planned
 	// and no page statistic is ever consulted.
-	fileExcluded := fileExcludedByFilters(src, filters)
+	fileExcluded := fileExcludedByFilters(f, filters)
 	for b := lo; b < hi; b += uint64(batchRows) {
 		span := rowSpan{b, min(b+uint64(batchRows), hi)}
 		if fileExcluded || s.pruneBatch(span, filters) {
 			s.batchesSkip++
 			for _, ci := range cols {
-				s.pagesSkipped += int64(countPagesInSpan(src, ci, span))
+				s.pagesSkipped += int64(countPagesInSpan(f, ci, span))
 			}
 			continue
 		}
@@ -293,31 +319,6 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 	}
 	s.start()
 	return s, nil
-}
-
-// resolveProjection maps names to column indices (empty = all columns).
-func resolveProjection(src scanSource, names []string) ([]int, *Schema, error) {
-	var cols []int
-	if len(names) == 0 {
-		cols = make([]int, src.View().NumColumns())
-		for i := range cols {
-			cols[i] = i
-		}
-	} else {
-		cols = make([]int, len(names))
-		for i, name := range names {
-			ci, ok := src.LookupColumn(name)
-			if !ok {
-				return nil, nil, fmt.Errorf("core: no column %q", name)
-			}
-			cols[i] = ci
-		}
-	}
-	fields := make([]Field, len(cols))
-	for i, ci := range cols {
-		fields[i] = src.FieldByIndex(ci)
-	}
-	return cols, &Schema{Fields: fields}, nil
 }
 
 type boundFilter struct {
@@ -354,10 +355,10 @@ func filterHashes(values [][]byte) []uint64 {
 	return hs
 }
 
-func resolveFilters(src scanSource, fs []ColumnFilter) ([]boundFilter, error) {
+func resolveFilters(f *File, fs []ColumnFilter) ([]boundFilter, error) {
 	out := make([]boundFilter, 0, len(fs))
 	for _, cf := range fs {
-		ci, ok := src.LookupColumn(cf.Column)
+		ci, ok := f.LookupColumn(cf.Column)
 		if !ok {
 			return nil, fmt.Errorf("core: no column %q", cf.Column)
 		}
@@ -375,7 +376,7 @@ func resolveFilters(src scanSource, fs []ColumnFilter) ([]boundFilter, error) {
 // pruneBatch reports whether span can be skipped entirely: every row
 // deleted, or some statistics filter excludes every overlapping page.
 func (s *Scanner) pruneBatch(span rowSpan, filters []boundFilter) bool {
-	if s.src.deletedInRange(span.lo, span.hi) == int(span.hi-span.lo) {
+	if s.f.deletedInRange(span.lo, span.hi) == int(span.hi-span.lo) {
 		return true
 	}
 	for i := range filters {
@@ -439,8 +440,8 @@ func bloomFilterExcludes(bf *boundFilter, fl *enc.Bloom) bool {
 // the range predicates, page blooms for the membership predicate.
 func (s *Scanner) filterExcludesSpan(bf *boundFilter, span rowSpan) bool {
 	excluded := true
-	v := s.src.View()
-	forEachPageInSpan(s.src, bf.col, span, func(p int, _, _ uint64) bool {
+	v := s.f.view
+	forEachPageInSpan(s.f, bf.col, span, func(p int, _, _ uint64) bool {
 		st, ok := v.PageStat(p)
 		if ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
 			return true
@@ -458,21 +459,14 @@ func (s *Scanner) filterExcludesSpan(bf *boundFilter, span rowSpan) bool {
 // batch is planned: the footer's file-level column stats and blooms
 // (footer v3) can prove an entire scan empty in O(filters) without
 // touching page statistics.
-func fileExcludedByFilters(src scanSource, filters []boundFilter) bool {
-	v := src.View()
-	// *File memoizes parsed column blooms on its shared Footer; fall back
-	// to a one-shot parse for sources without the memo.
-	memo, _ := src.(interface{ parsedColumnBloom(c int) *enc.Bloom })
+func fileExcludedByFilters(f *File, filters []boundFilter) bool {
 	for i := range filters {
 		bf := &filters[i]
-		if st, ok := v.ColumnStat(bf.col); ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
+		if st, ok := f.view.ColumnStat(bf.col); ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
 			return true
 		}
-		if memo != nil {
-			if bloomFilterExcludes(bf, memo.parsedColumnBloom(bf.col)) {
-				return true
-			}
-		} else if bloomExcludes(bf, v.ColumnBloom(bf.col)) {
+		// Parsed column blooms are memoized on the shared Footer.
+		if bloomFilterExcludes(bf, f.ftr.ColumnBloomFilter(bf.col)) {
 			return true
 		}
 	}
@@ -496,34 +490,32 @@ func (s *Scanner) start() {
 				return
 			}
 			slot := &scanSlot{idx: i, span: span, cols: make([]ColumnData, len(s.cols))}
-			if s.coalesce {
-				slot.runs = planSpanRuns(s.src, s.cols, span, s.gap)
-				// Bucket each column's segments (in row = file-offset
-				// order) into one shared backing array: a per-column
-				// append loop would cost O(columns) allocations per batch.
-				ends := make([]int, len(s.cols)+1)
-				total := 0
-				for _, run := range slot.runs {
-					for _, seg := range run.segs {
-						ends[seg.col+1]++
-						total++
-					}
+			slot.runs = planSpanRuns(s.f, s.cols, span, s.gap)
+			// Bucket each column's segments (in row = file-offset order)
+			// into one shared backing array: a per-column append loop
+			// would cost O(columns) allocations per batch.
+			ends := make([]int, len(s.cols)+1)
+			total := 0
+			for _, run := range slot.runs {
+				for _, seg := range run.segs {
+					ends[seg.col+1]++
+					total++
 				}
-				for c := 0; c < len(s.cols); c++ {
-					ends[c+1] += ends[c]
+			}
+			for c := 0; c < len(s.cols); c++ {
+				ends[c+1] += ends[c]
+			}
+			backing := make([]segRef, total)
+			cursor := append([]int(nil), ends[:len(s.cols)]...)
+			for _, run := range slot.runs {
+				for _, seg := range run.segs {
+					backing[cursor[seg.col]] = segRef{run: run, seg: seg}
+					cursor[seg.col]++
 				}
-				backing := make([]segRef, total)
-				cursor := append([]int(nil), ends[:len(s.cols)]...)
-				for _, run := range slot.runs {
-					for _, seg := range run.segs {
-						backing[cursor[seg.col]] = segRef{run: run, seg: seg}
-						cursor[seg.col]++
-					}
-				}
-				slot.colSegs = make([][]segRef, len(s.cols))
-				for c := range slot.colSegs {
-					slot.colSegs[c] = backing[ends[c]:ends[c+1]]
-				}
+			}
+			slot.colSegs = make([][]segRef, len(s.cols))
+			for c := range slot.colSegs {
+				slot.colSegs[c] = backing[ends[c]:ends[c+1]]
 			}
 			slot.reuse = s.takeFree()
 			slot.remaining.Store(int32(len(s.cols)))
@@ -542,13 +534,7 @@ func (s *Scanner) start() {
 		go func() {
 			defer s.wg.Done()
 			for task := range s.tasks {
-				var data ColumnData
-				var err error
-				if task.slot.colSegs != nil {
-					data, err = s.decodeColumnRuns(task.slot, task.col)
-				} else {
-					data, err = s.decodeColumnSpan(s.cols[task.col], task.slot.span)
-				}
+				data, err := s.decodeColumn(task.slot, task.col)
 				if err != nil {
 					task.slot.setErr(err)
 				} else {
@@ -600,80 +586,6 @@ func (s *Scanner) Next() (*Batch, error) {
 	}
 }
 
-// decodeColumnSpan reads and decodes rows [span.lo, span.hi) of column ci,
-// filtering deleted rows. Pages of one column chunk are physically
-// contiguous, so each overlapping per-group run costs one ReadAt.
-func (s *Scanner) decodeColumnSpan(ci int, span rowSpan) (ColumnData, error) {
-	src := s.src
-	v := src.View()
-	field := src.FieldByIndex(ci)
-	var out ColumnData
-
-	// Collect maximal runs of index-adjacent pages; global pages are laid
-	// out densely, so index adjacency is byte adjacency and each run costs
-	// one ReadAt. Within a group a column's pages are adjacent; across
-	// groups the column's next chunk starts a fresh run.
-	type pageRun struct {
-		first, last   int // global page indices, inclusive
-		firstRowStart uint64
-	}
-	var runs []pageRun
-	forEachPageInSpan(src, ci, span, func(p int, rowLo, _ uint64) bool {
-		if n := len(runs); n > 0 && runs[n-1].last == p-1 {
-			runs[n-1].last = p
-			return true
-		}
-		runs = append(runs, pageRun{first: p, last: p, firstRowStart: rowLo})
-		return true
-	})
-
-	for _, run := range runs {
-		off := int64(v.PageOffset(run.first))
-		_, end := src.pageByteRange(run.last)
-		buf := make([]byte, end-off)
-		if _, err := src.readAt(buf, off); err != nil {
-			return nil, fmt.Errorf("core: reading pages %d-%d of column %q: %w",
-				run.first, run.last, field.Name, err)
-		}
-		s.readOps.Add(1)
-		s.bytesRead.Add(int64(len(buf)))
-		rowStart := run.firstRowStart
-		for p := run.first; p <= run.last; p++ {
-			pOff, pEnd := src.pageByteRange(p)
-			logical := v.PageRows(p)
-			data, err := decodePage(field, buf[pOff-off:pEnd-off], logical)
-			if err != nil {
-				return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-			}
-			s.pagesDecoded.Add(1)
-			rowEnd := rowStart + uint64(logical)
-
-			// Clip to the span, then drop deleted rows (only when any
-			// exist — the common clean page is appended as-is).
-			clipLo, clipHi := 0, logical
-			if rowStart < span.lo {
-				clipLo = int(span.lo - rowStart)
-			}
-			if rowEnd > span.hi {
-				clipHi = logical - int(rowEnd-span.hi)
-			}
-			if clipLo != 0 || clipHi != logical {
-				data = sliceColumn(data, clipLo, clipHi)
-			}
-			clipStart := rowStart + uint64(clipLo)
-			if src.deletedInRange(clipStart, rowStart+uint64(clipHi)) > 0 {
-				data = filterDeleted(data, v, clipStart, clipHi-clipLo)
-			}
-			out = appendColumn(out, data)
-			rowStart = rowEnd
-		}
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
-}
-
 // projectionAliases reports whether any projected column's decoded values
 // can alias the encoded page bytes (byte-string decoding is zero-copy out
 // of the read buffer). When true, run buffers must live as long as the
@@ -705,7 +617,7 @@ func (s *Scanner) fetchRun(r *spanRun) error {
 		} else {
 			r.buf = make([]byte, n)
 		}
-		if _, err := s.src.readAt(r.buf, r.off); err != nil {
+		if _, err := s.f.r.ReadAt(r.buf, r.off); err != nil {
 			r.err = fmt.Errorf("core: coalesced read [%d,%d): %w", r.off, r.end, err)
 			if r.bufP != nil {
 				putRunBuf(r.bufP)
@@ -735,58 +647,107 @@ func releaseRuns(slot *scanSlot) {
 	}
 }
 
-// decodeColumnRuns decodes projected column pos of a coalesced slot from
-// its planned run buffers. Fixed-width columns decode straight into the
-// output slice (recycled from ScanOptions.ReuseBatches when available):
-// pages fully inside the span with no deletions — every page, when batches
-// are page-aligned — cost zero allocations. Variable-width columns fall
-// back to per-page decoding but still share the coalesced reads.
-func (s *Scanner) decodeColumnRuns(slot *scanSlot, pos int) (ColumnData, error) {
-	ci := s.cols[pos]
-	field := s.src.FieldByIndex(ci)
-	segs := slot.colSegs[pos]
+// pageVisit is one page of a projected column inside a batch span, as
+// walkPages hands it to a page decoder.
+type pageVisit struct {
+	payload  []byte // the page's encoded bytes, sliced from its run buffer
+	logical  int    // rows the page encodes (Level-2 masks in place, so never fewer)
+	rowStart uint64 // global row id of the page's first row
+	// [clipLo, clipHi) are the page-local rows inside the span; nDel of
+	// them are marked in the deletion vector.
+	clipLo, clipHi, nDel int
+}
+
+// whole reports the common case — a page fully inside the span with no
+// deleted row — which decoders can decode straight into their output.
+func (pg *pageVisit) whole() bool {
+	return pg.clipLo == 0 && pg.clipHi == pg.logical && pg.nDel == 0
+}
+
+// walkPages is the read side's only page loop: it visits, in row order,
+// every page of projected column pos that overlaps the slot's span —
+// fetching the planned run (once, shared with the other columns in it),
+// slicing the page's payload out of the run buffer, and clipping the page
+// to the span and the deletion vector — and calls decode on each.
+func (s *Scanner) walkPages(slot *scanSlot, pos int, decode func(pg pageVisit) error) error {
+	f, span := s.f, slot.span
+	for _, sr := range slot.colSegs[pos] {
+		if err := s.fetchRun(sr.run); err != nil {
+			return err
+		}
+		rowStart := sr.seg.firstRowStart
+		for p := sr.seg.first; p <= sr.seg.last; p++ {
+			pOff, pEnd := f.pageByteRange(p)
+			pg := pageVisit{
+				payload:  sr.run.buf[pOff-sr.run.off : pEnd-sr.run.off],
+				logical:  f.view.PageRows(p),
+				rowStart: rowStart,
+			}
+			rowEnd := rowStart + uint64(pg.logical)
+			pg.clipHi = pg.logical
+			if rowStart < span.lo {
+				pg.clipLo = int(span.lo - rowStart)
+			}
+			if rowEnd > span.hi {
+				pg.clipHi = pg.logical - int(rowEnd-span.hi)
+			}
+			pg.nDel = f.deletedInRange(rowStart+uint64(pg.clipLo), rowStart+uint64(pg.clipHi))
+			if err := decode(pg); err != nil {
+				return fmt.Errorf("core: decoding page %d of column %q: %w", p, s.schema.Fields[pos].Name, err)
+			}
+			s.pagesDecoded.Add(1)
+			rowStart = rowEnd
+		}
+	}
+	return nil
+}
+
+// spanRows returns how many rows of the slot's span the pages of projected
+// column pos cover: the span's size on a well-formed file, and a bound
+// taken from the page index (not the footer's row count) on a corrupt one.
+func spanRows(slot *scanSlot, pos int) int {
+	n := 0
+	for _, sr := range slot.colSegs[pos] {
+		n += sr.seg.rows
+	}
+	return n
+}
+
+// decodeColumn decodes projected column pos of a slot from its planned run
+// buffers. Fixed-width columns decode straight into the output slice
+// (recycled from ScanOptions.ReuseBatches when available): pages fully
+// inside the span with no deletions — every page, when batches are
+// page-aligned — cost zero allocations. Variable-width columns decode page
+// by page and append.
+func (s *Scanner) decodeColumn(slot *scanSlot, pos int) (ColumnData, error) {
+	field := s.schema.Fields[pos]
 	var reuse ColumnData
 	if slot.reuse != nil {
 		reuse = slot.reuse[pos]
 	}
 	switch {
 	case field.Nullable && field.Type.Kind == Int64:
-		return s.decodeNullableRuns(slot, field, segs, reuse)
+		return s.decodeNullable(slot, pos, reuse)
 	case field.Type.Kind == Int64 || field.Type.Kind == Int32:
-		var prev Int64Data
-		if r, ok := reuse.(Int64Data); ok {
-			prev = r
-		}
-		out, err := decodeFixedRuns(s, slot, field, segs, prev,
+		prev, _ := reuse.(Int64Data)
+		out, err := decodeFixed(s, slot, pos, prev,
 			func(dst []int64, payload []byte) error {
 				_, err := enc.DecodeIntsInto(dst, payload)
 				return err
 			})
-		if err != nil {
-			return nil, err
-		}
-		return Int64Data(out), nil
+		return Int64Data(out), err
 	case field.Type.Kind == Float64:
-		var prev Float64Data
-		if r, ok := reuse.(Float64Data); ok {
-			prev = r
-		}
-		out, err := decodeFixedRuns(s, slot, field, segs, prev,
+		prev, _ := reuse.(Float64Data)
+		out, err := decodeFixed(s, slot, pos, prev,
 			func(dst []float64, payload []byte) error {
 				_, err := enc.DecodeFloatsInto(dst, payload)
 				return err
 			})
-		if err != nil {
-			return nil, err
-		}
-		return Float64Data(out), nil
+		return Float64Data(out), err
 	case field.Type.Kind == Float32:
-		var prev Float32Data
-		if r, ok := reuse.(Float32Data); ok {
-			prev = r
-		}
+		prev, _ := reuse.(Float32Data)
 		qf := field.Type.Quant
-		out, err := decodeFixedRuns(s, slot, field, segs, prev,
+		out, err := decodeFixed(s, slot, pos, prev,
 			func(dst []float32, payload []byte) error {
 				bp := getPageInts(len(dst))
 				defer putPageInts(bp)
@@ -797,96 +758,64 @@ func (s *Scanner) decodeColumnRuns(slot *scanSlot, pos int) (ColumnData, error) 
 				_, err = quant.DequantizeInto(dst, bits, qf)
 				return err
 			})
-		if err != nil {
-			return nil, err
-		}
-		return Float32Data(out), nil
+		return Float32Data(out), err
 	case field.Type.Kind == Bool:
-		var prev BoolData
-		if r, ok := reuse.(BoolData); ok {
-			prev = r
-		}
-		out, err := decodeFixedRuns(s, slot, field, segs, prev,
+		prev, _ := reuse.(BoolData)
+		out, err := decodeFixed(s, slot, pos, prev,
 			func(dst []bool, payload []byte) error {
 				_, err := enc.DecodeBoolsInto(dst, payload)
 				return err
 			})
-		if err != nil {
-			return nil, err
-		}
-		return BoolData(out), nil
+		return BoolData(out), err
 	default:
-		return s.decodeGenericRuns(slot, field, segs)
+		return s.decodeGeneric(slot, pos, field)
 	}
 }
 
-// decodeFixedRuns assembles one fixed-width column of a span from its run
-// segments, decoding each page into place with dec. prev, when large
-// enough, is reused as the output storage.
-func decodeFixedRuns[T any](s *Scanner, slot *scanSlot, field Field, segs []segRef, prev []T, dec func([]T, []byte) error) ([]T, error) {
-	span := slot.span
-	want := int(span.hi - span.lo)
+// decodeFixed assembles one fixed-width column of a span, decoding each
+// page into place with dec. prev, when large enough, is reused as the
+// output storage.
+func decodeFixed[T any](s *Scanner, slot *scanSlot, pos int, prev []T, dec func([]T, []byte) error) ([]T, error) {
+	want := spanRows(slot, pos)
 	var out []T
 	if cap(prev) >= want {
 		out = prev[:want]
 	} else {
 		out = make([]T, want)
 	}
-	f := s.src
-	v := f.View()
-	pos := 0
-	for _, sr := range segs {
-		if err := s.fetchRun(sr.run); err != nil {
-			return nil, err
+	v := s.f.view
+	n := 0
+	err := s.walkPages(slot, pos, func(pg pageVisit) error {
+		if pg.whole() {
+			n += pg.logical
+			return dec(out[n-pg.logical:n], pg.payload)
 		}
-		rowStart := sr.seg.firstRowStart
-		for p := sr.seg.first; p <= sr.seg.last; p++ {
-			pOff, pEnd := f.pageByteRange(p)
-			payload := sr.run.buf[pOff-sr.run.off : pEnd-sr.run.off]
-			logical := v.PageRows(p)
-			rowEnd := rowStart + uint64(logical)
-			clipLo, clipHi := 0, logical
-			if rowStart < span.lo {
-				clipLo = int(span.lo - rowStart)
-			}
-			if rowEnd > span.hi {
-				clipHi = logical - int(rowEnd-span.hi)
-			}
-			nDel := f.deletedInRange(rowStart+uint64(clipLo), rowStart+uint64(clipHi))
-			if clipLo == 0 && clipHi == logical && nDel == 0 {
-				// The common aligned clean page: decode into place.
-				if err := dec(out[pos:pos+logical], payload); err != nil {
-					return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-				}
-				pos += logical
-			} else {
-				stage := make([]T, logical)
-				if err := dec(stage, payload); err != nil {
-					return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-				}
-				if nDel == 0 {
-					pos += copy(out[pos:], stage[clipLo:clipHi])
-				} else {
-					for i := clipLo; i < clipHi; i++ {
-						if !v.RowDeleted(rowStart + uint64(i)) {
-							out[pos] = stage[i]
-							pos++
-						}
-					}
-				}
-			}
-			s.pagesDecoded.Add(1)
-			rowStart = rowEnd
+		stage := make([]T, pg.logical)
+		if err := dec(stage, pg.payload); err != nil {
+			return err
 		}
+		if pg.nDel == 0 {
+			n += copy(out[n:], stage[pg.clipLo:pg.clipHi])
+			return nil
+		}
+		for i := pg.clipLo; i < pg.clipHi; i++ {
+			if !v.RowDeleted(pg.rowStart + uint64(i)) {
+				out[n] = stage[i]
+				n++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out[:pos], nil
+	return out[:n], nil
 }
 
-// decodeNullableRuns is decodeFixedRuns for nullable int64 columns, which
-// carry a values slice and a validity slice.
-func (s *Scanner) decodeNullableRuns(slot *scanSlot, field Field, segs []segRef, reuse ColumnData) (ColumnData, error) {
-	span := slot.span
-	want := int(span.hi - span.lo)
+// decodeNullable is decodeFixed for nullable int64 columns, which carry a
+// values slice and a validity slice.
+func (s *Scanner) decodeNullable(slot *scanSlot, pos int, reuse ColumnData) (ColumnData, error) {
+	want := spanRows(slot, pos)
 	var vals []int64
 	var valid []bool
 	if prev, ok := reuse.(NullableInt64Data); ok && cap(prev.Values) >= want && cap(prev.Valid) >= want {
@@ -894,95 +823,57 @@ func (s *Scanner) decodeNullableRuns(slot *scanSlot, field Field, segs []segRef,
 	} else {
 		vals, valid = make([]int64, want), make([]bool, want)
 	}
-	f := s.src
-	v := f.View()
-	pos := 0
-	for _, sr := range segs {
-		if err := s.fetchRun(sr.run); err != nil {
-			return nil, err
+	v := s.f.view
+	n := 0
+	err := s.walkPages(slot, pos, func(pg pageVisit) error {
+		if pg.whole() {
+			n += pg.logical
+			return enc.DecodeNullableIntsInto(vals[n-pg.logical:n], valid[n-pg.logical:n], pg.payload)
 		}
-		rowStart := sr.seg.firstRowStart
-		for p := sr.seg.first; p <= sr.seg.last; p++ {
-			pOff, pEnd := f.pageByteRange(p)
-			payload := sr.run.buf[pOff-sr.run.off : pEnd-sr.run.off]
-			logical := v.PageRows(p)
-			rowEnd := rowStart + uint64(logical)
-			clipLo, clipHi := 0, logical
-			if rowStart < span.lo {
-				clipLo = int(span.lo - rowStart)
-			}
-			if rowEnd > span.hi {
-				clipHi = logical - int(rowEnd-span.hi)
-			}
-			nDel := f.deletedInRange(rowStart+uint64(clipLo), rowStart+uint64(clipHi))
-			if clipLo == 0 && clipHi == logical && nDel == 0 {
-				if err := enc.DecodeNullableIntsInto(vals[pos:pos+logical], valid[pos:pos+logical], payload); err != nil {
-					return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-				}
-				pos += logical
-			} else {
-				sv := make([]int64, logical)
-				sb := make([]bool, logical)
-				if err := enc.DecodeNullableIntsInto(sv, sb, payload); err != nil {
-					return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-				}
-				for i := clipLo; i < clipHi; i++ {
-					if nDel == 0 || !v.RowDeleted(rowStart+uint64(i)) {
-						vals[pos], valid[pos] = sv[i], sb[i]
-						pos++
-					}
-				}
-			}
-			s.pagesDecoded.Add(1)
-			rowStart = rowEnd
+		sv := make([]int64, pg.logical)
+		sb := make([]bool, pg.logical)
+		if err := enc.DecodeNullableIntsInto(sv, sb, pg.payload); err != nil {
+			return err
 		}
+		for i := pg.clipLo; i < pg.clipHi; i++ {
+			if pg.nDel == 0 || !v.RowDeleted(pg.rowStart+uint64(i)) {
+				vals[n], valid[n] = sv[i], sb[i]
+				n++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return NullableInt64Data{Values: vals[:pos], Valid: valid[:pos]}, nil
+	return NullableInt64Data{Values: vals[:n], Valid: valid[:n]}, nil
 }
 
-// decodeGenericRuns handles variable-width columns (byte strings, lists,
-// sparse sequences): per-page decoding as on the uncoalesced path, but
-// slicing payloads out of the shared run buffers.
-func (s *Scanner) decodeGenericRuns(slot *scanSlot, field Field, segs []segRef) (ColumnData, error) {
-	span := slot.span
-	f := s.src
-	v := f.View()
+// decodeGeneric handles variable-width columns (byte strings, lists,
+// sparse sequences): each page decodes to its own column, which is
+// clipped, filtered and appended.
+func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnData, error) {
+	v := s.f.view
 	var out ColumnData
-	for _, sr := range segs {
-		if err := s.fetchRun(sr.run); err != nil {
-			return nil, err
+	err := s.walkPages(slot, pos, func(pg pageVisit) error {
+		data, err := decodePage(field, pg.payload, pg.logical)
+		if err != nil {
+			return err
 		}
-		rowStart := sr.seg.firstRowStart
-		for p := sr.seg.first; p <= sr.seg.last; p++ {
-			pOff, pEnd := f.pageByteRange(p)
-			payload := sr.run.buf[pOff-sr.run.off : pEnd-sr.run.off]
-			logical := v.PageRows(p)
-			data, err := decodePage(field, payload, logical)
-			if err != nil {
-				return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-			}
-			s.pagesDecoded.Add(1)
-			rowEnd := rowStart + uint64(logical)
-			clipLo, clipHi := 0, logical
-			if rowStart < span.lo {
-				clipLo = int(span.lo - rowStart)
-			}
-			if rowEnd > span.hi {
-				clipHi = logical - int(rowEnd-span.hi)
-			}
-			if clipLo != 0 || clipHi != logical {
-				data = sliceColumn(data, clipLo, clipHi)
-			}
-			clipStart := rowStart + uint64(clipLo)
-			if f.deletedInRange(clipStart, rowStart+uint64(clipHi)) > 0 {
-				data = filterDeleted(data, v, clipStart, clipHi-clipLo)
-			}
-			out = appendColumn(out, data)
-			rowStart = rowEnd
+		if pg.clipLo != 0 || pg.clipHi != pg.logical {
+			data = sliceColumn(data, pg.clipLo, pg.clipHi)
 		}
+		if pg.nDel > 0 {
+			data = filterDeleted(data, v, pg.rowStart+uint64(pg.clipLo), pg.clipHi-pg.clipLo)
+		}
+		out = appendColumn(out, data)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
-		out = emptyColumn(field)
+		out = defaultColumn(field, 0)
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -33,44 +35,133 @@ func drainScanner(t *testing.T, sc *Scanner) []ColumnData {
 	}
 }
 
-// scanEquivalence verifies Scan output matches Project for the given
-// options, across every column of the full-type test schema.
-func scanEquivalence(t *testing.T, workers, batchRows int) {
-	t.Helper()
+// TestScanMatchesWritten is the read engine's ground-truth test: at every
+// worker count and batch size, over page/group geometries that align and
+// misalign with the batches and with each other, at both deletion levels
+// and on the committed golden file, a scan returns exactly the rows that
+// were written minus the rows deleted since.
+func TestScanMatchesWritten(t *testing.T) {
+	type fixture struct {
+		name   string
+		f      *File
+		schema *Schema
+		want   []ColumnData
+	}
+	var fixtures []fixture
+
+	const n = 5000
 	schema := testSchema(t)
-	rng := rand.New(rand.NewSource(41))
-	batch := testBatch(t, schema, rng, 5000)
-	_, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 256, GroupRows: 1500, Compliance: Level1})
-
-	names := make([]string, len(schema.Fields))
-	for i, fd := range schema.Fields {
-		names[i] = fd.Name
+	batch := testBatch(t, schema, rand.New(rand.NewSource(41)), n)
+	for _, level := range []Level{Level1, Level2} {
+		// Scattered rows on group and page boundaries; at Level 1 also a
+		// dense run covering whole batches (pruned) and whole pages. (At
+		// Level 2 the run's partial pages would have to be masked in
+		// place, which ErrPageGrew refuses for some of these columns.)
+		deleted := []uint64{0, 3, 255, 256, 700, 701, 702, 1499, 1500, 4999}
+		if level == Level1 {
+			for r := uint64(2000); r < 2600; r++ {
+				deleted = append(deleted, r)
+			}
+		}
+		want := liveMinus(batch.Columns, n, deleted, nil)
+		for _, geo := range []struct{ rowsPerPage, groupRows int }{
+			{256, 1024}, // pages tile groups
+			{256, 1500}, // every group ends in a short page
+			{100, 333},  // neither tiles anything
+		} {
+			mf, f := writeTestFile(t, schema, batch,
+				&Options{RowsPerPage: geo.rowsPerPage, GroupRows: geo.groupRows, Compliance: level})
+			if err := f.DeleteRows(mf, deleted); err != nil {
+				t.Fatal(err)
+			}
+			fixtures = append(fixtures, fixture{
+				name: fmt.Sprintf("L%d_p%d_g%d", level, geo.rowsPerPage, geo.groupRows),
+				f:    f, schema: schema, want: want,
+			})
+		}
 	}
-	want, err := f.Project(names...)
+
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	gf, err := Open(bytes.NewReader(golden), int64(len(golden)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gSchema, gBatch, _ := goldenTable(t)
+	fixtures = append(fixtures, fixture{name: "golden", f: gf, schema: gSchema, want: gBatch.Columns})
 
-	sc, err := f.Scan(ScanOptions{Columns: names, Workers: workers, BatchRows: batchRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	got := drainScanner(t, sc)
-	for i := range want.Columns {
-		if !reflect.DeepEqual(got[i], want.Columns[i]) {
-			t.Errorf("workers=%d batch=%d: column %q differs from Project",
-				workers, batchRows, names[i])
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 4, 8} {
+			for _, batchRows := range []int{97, 256, 700, 1024, 100000} {
+				t.Run(fmt.Sprintf("%s_w%d_b%d", fx.name, workers, batchRows), func(t *testing.T) {
+					got, _ := scanAll(t, fx.f, ScanOptions{Workers: workers, BatchRows: batchRows})
+					assertColumnsEqual(t, fx.schema, fx.want, got)
+				})
+			}
 		}
 	}
 }
 
-func TestScanMatchesProject(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		for _, batchRows := range []int{97, 256, 1024, 100000} {
-			t.Run(fmt.Sprintf("w%d_b%d", workers, batchRows), func(t *testing.T) {
-				scanEquivalence(t, workers, batchRows)
-			})
+// TestCollectEdges pins what the whole-column wrappers promise at the
+// edges of the single scan they run on.
+func TestCollectEdges(t *testing.T) {
+	schema := testSchema(t)
+	batch := testBatch(t, schema, rand.New(rand.NewSource(43)), 600)
+	mf, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 128, GroupRows: 256, Compliance: Level1})
+	gone := make([]uint64, 0, 300)
+	for r := uint64(100); r < 400; r++ { // spans groups and whole pages
+		gone = append(gone, r)
+	}
+	if err := f.DeleteRows(mf, gone); err != nil {
+		t.Fatal(err)
+	}
+
+	// No names is a zero-column batch, not "every column".
+	empty, err := f.Project()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty == nil || len(empty.Columns) != 0 || len(empty.Schema.Fields) != 0 {
+		t.Fatalf("Project() = %+v, want a zero-column batch", empty)
+	}
+	if _, err := f.Project("uid", "nope"); err == nil {
+		t.Fatal("Project accepted an unknown column")
+	}
+
+	// A range with no live row is a typed zero-length column.
+	for ci, fd := range schema.Fields {
+		for _, rng := range [][2]uint64{{100, 400}, {150, 151}, {7, 7}} {
+			col, err := f.ReadRows(ci, rng[0], rng[1])
+			if err != nil {
+				t.Fatalf("%s rows [%d,%d): %v", fd.Name, rng[0], rng[1], err)
+			}
+			if col == nil || col.Len() != 0 || checkColumnType(fd, col) != nil {
+				t.Fatalf("%s rows [%d,%d) = %T len %d, want empty %v", fd.Name, rng[0], rng[1], col, col.Len(), fd.Type)
+			}
+		}
+	}
+	all := make([]uint64, 600)
+	for r := range all {
+		all[r] = uint64(r)
+	}
+	if err := f.DeleteRows(mf, all); err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range schema.Fields {
+		col, err := f.ReadColumn(fd.Name)
+		if err != nil {
+			t.Fatalf("%s after deleting every row: %v", fd.Name, err)
+		}
+		if col == nil || col.Len() != 0 || checkColumnType(fd, col) != nil {
+			t.Fatalf("%s = %T len %d, want empty %v", fd.Name, col, col.Len(), fd.Type)
+		}
+	}
+
+	for _, rng := range [][2]uint64{{10, 5}, {0, 601}, {601, 601}} {
+		if _, err := f.ReadRows(0, rng[0], rng[1]); err == nil {
+			t.Fatalf("ReadRows accepted [%d,%d) of 600 rows", rng[0], rng[1])
 		}
 	}
 }

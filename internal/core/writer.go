@@ -180,7 +180,7 @@ func (w *Writer) Write(batch *Batch) error {
 			// Seed with an owned empty column so the append below copies:
 			// buffered (and, since the pipelined writer, dispatched) rows
 			// must never alias memory the caller may reuse.
-			w.pending[i] = emptyColumn(w.schema.Fields[i])
+			w.pending[i] = defaultColumn(w.schema.Fields[i], 0)
 		}
 		w.pending[i] = appendColumn(w.pending[i], c)
 	}

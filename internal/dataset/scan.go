@@ -196,7 +196,7 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 
 	s := &Scanner{
 		schema:     schema,
-		reuseOn:    opts.ReuseBatches && !opts.DisableCoalesce,
+		reuseOn:    opts.ReuseBatches,
 		owners:     map[*core.Batch]*memberScan{},
 		sem:        make(chan struct{}, k),
 		stop:       make(chan struct{}),

@@ -1,17 +1,18 @@
 package bullion
 
-// Streaming-scan benchmarks: the whole-column Project path (decode on the
-// calling goroutine, one column at a time) against the batch-streaming
-// Scanner at 1/4/8 workers, over a 64-column feature table. Two storage
-// models bracket the regimes the paper targets:
+// Scan benchmarks over a 64-column feature table: the whole-table Project
+// (one batch) and the batch-streaming hot-set scan at 1 and 8 workers.
+// Two storage models bracket the regimes the paper targets:
 //
-//   - in-memory (page-cache-hot local file): decode-bound, so the Scanner
-//     win tracks available cores;
+//   - in-memory (page-cache-hot local file): decode-bound, so the win
+//     from workers tracks available cores;
 //   - "blob": every ReadAt carries fixed latency (object storage / cold
-//     NVMe). Scanner workers overlap reads with each other and with
-//     decode, so the win appears even on a single core.
+//     NVMe). Workers overlap reads with each other and with decode, so
+//     the win appears even on a single core.
 //
-// Recorded in BENCH_scan.json (see that file for the capture command).
+// BENCH_scan.json holds recorded numbers, including the last ones of the
+// per-column BenchmarkScanStreaming* baselines that were removed together
+// with that read path.
 
 import (
 	"fmt"
@@ -129,62 +130,16 @@ func benchWholeColumn(b *testing.B, latency time.Duration) {
 	reportScanRate(b)
 }
 
-func benchStreaming(b *testing.B, workers int, latency time.Duration) {
-	f, names := openScanBench(b, latency)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// DisableCoalesce pins the pre-planner per-column read path: these
-		// benchmarks are the baseline the coalesced scan is measured
-		// against (and stay comparable with the PR-1 numbers).
-		sc, err := f.Scan(ScanOptions{
-			Columns:         names,
-			Workers:         workers,
-			BatchRows:       8192,
-			DisableCoalesce: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			batch, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows += batch.NumRows()
-		}
-		sc.Close()
-		if rows != scanBenchRows {
-			b.Fatalf("scanned %d rows", rows)
-		}
-	}
-	reportScanRate(b)
-}
-
-func BenchmarkScanWholeColumn(b *testing.B) { benchWholeColumn(b, 0) }
-func BenchmarkScanStreaming1(b *testing.B)  { benchStreaming(b, 1, 0) }
-func BenchmarkScanStreaming4(b *testing.B)  { benchStreaming(b, 4, 0) }
-func BenchmarkScanStreaming8(b *testing.B)  { benchStreaming(b, 8, 0) }
-
+func BenchmarkScanWholeColumn(b *testing.B)     { benchWholeColumn(b, 0) }
 func BenchmarkScanWholeColumnBlob(b *testing.B) { benchWholeColumn(b, scanBenchLatency) }
-func BenchmarkScanStreamingBlob1(b *testing.B)  { benchStreaming(b, 1, scanBenchLatency) }
-func BenchmarkScanStreamingBlob4(b *testing.B)  { benchStreaming(b, 4, scanBenchLatency) }
-func BenchmarkScanStreamingBlob8(b *testing.B)  { benchStreaming(b, 8, scanBenchLatency) }
 
 // ---- Coalesced scan on the hot-reordered widetable workload ----
 //
 // The §2.5 pairing: 16 hot features scattered across a 64-column table
 // are reordered to the front at write time (ReorderFields), so a hot-set
 // projection touches 16 physically adjacent chunks per row group. The
-// coalesced scan then reads each group's hot set in one I/O and decodes
-// into recycled batch storage; the *Hot baselines run the identical
-// projection on the identical file through the per-column path. Both
-// paths return byte-identical batches (TestGoldenScanCoalescedIdentical
-// and TestScanCoalescedMatchesUncoalesced pin this).
+// scan then reads each group's hot set in one I/O and decodes into
+// recycled batch storage.
 
 const hotBenchCols = 16
 
@@ -247,10 +202,10 @@ func hotBenchFile(b *testing.B) (*benchFile, []string) {
 	return hotBench.file, hotBench.names
 }
 
-// benchHotScan runs the hot projection with the given options, reporting
+// benchHotScan runs the hot projection with batch recycling, reporting
 // rows/sec, physical read ops, and (via -benchmem / ReportAllocs)
 // allocations per scanned file.
-func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency time.Duration) {
+func benchHotScan(b *testing.B, workers int, latency time.Duration) {
 	mf, names := hotBenchFile(b)
 	if len(names) != hotBenchCols {
 		b.Fatalf("hot set has %d columns", len(names))
@@ -268,11 +223,10 @@ func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency tim
 	var readOps int64
 	for i := 0; i < b.N; i++ {
 		sc, err := f.Scan(ScanOptions{
-			Columns:         names,
-			Workers:         workers,
-			BatchRows:       8192,
-			DisableCoalesce: !coalesce,
-			ReuseBatches:    recycle,
+			Columns:      names,
+			Workers:      workers,
+			BatchRows:    8192,
+			ReuseBatches: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -287,9 +241,7 @@ func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency tim
 				b.Fatal(err)
 			}
 			rows += batch.NumRows()
-			if recycle {
-				sc.Recycle(batch)
-			}
+			sc.Recycle(batch)
 		}
 		readOps += sc.Stats().ReadOps
 		sc.Close()
@@ -302,21 +254,10 @@ func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency tim
 }
 
 // BenchmarkScanCoalesced*: planner + pooled run buffers + batch recycling.
-func BenchmarkScanCoalesced1(b *testing.B) { benchHotScan(b, 1, true, true, 0) }
-func BenchmarkScanCoalesced8(b *testing.B) { benchHotScan(b, 8, true, true, 0) }
+func BenchmarkScanCoalesced1(b *testing.B) { benchHotScan(b, 1, 0) }
+func BenchmarkScanCoalesced8(b *testing.B) { benchHotScan(b, 8, 0) }
 
-// BenchmarkScanStreamingHot*: the same projection on the same file
-// through the per-column baseline path.
-func BenchmarkScanStreamingHot1(b *testing.B) { benchHotScan(b, 1, false, false, 0) }
-func BenchmarkScanStreamingHot8(b *testing.B) { benchHotScan(b, 8, false, false, 0) }
-
-// Blob variants: with per-read latency, the 16x read-op reduction is a
+// Blob variants: with per-read latency, one read per row group is a
 // direct wall-clock win even before decode cost matters.
-func BenchmarkScanCoalescedBlob1(b *testing.B) { benchHotScan(b, 1, true, true, scanBenchLatency) }
-func BenchmarkScanCoalescedBlob8(b *testing.B) { benchHotScan(b, 8, true, true, scanBenchLatency) }
-func BenchmarkScanStreamingHotBlob1(b *testing.B) {
-	benchHotScan(b, 1, false, false, scanBenchLatency)
-}
-func BenchmarkScanStreamingHotBlob8(b *testing.B) {
-	benchHotScan(b, 8, false, false, scanBenchLatency)
-}
+func BenchmarkScanCoalescedBlob1(b *testing.B) { benchHotScan(b, 1, scanBenchLatency) }
+func BenchmarkScanCoalescedBlob8(b *testing.B) { benchHotScan(b, 8, scanBenchLatency) }
