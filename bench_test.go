@@ -1,8 +1,8 @@
 package bullion
 
 // One benchmark per table/figure in the paper's evaluation, mirroring the
-// cmd/experiments harness (see DESIGN.md's per-experiment index and
-// EXPERIMENTS.md for paper-vs-measured). Run with:
+// cmd/experiments harness (internal/experiments holds each experiment
+// and prints paper-vs-measured tables). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -704,7 +704,7 @@ func BenchmarkDeletionRewrite(b *testing.B) {
 
 // ---- Ablation: Level-2 maskable-cascade restriction cost ----
 //
-// DESIGN.md calls out that compliance costs compression: Level-2 files
+// Compliance costs compression: Level-2 files
 // restrict the cascade to mask-safe schemes and reserve page slack. This
 // bench quantifies that storage overhead against a Level-0 write.
 

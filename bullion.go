@@ -319,8 +319,12 @@
 // Committed member files are immutable — a dataset mutation publishes
 // new files under new names and bumps the manifest generation — so
 // everything derived from a member's bytes can be cached for as long as
-// the member exists. Datasets share a process-wide artifact cache
-// (private or disabled per handle via DatasetOptions) with three tiers:
+// the member exists. Which cache a handle uses is a three-way policy:
+// DatasetOptions.DisableCache runs it uncached, DatasetOptions.Cache
+// names an ArtifactCache the caller built with NewCache and owns, and
+// otherwise every dataset shares one process-wide cache (SharedCache) —
+// except a handle given a custom DatasetOptions.Backend, which runs
+// uncached unless it names a Cache. A cache has three tiers:
 //
 //   - parsed footers and column bloom filters, keyed by member identity
 //     and version, with singleflight — N concurrent scanners opening the
@@ -328,9 +332,8 @@
 //   - open backend handles, a refcounted LRU bounding live file
 //     descriptors and HTTP HEAD+ETag pins across Dataset handles;
 //   - a segmented-LRU byte cache of coalesced page runs in front of every
-//     member read, with per-dataset budgets (DatasetOptions.CacheBytes)
-//     and an optional materialize mode (DatasetOptions.PinHotMembers)
-//     that pins small hot members wholly in RAM.
+//     member read, under one byte budget for the whole cache
+//     (CacheOptions.PageBytes).
 //
 // The net effect is that a warm selective re-scan touches the backend
 // zero times for metadata and only for uncached data runs, which on a
@@ -339,8 +342,8 @@
 // invalidation automatic: a replaced member (new ETag or new
 // row/byte accounting) can never serve stale bytes, and Vacuum
 // eagerly drops the entries of files it removes. Scan-visible effect is
-// reported per scanner in DatasetScanStats.Cache and cache-wide via
-// Dataset.CacheStats.
+// reported per scanner in DatasetScanStats.Cache and cache-wide by the
+// cache's own Stats (SharedCache().Stats() for the default).
 //
 // # Training loaders and time travel
 //
@@ -361,7 +364,7 @@
 //
 // Vacuum is retention-aware: generations that are tagged, pinned by an
 // open snapshot handle, or pinned by a live scanner in this process keep
-// their manifest and member files, and VacuumWithReport says exactly
+// their manifest and member files, and Vacuum's report says exactly
 // what was kept and why (Fsck audits the same retained set, so a tagged
 // generation with a missing member fails fsck, not the next training
 // run). Untag and re-vacuum to reclaim. One caveat is deliberate:
@@ -733,8 +736,10 @@ func (f *File) DeleteRowsTo(w io.WriterAt, rows []uint64) error { return f.cf.De
 type (
 	// Dataset is a manifest-backed multi-file table.
 	Dataset = dataset.Dataset
-	// DatasetOptions configures a Dataset handle (per-file writer options,
-	// reader wrapping).
+	// DatasetOptions configures a Dataset handle: per-file writer options,
+	// reader wrapping, the storage backend, and the cache policy
+	// (DisableCache, else Cache, else the shared cache; see "Caching and
+	// memory tiering").
 	DatasetOptions = dataset.Options
 	// DatasetScanOptions configures Dataset.Scan: the embedded ScanOptions
 	// per member engine, plus FileConcurrency and Degraded (skip-and-report
@@ -763,8 +768,7 @@ type (
 	StorageBackend = storage.Backend
 	// StorageFile is an open handle within a StorageBackend.
 	StorageFile = storage.File
-	// HTTPBackendOptions configures NewHTTPBackend (client override, ETag
-	// pinning).
+	// HTTPBackendOptions configures NewHTTPBackend (client override).
 	HTTPBackendOptions = storage.HTTPOptions
 	// ResilienceOptions tunes NewResilientBackend: per-op deadlines, retry
 	// budget, backoff shape, hedge delay, breaker thresholds. The zero
@@ -783,15 +787,10 @@ type (
 	// CacheOptions sizes a NewCache instance (footer entries, handle
 	// entries, page bytes). Zero fields select the defaults.
 	CacheOptions = cache.Options
-	// CacheStats is a cache-wide counter snapshot (Dataset.CacheStats).
-	CacheStats = cache.Stats
-	// DatasetCacheScanStats is the per-scan delta of cache activity,
-	// reported in DatasetScanStats.Cache.
-	DatasetCacheScanStats = dataset.CacheScanStats
 
-	// VacuumReport details a retention-aware Dataset.VacuumWithReport:
-	// files removed, generations retained (tagged or pinned), and the
-	// files kept on their behalf.
+	// VacuumReport is what Dataset.Vacuum returns: files removed,
+	// generations retained (tagged or pinned), and the files kept on
+	// their behalf.
 	VacuumReport = dataset.VacuumReport
 	// FsckRetained is one retained (tagged) generation's audit record
 	// within an FsckReport.
@@ -909,8 +908,9 @@ func NewResilientBackend(b StorageBackend, opts *ResilienceOptions) *ResilientBa
 	return storage.NewResilient(b, opts)
 }
 
-// NewCache builds a private ArtifactCache for DatasetOptions.Cache —
-// isolation from the process-wide shared cache, or bespoke sizing.
+// NewCache builds an ArtifactCache for DatasetOptions.Cache — isolation
+// from the process-wide shared cache, or bespoke sizing. The caller owns
+// it: closing a Dataset never closes it.
 func NewCache(opts CacheOptions) *ArtifactCache { return cache.New(opts) }
 
 // SharedCache returns the process-wide ArtifactCache that datasets use

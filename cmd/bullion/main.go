@@ -2,10 +2,9 @@
 //
 // Usage:
 //
-//	bullion inspect <file>               print header, schema summary, stats
-//	bullion info [-json] <path>...       machine-readable file/dataset stats
+//	bullion info [-json] <path>...       file/dataset stats, human or JSON (inspect = info)
 //	bullion verify <file>                verify the Merkle checksum tree
-//	bullion project <file> <col>...      print the first rows of columns
+//	bullion project <path> <col>...      print the first rows of columns
 //	bullion scan [flags] <path>...       stream batches, report per-file + aggregate iostats
 //	bullion ingest [flags] <path>...     write synthetic tables, report per-file + aggregate iostats
 //	bullion compact [flags] <dir>...     fold deletion-heavy dataset members into fresh files
@@ -16,12 +15,12 @@
 //	bullion demo <file>                  write a small demo ads file
 //
 // scan and ingest accept any number of paths; a path that is a directory
-// is treated as a dataset (see bullion.OpenDataset). scan, info, and
-// fsck also accept http(s):// dataset URLs, read through the resilient
-// range-read backend; scan then reports the retry/hedge work and — with
-// -degraded — the members it skipped as unreachable. Flags come before
-// paths; for scan, positional arguments that do not name an existing path
-// are treated as projected column names.
+// is treated as a dataset (see bullion.OpenDataset). scan, project, info,
+// and fsck also accept http(s):// dataset URLs, read through the
+// resilient range-read backend; scan then reports the retry/hedge work
+// and — with -degraded — the members it skipped as unreachable. Flags
+// come before paths; for scan, positional arguments that do not name an
+// existing path are treated as projected column names.
 package main
 
 import (
@@ -49,9 +48,7 @@ func main() {
 	cmd, args := os.Args[1], os.Args[2:]
 	var err error
 	switch cmd {
-	case "inspect":
-		err = inspect(args[0])
-	case "info":
+	case "info", "inspect":
 		err = info(args)
 	case "verify":
 		err = verify(args[0])
@@ -84,10 +81,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  bullion inspect <file>
-  bullion info [-json] <file|dir|url>...
+  bullion info [-json] <file|dir|url>...   # inspect is an alias
   bullion verify <file>
-  bullion project <file> <column>...
+  bullion project <file|dir|url> <column>...
   bullion scan [-batch N] [-workers N] [-file-workers N] [-coalesce-gap N]
                [-degraded] [-json] [-filter-int col:lo:hi] [-filter-float col:lo:hi]
                [-filter-in col:v1,v2] <file|dir|url>... [column]...
@@ -120,46 +116,29 @@ func isRemote(path string) bool {
 // directory or a remote dataset URL.
 func isDataset(path string) bool { return isRemote(path) || isDir(path) }
 
-func inspect(path string) error {
-	f, err := bullion.OpenPath(path)
-	if err != nil {
-		return err
+// printJSON writes docs to stdout as one indented JSON document: the
+// document itself when there is one, a list otherwise.
+func printJSON[T any](docs []T) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if len(docs) == 1 {
+		return enc.Encode(docs[0])
 	}
-	defer f.Close()
-	fmt.Printf("rows:        %d (%d live)\n", f.NumRows(), f.NumLiveRows())
-	fmt.Printf("columns:     %d\n", f.NumColumns())
-	fmt.Printf("compliance:  level %d\n", f.Compliance())
-	schema := f.Schema()
-	byType := map[string]int{}
-	for _, fd := range schema.Fields {
-		k := fd.Type.String()
-		if fd.Sparse {
-			k += " (sparse)"
-		}
-		byType[k]++
-	}
-	fmt.Println("type breakdown:")
-	for k, n := range byType {
-		fmt.Printf("  %-30s %6d\n", k, n)
-	}
-	stats := f.Stats()
-	fmt.Printf("data bytes:  %d (footer %d)\n", stats.DataBytes, stats.FooterBytes)
-	fmt.Println("largest columns:")
-	for _, c := range stats.TopColumnsBySize(5) {
-		fmt.Printf("  %-30s %10d bytes  %4d pages\n", c.Name, c.CompressedBytes, c.Pages)
-	}
-	fmt.Println("page encodings:")
-	for id, n := range stats.EncodingHistogram() {
-		name := id.String()
-		if uint8(id) == 0 {
-			name = "SparseDelta" // composite sliding-window pages
-		}
-		fmt.Printf("  %-20s %6d pages\n", name, n)
-	}
-	return nil
+	return enc.Encode(docs)
 }
 
-// ---- info: machine-readable stats ----
+// sortedKeys returns m's keys in ascending order, so output that walks a
+// map is the same run to run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// ---- info: file and dataset stats ----
 
 // columnInfo is the per-column record `bullion info -json` emits — the
 // same stats the dataset manifest builder lifts from footers, so external
@@ -240,7 +219,7 @@ func fileInfoFor(path string) (*fileInfo, error) {
 		for id, n := range c.Encodings {
 			name := id.String()
 			if uint8(id) == 0 {
-				name = "SparseDelta"
+				name = "SparseDelta" // composite sliding-window pages
 			}
 			ci.Encodings[name] = n
 		}
@@ -279,8 +258,9 @@ func datasetInfoFor(path string) (*datasetInfo, error) {
 	}, nil
 }
 
-// info prints per-path stats; with -json it emits one JSON document (a
-// list when more than one path is given).
+// info prints per-path stats (for a file: summary sections, then one
+// line per column); with -json it emits one JSON document (a list when
+// more than one path is given). `inspect` is the same command.
 func info(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit JSON")
@@ -308,12 +288,7 @@ func info(args []string) error {
 		docs = append(docs, fi)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if len(docs) == 1 {
-			return enc.Encode(docs[0])
-		}
-		return enc.Encode(docs)
+		return printJSON(docs)
 	}
 	for _, doc := range docs {
 		switch d := doc.(type) {
@@ -324,27 +299,62 @@ func info(args []string) error {
 				fmt.Printf("  %-28s %10d rows %10d live %12d bytes\n", e.Name, e.Rows, e.LiveRows, e.Bytes)
 			}
 		case *fileInfo:
-			fmt.Printf("%s: %d rows (%d live), %d columns, %d groups, %d pages, level %d\n",
-				d.Path, d.Rows, d.LiveRows, len(d.Columns), d.Groups, d.Pages, d.Compliance)
-			for _, c := range d.Columns {
-				zone := "no zone map"
-				switch {
-				case c.HasMinMax:
-					zone = fmt.Sprintf("min %d max %d", *c.Min, *c.Max)
-				case c.HasFloatMinMax && c.FloatMin != nil:
-					zone = fmt.Sprintf("min %g max %g", *c.FloatMin, *c.FloatMax)
-				case c.HasFloatMinMax:
-					zone = "float bounds (non-finite)"
-				}
-				if c.BloomBytes > 0 {
-					zone += fmt.Sprintf(", bloom %dB", c.BloomBytes)
-				}
-				fmt.Printf("  %-28s %-16s %10d bytes %5d pages  %s\n",
-					c.Name, c.Type, c.CompressedBytes, c.Pages, zone)
-			}
+			printFileInfo(d)
 		}
 	}
 	return nil
+}
+
+// printFileInfo is the human rendering of one file's info document: the
+// summary sections first, then one line per column.
+func printFileInfo(d *fileInfo) {
+	fmt.Printf("%s: %d rows (%d live), %d columns, %d groups, %d pages, level %d\n",
+		d.Path, d.Rows, d.LiveRows, len(d.Columns), d.Groups, d.Pages, d.Compliance)
+	fmt.Printf("  data bytes: %d (footer %d)\n", d.DataBytes, d.FooterBytes)
+	byType, byEncoding := map[string]int{}, map[string]int{}
+	for _, c := range d.Columns {
+		k := c.Type
+		if c.Sparse {
+			k += " (sparse)"
+		}
+		byType[k]++
+		for name, n := range c.Encodings {
+			byEncoding[name] += n
+		}
+	}
+	fmt.Println("  type breakdown:")
+	for _, k := range sortedKeys(byType) {
+		fmt.Printf("    %-30s %6d\n", k, byType[k])
+	}
+	largest := append([]columnInfo(nil), d.Columns...)
+	sort.SliceStable(largest, func(i, j int) bool {
+		return largest[i].CompressedBytes > largest[j].CompressedBytes
+	})
+	fmt.Println("  largest columns:")
+	for _, c := range largest[:min(5, len(largest))] {
+		fmt.Printf("    %-30s %10d bytes  %4d pages\n", c.Name, c.CompressedBytes, c.Pages)
+	}
+	fmt.Println("  page encodings:")
+	for _, name := range sortedKeys(byEncoding) {
+		fmt.Printf("    %-20s %6d pages\n", name, byEncoding[name])
+	}
+	fmt.Println("  columns:")
+	for _, c := range d.Columns {
+		zone := "no zone map"
+		switch {
+		case c.HasMinMax:
+			zone = fmt.Sprintf("min %d max %d", *c.Min, *c.Max)
+		case c.HasFloatMinMax && c.FloatMin != nil:
+			zone = fmt.Sprintf("min %g max %g", *c.FloatMin, *c.FloatMax)
+		case c.HasFloatMinMax:
+			zone = "float bounds (non-finite)"
+		}
+		if c.BloomBytes > 0 {
+			zone += fmt.Sprintf(", bloom %dB", c.BloomBytes)
+		}
+		fmt.Printf("    %-28s %-16s %10d bytes %5d pages  %s\n",
+			c.Name, c.Type, c.CompressedBytes, c.Pages, zone)
+	}
 }
 
 func verify(path string) error {
@@ -360,30 +370,123 @@ func verify(path string) error {
 	return nil
 }
 
+// batchStream is one path — a file, a dataset directory or a dataset
+// URL — opened as a stream of batches. reads counts the physical I/O of
+// every file the stream opened, by name: the file itself, or each dataset
+// member (a member pruned by the manifest is never opened and never
+// appears).
+type batchStream struct {
+	sc interface {
+		Next() (*bullion.Batch, error)
+		Recycle(*bullion.Batch)
+		Close() error
+	}
+	stats func() bullion.DatasetScanStats
+	src   io.Closer // the file or dataset under sc
+
+	mu    sync.Mutex
+	reads map[string]*iostats.Counters
+}
+
+// openStream starts a scan of path. A single file reports itself as a
+// one-member dataset with no resilience or cache work, and ignores
+// FileConcurrency and Degraded.
+func openStream(path string, opts bullion.DatasetScanOptions) (*batchStream, error) {
+	s := &batchStream{reads: map[string]*iostats.Counters{}}
+	count := func(name string, r io.ReaderAt, _ int64) io.ReaderAt {
+		c := &iostats.Counters{}
+		c.Reset()
+		s.mu.Lock()
+		s.reads[name] = c
+		s.mu.Unlock()
+		return &iostats.ReaderAt{R: r, C: c}
+	}
+	if isDataset(path) {
+		ds, err := bullion.OpenDataset(path, &bullion.DatasetOptions{WrapReader: count})
+		if err != nil {
+			return nil, err
+		}
+		sc, err := ds.Scan(opts)
+		if err != nil {
+			ds.Close()
+			return nil, err
+		}
+		s.sc, s.stats, s.src = sc, sc.Stats, ds
+		return s, nil
+	}
+	osf, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := osf.Stat()
+	if err != nil {
+		osf.Close()
+		return nil, err
+	}
+	f, err := bullion.Open(count(path, osf, st.Size()), st.Size())
+	if err != nil {
+		osf.Close()
+		return nil, err
+	}
+	sc, err := f.Scan(opts.ScanOptions)
+	if err != nil {
+		osf.Close()
+		return nil, err
+	}
+	s.sc, s.src = sc, osf
+	s.stats = func() bullion.DatasetScanStats {
+		return bullion.DatasetScanStats{ScanStats: sc.Stats(), FilesPlanned: 1, FilesScanned: 1}
+	}
+	return s, nil
+}
+
+// drain hands every batch to each (nil = just count them in stats) until
+// the stream ends or each reports it has seen enough. Batches are
+// recycled, so each must not keep one.
+func (s *batchStream) drain(each func(*bullion.Batch) (more bool)) error {
+	for {
+		batch, err := s.sc.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		more := each == nil || each(batch)
+		s.sc.Recycle(batch)
+		if !more {
+			return nil
+		}
+	}
+}
+
+func (s *batchStream) Close() {
+	s.sc.Close()
+	s.src.Close()
+}
+
+// project prints the first rows of the named columns.
 func project(path string, cols []string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("project: no columns given")
 	}
-	f, err := bullion.OpenPath(path)
+	s, err := openStream(path, bullion.DatasetScanOptions{
+		ScanOptions: bullion.ScanOptions{Columns: cols, ReuseBatches: true},
+	})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	batch, err := f.Project(cols...)
-	if err != nil {
-		return err
-	}
-	n := batch.NumRows()
-	if n > 10 {
-		n = 10
-	}
-	for r := 0; r < n; r++ {
-		for c, col := range batch.Columns {
-			fmt.Printf("%s=%v ", cols[c], cellString(col, r))
+	defer s.Close()
+	left := 10
+	return s.drain(func(batch *bullion.Batch) bool {
+		for r := 0; r < batch.NumRows() && left > 0; r, left = r+1, left-1 {
+			for c, col := range batch.Columns {
+				fmt.Printf("%s=%v ", cols[c], cellString(col, r))
+			}
+			fmt.Println()
 		}
-		fmt.Println()
-	}
-	return nil
+		return left > 0
+	})
 }
 
 func cellString(col bullion.ColumnData, r int) string {
@@ -482,49 +585,17 @@ func parseFilters(ints, floats, ins repeatedFlag) ([]bullion.ColumnFilter, error
 	return out, nil
 }
 
-// scanResult is one path's scan outcome, for the aggregate report.
-// stats is the dataset-level shape for every target: single files report
-// themselves as a one-member dataset with no resilience work.
+// scanResult is one path's scan outcome: a block of the text report, or
+// with -json the document itself. Stats is the dataset-level shape for
+// every target (see openStream), and every counter appears in it once —
+// rows, batches, retries, hedges, degraded members and the cache deltas.
 type scanResult struct {
-	path    string
-	rows    int64
-	batches int64
-	elapsed time.Duration
-	stats   bullion.DatasetScanStats
-	phys    iostats.Snapshot
-}
-
-// scanJSON is the -json document emitted per scan target.
-type scanJSON struct {
-	Path      string                        `json:"path"`
-	Rows      int64                         `json:"rows"`
-	Batches   int64                         `json:"batches"`
-	ElapsedMS float64                       `json:"elapsed_ms"`
-	Stats     bullion.DatasetScanStats      `json:"stats"`
-	Retries   int64                         `json:"retries"`
-	Hedges    int64                         `json:"hedges"`
-	HedgeWins int64                         `json:"hedge_wins"`
-	Degraded  []string                      `json:"degraded_members,omitempty"`
-	ReadOps   int64                         `json:"phys_read_ops"`
-	ReadBytes int64                         `json:"phys_read_bytes"`
-	Cache     bullion.DatasetCacheScanStats `json:"cache"`
-}
-
-func toScanJSON(r scanResult) scanJSON {
-	return scanJSON{
-		Path:      r.path,
-		Rows:      r.rows,
-		Batches:   r.batches,
-		ElapsedMS: float64(r.elapsed.Microseconds()) / 1e3,
-		Stats:     r.stats,
-		Retries:   r.stats.Retries,
-		Hedges:    r.stats.Hedges,
-		HedgeWins: r.stats.HedgeWins,
-		Degraded:  r.stats.DegradedMembers,
-		ReadOps:   r.phys.ReadOps,
-		ReadBytes: r.phys.ReadBytes,
-		Cache:     r.stats.Cache,
-	}
+	Path      string                   `json:"path"`
+	ElapsedMS float64                  `json:"elapsed_ms"`
+	Stats     bullion.DatasetScanStats `json:"stats"`
+	ReadOps   int64                    `json:"phys_read_ops"`
+	ReadBytes int64                    `json:"phys_read_bytes"`
+	seeks     int64
 }
 
 // scan streams the projected columns (default: all) of every path —
@@ -566,25 +637,21 @@ func scan(args []string) error {
 		return fmt.Errorf("scan: no existing paths given")
 	}
 
-	opts := bullion.ScanOptions{
-		Columns:      cols,
-		BatchRows:    *batchRows,
-		Workers:      *workers,
-		CoalesceGap:  *coalesceGap,
-		ReuseBatches: true,
-		Filters:      filters,
+	opts := bullion.DatasetScanOptions{
+		ScanOptions: bullion.ScanOptions{
+			Columns:      cols,
+			BatchRows:    *batchRows,
+			Workers:      *workers,
+			CoalesceGap:  *coalesceGap,
+			ReuseBatches: true,
+			Filters:      filters,
+		},
+		FileConcurrency: *fileWorkers,
+		Degraded:        *degraded,
 	}
 	var results []scanResult
 	for _, path := range paths {
-		var (
-			res scanResult
-			err error
-		)
-		if isDataset(path) {
-			res, err = scanDataset(path, opts, *fileWorkers, *degraded, *asJSON)
-		} else {
-			res, err = scanFile(path, opts)
-		}
+		res, err := scanPath(path, opts, *asJSON)
 		if err != nil {
 			return fmt.Errorf("scan %s: %w", path, err)
 		}
@@ -594,16 +661,13 @@ func scan(args []string) error {
 		results = append(results, res)
 	}
 	if len(results) > 1 {
-		var agg scanResult
-		agg.path = fmt.Sprintf("TOTAL (%d paths)", len(results))
+		agg := scanResult{Path: fmt.Sprintf("TOTAL (%d paths)", len(results))}
 		for _, r := range results {
-			agg.rows += r.rows
-			agg.batches += r.batches
-			agg.elapsed += r.elapsed
-			addScanStats(&agg.stats, r.stats)
-			agg.phys.ReadOps += r.phys.ReadOps
-			agg.phys.ReadBytes += r.phys.ReadBytes
-			agg.phys.Seeks += r.phys.Seeks
+			agg.ElapsedMS += r.ElapsedMS
+			addScanStats(&agg.Stats, r.Stats)
+			agg.ReadOps += r.ReadOps
+			agg.ReadBytes += r.ReadBytes
+			agg.seeks += r.seeks
 		}
 		if !*asJSON {
 			printScanResult(agg)
@@ -611,16 +675,7 @@ func scan(args []string) error {
 		results = append(results, agg)
 	}
 	if *asJSON {
-		docs := make([]scanJSON, len(results))
-		for i, r := range results {
-			docs[i] = toScanJSON(r)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if len(docs) == 1 {
-			return enc.Encode(docs[0])
-		}
-		return enc.Encode(docs)
+		return printJSON(results)
 	}
 	return nil
 }
@@ -652,139 +707,63 @@ func addScanStats(dst *bullion.DatasetScanStats, src bullion.DatasetScanStats) {
 }
 
 func printScanResult(r scanResult) {
+	st, secs := r.Stats, r.ElapsedMS/1e3
 	fmt.Printf("%s: %d rows in %d batches in %v (%.0f rows/sec)\n",
-		r.path, r.rows, r.batches, r.elapsed.Round(time.Microsecond),
-		float64(r.rows)/r.elapsed.Seconds())
-	fmt.Printf("  bytes decoded:  %d (%.1f MB/s)\n", r.stats.BytesRead,
-		float64(r.stats.BytesRead)/r.elapsed.Seconds()/1e6)
+		r.Path, st.RowsEmitted, st.BatchesEmitted, time.Duration(r.ElapsedMS*float64(time.Millisecond)),
+		float64(st.RowsEmitted)/secs)
+	fmt.Printf("  bytes decoded:  %d (%.1f MB/s)\n", st.BytesRead,
+		float64(st.BytesRead)/secs/1e6)
 	fmt.Printf("  physical I/O:   %d reads, %d bytes, %d seeks\n",
-		r.phys.ReadOps, r.phys.ReadBytes, r.phys.Seeks)
+		r.ReadOps, r.ReadBytes, r.seeks)
 	fmt.Printf("  coalescing:     %d scan reads, %d coalesced bytes, %d wasted gap bytes\n",
-		r.stats.ReadOps, r.stats.CoalescedBytes, r.stats.WastedBytes)
+		st.ReadOps, st.CoalescedBytes, st.WastedBytes)
 	fmt.Printf("  pages:          %d decoded, %d skipped; batches: %d emitted, %d skipped\n",
-		r.stats.PagesDecoded, r.stats.PagesSkipped, r.stats.BatchesEmitted, r.stats.BatchesSkipped)
-	if c := r.stats.Cache; c.Any() {
+		st.PagesDecoded, st.PagesSkipped, st.BatchesEmitted, st.BatchesSkipped)
+	if c := st.Cache; c.Any() {
 		fmt.Printf("  cache:          footers %d hit/%d miss, handles %d/%d, pages %d/%d (%d evicted)\n",
 			c.FooterHits, c.FooterMisses, c.HandleHits, c.HandleMisses,
 			c.PageHits, c.PageMisses, c.PageEvictions)
 	}
-	if r.stats.Retries > 0 || r.stats.Hedges > 0 || len(r.stats.DegradedMembers) > 0 {
+	if st.Retries > 0 || st.Hedges > 0 || len(st.DegradedMembers) > 0 {
 		fmt.Printf("  resilience:     %d retries, %d hedges (%d won), %d degraded members\n",
-			r.stats.Retries, r.stats.Hedges, r.stats.HedgeWins, len(r.stats.DegradedMembers))
-		for _, name := range r.stats.DegradedMembers {
+			st.Retries, st.Hedges, st.HedgeWins, len(st.DegradedMembers))
+		for _, name := range st.DegradedMembers {
 			fmt.Printf("    degraded: %s (unreachable after retries; rows skipped)\n", name)
 		}
 	}
 }
 
-func scanFile(path string, opts bullion.ScanOptions) (scanResult, error) {
-	osf, err := os.Open(path)
+// scanPath drains one path and collects its stats and physical I/O. For
+// a dataset it also lists (unless quiet) each member's reads, which is
+// where manifest pruning shows: pruned members never appear.
+func scanPath(path string, opts bullion.DatasetScanOptions, quiet bool) (scanResult, error) {
+	s, err := openStream(path, opts)
 	if err != nil {
 		return scanResult{}, err
 	}
-	defer osf.Close()
-	st, err := osf.Stat()
-	if err != nil {
-		return scanResult{}, err
-	}
-	var counters iostats.Counters
-	counters.Reset()
-	f, err := bullion.Open(&iostats.ReaderAt{R: osf, C: &counters}, st.Size())
-	if err != nil {
-		return scanResult{}, err
-	}
-	defer f.Close()
+	defer s.Close()
 
-	sc, err := f.Scan(opts)
-	if err != nil {
-		return scanResult{}, err
-	}
-	defer sc.Close()
-
-	res := scanResult{path: path}
+	res := scanResult{Path: path}
 	start := time.Now()
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return scanResult{}, err
-		}
-		res.rows += int64(batch.NumRows())
-		res.batches++
-		sc.Recycle(batch)
-	}
-	res.elapsed = time.Since(start)
-	res.stats = bullion.DatasetScanStats{ScanStats: sc.Stats(), FilesPlanned: 1, FilesScanned: 1}
-	res.phys = counters.Snapshot()
-	return res, nil
-}
-
-func scanDataset(dir string, opts bullion.ScanOptions, fileWorkers int, degraded, quiet bool) (scanResult, error) {
-	// One iostats counter per member file, so pruning is visible in the
-	// per-file physical I/O (pruned members never appear at all).
-	var mu sync.Mutex
-	perFile := map[string]*iostats.Counters{}
-	ds, err := bullion.OpenDataset(dir, &bullion.DatasetOptions{
-		WrapReader: func(name string, r io.ReaderAt, size int64) io.ReaderAt {
-			c := &iostats.Counters{}
-			c.Reset()
-			mu.Lock()
-			perFile[name] = c
-			mu.Unlock()
-			return &iostats.ReaderAt{R: r, C: c}
-		},
-	})
-	if err != nil {
+	if err := s.drain(nil); err != nil {
 		return scanResult{}, err
 	}
-	defer ds.Close()
+	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+	res.Stats = s.stats()
 
-	sc, err := ds.Scan(bullion.DatasetScanOptions{
-		ScanOptions:     opts,
-		FileConcurrency: fileWorkers,
-		Degraded:        degraded,
-	})
-	if err != nil {
-		return scanResult{}, err
-	}
-	defer sc.Close()
-
-	res := scanResult{path: dir}
-	start := time.Now()
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return scanResult{}, err
-		}
-		res.rows += int64(batch.NumRows())
-		res.batches++
-		sc.Recycle(batch)
-	}
-	res.elapsed = time.Since(start)
-	res.stats = sc.Stats()
-
-	names := make([]string, 0, len(perFile))
-	for name := range perFile {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if !quiet {
+	listMembers := isDataset(path) && !quiet
+	if listMembers {
 		fmt.Printf("%s: %d member files scanned, %d pruned by manifest\n",
-			dir, res.stats.FilesScanned, res.stats.FilesPruned)
+			path, res.Stats.FilesScanned, res.Stats.FilesPruned)
 	}
-	for _, name := range names {
-		snap := perFile[name].Snapshot()
-		if !quiet {
+	for _, name := range sortedKeys(s.reads) {
+		snap := s.reads[name].Snapshot()
+		if listMembers {
 			fmt.Printf("  %-28s %6d reads %12d bytes\n", name, snap.ReadOps, snap.ReadBytes)
 		}
-		res.phys.ReadOps += snap.ReadOps
-		res.phys.ReadBytes += snap.ReadBytes
-		res.phys.Seeks += snap.Seeks
+		res.ReadOps += snap.ReadOps
+		res.ReadBytes += snap.ReadBytes
+		res.seeks += snap.Seeks
 	}
 	return res, nil
 }
@@ -978,20 +957,13 @@ func ingestDataset(dir string, schema *bullion.Schema, opts *bullion.Options, ba
 	elapsed := time.Since(start)
 
 	m := ds.Manifest()
-	for _, e := range m.Files[len(m.Files)-minInt(shards, len(m.Files)):] {
+	for _, e := range m.Files[len(m.Files)-min(shards, len(m.Files)):] {
 		fmt.Printf("%s/%s: %d rows, %d bytes\n", dir, e.Name, e.Rows, e.Bytes)
 	}
 	fmt.Printf("ingested %d rows across %d shards (generation %d) in %v\n",
 		total, shards, m.Generation, elapsed.Round(time.Microsecond))
 	fmt.Printf("throughput:     %.0f rows/sec\n", float64(total)/elapsed.Seconds())
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func printSelector(hits, resamples int64) {
@@ -1028,12 +1000,12 @@ func compact(args []string) error {
 			dir, stats.FilesCompacted, stats.FilesDropped, stats.RowsReclaimed,
 			stats.BytesBefore, stats.BytesAfter, ds.Generation())
 		if *vacuum {
-			removed, err := ds.Vacuum()
+			rep, err := ds.Vacuum()
 			if err != nil {
 				ds.Close()
 				return err
 			}
-			fmt.Printf("  vacuumed %d files\n", len(removed))
+			fmt.Printf("  vacuumed %d files\n", len(rep.Removed))
 		}
 		ds.Close()
 	}
@@ -1069,13 +1041,13 @@ func fsck(args []string) error {
 			if err != nil {
 				return fmt.Errorf("fsck: repair %s: %w", dir, err)
 			}
-			removed, err := ds.Vacuum()
+			vac, err := ds.Vacuum()
 			ds.Close()
 			if err != nil {
 				return fmt.Errorf("fsck: vacuum %s: %w", dir, err)
 			}
-			if !*asJSON && len(removed) > 0 {
-				fmt.Printf("%s: repair reclaimed %d files\n", dir, len(removed))
+			if !*asJSON && len(vac.Removed) > 0 {
+				fmt.Printf("%s: repair reclaimed %d files\n", dir, len(vac.Removed))
 			}
 		}
 		rep, err := bullion.FsckDataset(dir, nil, *deep)
@@ -1088,13 +1060,7 @@ func fsck(args []string) error {
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if len(reports) == 1 {
-			if err := enc.Encode(reports[0]); err != nil {
-				return err
-			}
-		} else if err := enc.Encode(reports); err != nil {
+		if err := printJSON(reports); err != nil {
 			return err
 		}
 	} else {
@@ -1172,11 +1138,7 @@ func tag(args []string) error {
 			return fmt.Errorf("tag: -delete needs a tag name")
 		}
 		tags := ds.Tags()
-		names := make([]string, 0, len(tags))
-		for name := range tags {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := sortedKeys(tags)
 		for _, name := range names {
 			fmt.Printf("%-32s generation %d\n", name, tags[name])
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,11 +82,11 @@ func TestFileLifecycle(t *testing.T) {
 	}
 
 	scanRows := func(t *testing.T, out string) int64 {
-		var doc scanJSON
+		var doc scanResult
 		if err := json.Unmarshal([]byte(out), &doc); err != nil {
 			t.Fatalf("scan -json output: %v\n%s", err, out)
 		}
-		return doc.Rows
+		return doc.Stats.RowsEmitted
 	}
 	for _, step := range []struct {
 		name     string
@@ -135,5 +136,121 @@ func TestFileLifecycle(t *testing.T) {
 				step.check(t, out, firstRows)
 			}
 		})
+	}
+}
+
+// oneMemberDataset copies every row of the file at path into a fresh
+// dataset with a single member and returns its directory.
+func oneMemberDataset(t *testing.T, path string) string {
+	t.Helper()
+	f, err := bullion.OpenPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	schema := f.Schema()
+	var names []string
+	for _, fd := range schema.Fields {
+		names = append(names, fd.Name)
+	}
+	batch, err := f.Project(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ads.blnds")
+	ds, err := bullion.CreateDataset(dir, schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// keySet collects the key paths of a decoded JSON document.
+func keySet(prefix string, v any, out map[string]bool) {
+	if m, ok := v.(map[string]any); ok {
+		for k, sub := range m {
+			out[prefix+k] = true
+			keySet(prefix+k+".", sub, out)
+		}
+	}
+}
+
+// TestOneReadPath runs the read commands over a demo file and over a
+// one-member dataset holding the same rows: both go through openStream,
+// so they must report the same document shape and the same logical work.
+func TestOneReadPath(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "ads.bln")
+	captureStdout(t, func() error { return demo(file) })
+	dir := oneMemberDataset(t, file)
+	_, firstRows := libraryView(t, file, []string{"uid", "ctr"})
+
+	scanDoc := func(t *testing.T, path string) (scanResult, map[string]bool) {
+		out := captureStdout(t, func() error { return scan([]string{"-json", "-batch", "1000", path}) })
+		var doc scanResult
+		var raw any
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("scan -json %s: %v\n%s", path, err, out)
+		}
+		if err := json.Unmarshal([]byte(out), &raw); err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]bool{}
+		keySet("", raw, keys)
+		return doc, keys
+	}
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"scan -json file vs dataset", func(t *testing.T) {
+			fdoc, fkeys := scanDoc(t, file)
+			ddoc, dkeys := scanDoc(t, dir)
+			if !reflect.DeepEqual(fkeys, dkeys) {
+				t.Errorf("key sets differ:\nfile    %v\ndataset %v", fkeys, dkeys)
+			}
+			fs, ds := fdoc.Stats, ddoc.Stats
+			if fs.RowsEmitted != 10000 || fs.RowsEmitted != ds.RowsEmitted ||
+				fs.BatchesEmitted != ds.BatchesEmitted || fs.PagesDecoded != ds.PagesDecoded {
+				t.Errorf("file rows/batches/pages %d/%d/%d, dataset %d/%d/%d",
+					fs.RowsEmitted, fs.BatchesEmitted, fs.PagesDecoded,
+					ds.RowsEmitted, ds.BatchesEmitted, ds.PagesDecoded)
+			}
+			if fs.FilesScanned != 1 || ds.FilesScanned != 1 {
+				t.Errorf("files scanned: file %d, dataset %d, want 1 and 1", fs.FilesScanned, ds.FilesScanned)
+			}
+		}},
+		{"scan -json says each thing once", func(t *testing.T) {
+			_, keys := scanDoc(t, file)
+			for _, dup := range []string{"rows", "batches", "retries", "hedges", "hedge_wins", "degraded_members", "cache"} {
+				if keys[dup] {
+					t.Errorf("top-level %q repeats a stats counter", dup)
+				}
+			}
+		}},
+		{"project dataset", func(t *testing.T) {
+			out := captureStdout(t, func() error { return project(dir, []string{"uid", "ctr"}) })
+			if out != firstRows || strings.Count(out, "\n") != 10 {
+				t.Errorf("project %s printed\n%s\nthe file's first rows are\n%s", dir, out, firstRows)
+			}
+		}},
+		{"info is deterministic", func(t *testing.T) {
+			first := captureStdout(t, func() error { return info([]string{file}) })
+			for i := 0; i < 5; i++ {
+				if again := captureStdout(t, func() error { return info([]string{file}) }); again != first {
+					t.Fatalf("info output changed between runs:\n%s\n---\n%s", first, again)
+				}
+			}
+			for _, section := range []string{"type breakdown:", "largest columns:", "page encodings:", "SparseDelta"} {
+				if !strings.Contains(first, section) {
+					t.Errorf("info output lacks %q:\n%s", section, first)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.check)
 	}
 }

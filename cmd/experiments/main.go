@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure from the paper's
-// evaluation (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// paper-vs-measured records).
+// evaluation, each as a paper-vs-measured table (the experiments live in
+// internal/experiments).
 //
 // Usage:
 //

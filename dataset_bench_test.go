@@ -2,7 +2,7 @@ package bullion
 
 // Dataset-layer benchmarks: an 8-file dataset of 16 int64 columns, keys
 // globally increasing so each member file covers a disjoint key/row
-// range. Three effects are measured (recorded in BENCH_scan.json):
+// range. Three effects are measured (end-to-end numbers: bench/README.md):
 //
 //   - multi-file overlap: FileConcurrency 8 vs 1 (single-file-sequential)
 //     on the 1 ms-per-ReadAt blob model — concurrent member engines hide

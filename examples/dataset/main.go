@@ -157,8 +157,8 @@ func main() {
 	fmt.Printf("compacted %d files, dropped %d, reclaimed %d rows: %d -> %d bytes (generation %d)\n",
 		cstats.FilesCompacted, cstats.FilesDropped, cstats.RowsReclaimed,
 		cstats.BytesBefore, cstats.BytesAfter, ds.Generation())
-	if removed, err := ds.Vacuum(); err == nil {
-		fmt.Printf("vacuumed %d superseded files\n", len(removed))
+	if rep, err := ds.Vacuum(); err == nil {
+		fmt.Printf("vacuumed %d superseded files\n", len(rep.Removed))
 	}
 
 	// 5. The compacted dataset serves exactly the live rows.
@@ -269,7 +269,7 @@ func main() {
 	if err := ds.Append(nb); err != nil {
 		log.Fatal(err)
 	}
-	vrep, err := ds.VacuumWithReport()
+	vrep, err := ds.Vacuum()
 	if err != nil {
 		log.Fatal(err)
 	}

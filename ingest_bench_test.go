@@ -14,7 +14,7 @@ package bullion
 //     cold NVMe). The serializer goroutine absorbs that latency while
 //     encode workers keep running, so pipelining wins even on one core.
 //
-// Recorded in BENCH_ingest.json (see that file for the capture command).
+// The end-to-end ingest numbers are ads_ingest in bench/README.md.
 // All configurations emit byte-identical files — asserted per iteration.
 
 import (

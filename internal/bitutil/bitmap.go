@@ -3,7 +3,7 @@
 // and bit-width arithmetic.
 //
 // The package is deliberately dependency-free; it sits at the bottom of the
-// substrate stack (S1 in DESIGN.md).
+// substrate stack.
 package bitutil
 
 import (

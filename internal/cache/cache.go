@@ -15,9 +15,8 @@
 //   - Handles: open backend files, a refcounted LRU. Hot members skip
 //     re-open entirely — critical for HTTP backends where open is a
 //     HEAD round-trip — while the LRU bounds live file handles.
-//   - Pages: a segmented-LRU (2Q) byte cache over coalesced page runs,
-//     with per-root byte budgets and a materialize mode that pins whole
-//     small members in RAM.
+//   - Pages: a segmented-LRU (2Q) byte cache over coalesced page runs
+//     under one global byte budget.
 //
 // A zero Cache value is not usable; construct with New or use the
 // process-wide Shared instance.
@@ -52,7 +51,7 @@ type Options struct {
 	// referenced by a lease are not evictable, so the bound is soft
 	// under heavy concurrency.
 	HandleEntries int
-	// PageBytes bounds the page/run byte tier, pinned members included.
+	// PageBytes bounds the page/run byte tier.
 	PageBytes int64
 }
 
@@ -78,19 +77,17 @@ type Stats struct {
 	HandleHits   int64
 	HandleMisses int64
 	// PageHits/Misses count page-tier reads; PageEvictions entries
-	// evicted to stay inside the byte budgets.
+	// evicted to stay inside the byte budget.
 	PageHits      int64
 	PageMisses    int64
 	PageEvictions int64
 	// Invalidations counts Invalidate calls that dropped at least one
 	// entry.
 	Invalidations int64
-	// Sizes right now: artifact entries, open handles, page-tier bytes
-	// (PinnedBytes of which are materialized members).
+	// Sizes right now: artifact entries, open handles, page-tier bytes.
 	FooterEntries int
 	HandlesOpen   int
 	PageBytes     int64
-	PinnedBytes   int64
 }
 
 // Cache is the three-tier artifact cache. All methods are safe for
@@ -112,16 +109,12 @@ type Cache struct {
 	handles map[Key]*handleEntry
 	hLRU    *list.List // of *handleEntry; front = MRU; excludes in-flight opens
 
-	pMu        sync.Mutex
-	runs       map[runKey]*runEntry
-	probation  *list.List // of *runEntry
-	protected  *list.List // of *runEntry
-	pageBytes  int64      // all page-tier bytes, pins included
-	protBytes  int64
-	pins       map[Key][]byte
-	pinBytes   int64
-	rootBytes  map[string]int64
-	rootBudget map[string]int64
+	pMu       sync.Mutex
+	runs      map[runKey]*runEntry
+	probation *list.List // of *runEntry
+	protected *list.List // of *runEntry
+	pageBytes int64      // all page-tier bytes
+	protBytes int64
 }
 
 // New returns a Cache with the given capacities (zero fields take the
@@ -137,17 +130,14 @@ func New(opts Options) *Cache {
 		opts.PageBytes = DefaultPageBytes
 	}
 	return &Cache{
-		opts:       opts,
-		arts:       map[Key]*artifactEntry{},
-		artLRU:     list.New(),
-		handles:    map[Key]*handleEntry{},
-		hLRU:       list.New(),
-		runs:       map[runKey]*runEntry{},
-		probation:  list.New(),
-		protected:  list.New(),
-		pins:       map[Key][]byte{},
-		rootBytes:  map[string]int64{},
-		rootBudget: map[string]int64{},
+		opts:      opts,
+		arts:      map[Key]*artifactEntry{},
+		artLRU:    list.New(),
+		handles:   map[Key]*handleEntry{},
+		hLRU:      list.New(),
+		runs:      map[runKey]*runEntry{},
+		probation: list.New(),
+		protected: list.New(),
 	}
 }
 
@@ -182,7 +172,6 @@ func (c *Cache) Stats() Stats {
 	c.hMu.Unlock()
 	c.pMu.Lock()
 	s.PageBytes = c.pageBytes
-	s.PinnedBytes = c.pinBytes
 	c.pMu.Unlock()
 	return s
 }
@@ -427,16 +416,6 @@ func (c *Cache) Invalidate(root, name string) {
 			dropped = true
 		}
 	}
-	for k, b := range c.pins {
-		if k.Root == root && k.Name == name {
-			delete(c.pins, k)
-			n := int64(len(b))
-			c.pageBytes -= n
-			c.pinBytes -= n
-			c.rootBytes[k.Root] -= n
-			dropped = true
-		}
-	}
 	c.pMu.Unlock()
 	if dropped {
 		atomic.AddInt64(&c.invalidations, 1)
@@ -445,8 +424,7 @@ func (c *Cache) Invalidate(root, name string) {
 
 // Close drops every entry and closes every cached file handle not
 // currently leased (leased ones close on their last Release). Meant for
-// private per-dataset caches and tests; the Shared cache is never
-// closed.
+// caches built with New; the Shared cache is never closed.
 func (c *Cache) Close() error {
 	var toClose []storage.File
 	c.hMu.Lock()
@@ -477,9 +455,7 @@ func (c *Cache) Close() error {
 	c.runs = map[runKey]*runEntry{}
 	c.probation.Init()
 	c.protected.Init()
-	c.pins = map[Key][]byte{}
-	c.pageBytes, c.protBytes, c.pinBytes = 0, 0, 0
-	c.rootBytes = map[string]int64{}
+	c.pageBytes, c.protBytes = 0, 0
 	c.pMu.Unlock()
 	return first
 }

@@ -239,11 +239,11 @@ func TestInvalidateDropsAllTiers(t *testing.T) {
 	r := c.Reader(k, f, nil)
 	buf := make([]byte, 16)
 	r.ReadAt(buf, 0)
-	c.Materialize(key("m", "v2"), f, 64)
+	c.Reader(key("m", "v2"), f, nil).ReadAt(buf, 16)
 
 	c.Invalidate("root", "m") // all versions of "m" across all tiers
 	st := c.Stats()
-	if st.FooterEntries != 0 || st.HandlesOpen != 0 || st.PageBytes != 0 || st.PinnedBytes != 0 {
+	if st.FooterEntries != 0 || st.HandlesOpen != 0 || st.PageBytes != 0 {
 		t.Fatalf("entries survive invalidation: %+v", st)
 	}
 	if !f.closed.Load() {
@@ -350,74 +350,31 @@ func TestPage2QScanResistance(t *testing.T) {
 	}
 }
 
-func TestRootBudget(t *testing.T) {
-	c := New(Options{PageBytes: 1 << 20})
+// TestPageBudgetIsGlobal: two roots filling the page tier past PageBytes
+// share the one budget — neither root's traffic lets the total exceed it.
+func TestPageBudgetIsGlobal(t *testing.T) {
+	c := New(Options{PageBytes: 400})
 	f := &fakeFile{data: bytes.Repeat([]byte{5}, 4096)}
-	c.SetRootBudget("root", 300)
-	r := c.Reader(key("m", "v"), f, nil)
+	ra := c.Reader(Key{Root: "a", Name: "m", Version: "v"}, f, nil)
+	rb := c.Reader(Key{Root: "b", Name: "m", Version: "v"}, f, nil)
 	for i := 0; i < 8; i++ {
-		r.ReadAt(make([]byte, 100), int64(i*100))
+		ra.ReadAt(make([]byte, 100), int64(i*100))
+		rb.ReadAt(make([]byte, 100), int64(i*100))
+		if got := c.Stats().PageBytes; got > 400 {
+			t.Fatalf("after %d reads per root PageBytes = %d, exceeds budget 400", i+1, got)
+		}
 	}
-	c.pMu.Lock()
-	got := c.rootBytes["root"]
-	c.pMu.Unlock()
-	if got > 300 {
-		t.Fatalf("root bytes %d exceed budget 300", got)
+	st := c.Stats()
+	if st.PageBytes != 400 || st.PageEvictions != 12 {
+		t.Fatalf("PageBytes = %d with %d evictions, want 400 with 12 (16 runs of 100 through a 400-byte tier)",
+			st.PageBytes, st.PageEvictions)
 	}
-	// Other roots are not constrained by this root's budget.
-	r2 := c.Reader(Key{Root: "other", Name: "m", Version: "v"}, f, nil)
-	r2.ReadAt(make([]byte, 512), 0)
+	// The survivors are the most recent runs, whichever root read them.
 	base := f.reads.Load()
-	r2.ReadAt(make([]byte, 512), 0)
+	ra.ReadAt(make([]byte, 100), 700)
+	rb.ReadAt(make([]byte, 100), 700)
 	if f.reads.Load() != base {
-		t.Fatal("unbudgeted root failed to cache")
-	}
-}
-
-func TestMaterializePin(t *testing.T) {
-	c := New(Options{PageBytes: 1 << 20})
-	f := &fakeFile{data: bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 128)} // 1 KiB
-	k := key("m", "v")
-	ok, err := c.Materialize(k, f, int64(len(f.data)))
-	if err != nil || !ok {
-		t.Fatalf("Materialize = (%v, %v)", ok, err)
-	}
-	base := f.reads.Load()
-	r := c.Reader(k, f, nil)
-	// Any offset/length hits the pin, including EOF shapes.
-	p := make([]byte, 100)
-	if n, err := r.ReadAt(p, 37); n != 100 || err != nil {
-		t.Fatalf("pinned read = (%d, %v)", n, err)
-	}
-	if !bytes.Equal(p, f.data[37:137]) {
-		t.Fatal("pinned bytes differ")
-	}
-	if n, err := r.ReadAt(make([]byte, 100), 1000); n != 24 || err != io.EOF {
-		t.Fatalf("pinned overlap-EOF = (%d, %v), want (24, EOF)", n, err)
-	}
-	if n, err := r.ReadAt(make([]byte, 4), 5000); n != 0 || err != io.EOF {
-		t.Fatalf("pinned past-EOF = (%d, %v), want (0, EOF)", n, err)
-	}
-	if f.reads.Load() != base {
-		t.Fatal("pinned member read went to the backend")
-	}
-	if again, err := c.Materialize(k, f, int64(len(f.data))); err != nil || !again {
-		t.Fatal("re-materialize of a pinned key should be a cheap true")
-	}
-	if st := c.Stats(); st.PinnedBytes != 1024 {
-		t.Fatalf("PinnedBytes = %d, want 1024", st.PinnedBytes)
-	}
-}
-
-func TestMaterializeRespectsBudgets(t *testing.T) {
-	c := New(Options{PageBytes: 512})
-	f := &fakeFile{data: make([]byte, 1024)}
-	if ok, err := c.Materialize(key("m", "v"), f, 1024); ok || err != nil {
-		t.Fatalf("oversized pin accepted: (%v, %v)", ok, err)
-	}
-	c.SetRootBudget("root", 100)
-	if ok, _ := c.Materialize(key("m", "v"), f, 256); ok {
-		t.Fatal("pin over root budget accepted")
+		t.Fatal("most recent run of each root was evicted")
 	}
 }
 

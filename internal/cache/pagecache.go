@@ -2,7 +2,6 @@ package cache
 
 import (
 	"container/list"
-	"fmt"
 	"io"
 	"sync/atomic"
 )
@@ -14,9 +13,7 @@ import (
 // (member version, offset, length): the read planner is deterministic
 // for a given projection and filter set, so repeated scans ask for
 // byte-identical runs and exact matching hits without any range
-// arithmetic. Materialized ("pinned") members sit beside the run map:
-// whole small members held in RAM, exempt from eviction but counted
-// against every budget.
+// arithmetic.
 
 // protectedShare is the fraction of the page budget the protected
 // segment may hold before demoting back into probation.
@@ -35,20 +32,6 @@ type runEntry struct {
 	prot bool
 }
 
-// SetRootBudget caps the page-tier bytes (runs + pins) attributable to
-// one backend root — the per-dataset budget knob. bytes <= 0 removes
-// the budget. The global PageBytes cap always applies on top.
-func (c *Cache) SetRootBudget(root string, bytes int64) {
-	c.pMu.Lock()
-	if bytes <= 0 {
-		delete(c.rootBudget, root)
-	} else {
-		c.rootBudget[root] = bytes
-		c.enforceBudgetsLocked(root)
-	}
-	c.pMu.Unlock()
-}
-
 // removeRunLocked unlinks e from its segment and the accounting.
 func (c *Cache) removeRunLocked(e *runEntry) {
 	if e.prot {
@@ -58,44 +41,22 @@ func (c *Cache) removeRunLocked(e *runEntry) {
 		c.probation.Remove(e.elem)
 	}
 	delete(c.runs, e.key)
-	n := int64(len(e.data))
-	c.pageBytes -= n
-	c.rootBytes[e.key.k.Root] -= n
+	c.pageBytes -= int64(len(e.data))
 }
 
-// evictOneLocked evicts the least-valuable run, preferring the
-// probation tail, optionally restricted to one root. Reports whether
-// anything was evicted.
-func (c *Cache) evictOneLocked(root string, any bool) bool {
-	for _, l := range []*list.List{c.probation, c.protected} {
-		for el := l.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*runEntry)
-			if !any && e.key.k.Root != root {
-				continue
-			}
-			c.removeRunLocked(e)
-			atomic.AddInt64(&c.pageEvictions, 1)
-			return true
-		}
-	}
-	return false
-}
-
-// enforceBudgetsLocked evicts until root's budget (when set) and the
-// global budget hold. Pinned members are exempt from eviction, so a
-// root whose pins exceed its budget simply stops caching runs.
-func (c *Cache) enforceBudgetsLocked(root string) {
-	if budget, ok := c.rootBudget[root]; ok {
-		for c.rootBytes[root] > budget {
-			if !c.evictOneLocked(root, false) {
-				break
-			}
-		}
-	}
+// evictLocked evicts least-valuable runs — the probation tail first,
+// then the protected tail — until the PageBytes budget holds.
+func (c *Cache) evictLocked() {
 	for c.pageBytes > c.opts.PageBytes {
-		if !c.evictOneLocked("", true) {
-			break
+		back := c.probation.Back()
+		if back == nil {
+			back = c.protected.Back()
 		}
+		if back == nil {
+			return
+		}
+		c.removeRunLocked(back.Value.(*runEntry))
+		atomic.AddInt64(&c.pageEvictions, 1)
 	}
 }
 
@@ -125,33 +86,19 @@ func (c *Cache) touchRunLocked(e *runEntry) {
 }
 
 // lookupRun copies a cached exact run [off, off+len(p)) into p,
-// reporting whether it hit. Serving a pinned member takes priority (any
-// offset within it hits).
-func (c *Cache) lookupRun(k Key, p []byte, off int64) (int, error, bool) {
+// reporting whether it hit.
+func (c *Cache) lookupRun(k Key, p []byte, off int64) bool {
 	c.pMu.Lock()
-	if pin, ok := c.pins[k]; ok {
-		c.pMu.Unlock()
-		// pin is immutable once stored; reading outside the lock is safe.
-		atomic.AddInt64(&c.pageHits, 1)
-		if off >= int64(len(pin)) {
-			return 0, io.EOF, true
-		}
-		n := copy(p, pin[off:])
-		if n < len(p) {
-			return n, io.EOF, true
-		}
-		return n, nil, true
-	}
 	e, ok := c.runs[runKey{k: k, off: off, n: len(p)}]
 	if !ok {
 		c.pMu.Unlock()
-		return 0, nil, false
+		return false
 	}
 	copy(p, e.data)
 	c.touchRunLocked(e)
 	c.pMu.Unlock()
 	atomic.AddInt64(&c.pageHits, 1)
-	return len(p), nil, true
+	return true
 }
 
 // insertRun stores a full successful read. Oversized runs (bigger than
@@ -159,9 +106,6 @@ func (c *Cache) lookupRun(k Key, p []byte, off int64) (int, error, bool) {
 func (c *Cache) insertRun(k Key, off int64, data []byte) {
 	n := int64(len(data))
 	if n == 0 || n > c.opts.PageBytes {
-		return
-	}
-	if budget, ok := c.budgetFor(k.Root); ok && n > budget {
 		return
 	}
 	cp := make([]byte, len(data))
@@ -176,60 +120,15 @@ func (c *Cache) insertRun(k Key, off int64, data []byte) {
 	e.elem = c.probation.PushFront(e)
 	c.runs[rk] = e
 	c.pageBytes += n
-	c.rootBytes[k.Root] += n
-	c.enforceBudgetsLocked(k.Root)
+	c.evictLocked()
 	c.pMu.Unlock()
 }
 
-func (c *Cache) budgetFor(root string) (int64, bool) {
-	c.pMu.Lock()
-	b, ok := c.rootBudget[root]
-	c.pMu.Unlock()
-	return b, ok
-}
-
-// Materialize reads the member's whole [0, size) bytes through r once
-// and pins them in RAM (mebo-style materialized blob): every subsequent
-// Reader hit on k is served at memory speed at any offset. Pins are
-// exempt from eviction but count against the budgets; a member that
-// does not fit its root's (or the global) budget is not pinned and
-// (false, nil) is returned. Pinning the same key twice is a no-op.
-func (c *Cache) Materialize(k Key, r io.ReaderAt, size int64) (bool, error) {
-	if size <= 0 || size > c.opts.PageBytes {
-		return false, nil
-	}
-	if budget, ok := c.budgetFor(k.Root); ok && size > budget {
-		return false, nil
-	}
-	c.pMu.Lock()
-	_, exists := c.pins[k]
-	c.pMu.Unlock()
-	if exists {
-		return true, nil
-	}
-	buf := make([]byte, size)
-	if _, err := r.ReadAt(buf, 0); err != nil {
-		return false, fmt.Errorf("cache: materializing %s: %w", k.Name, err)
-	}
-	c.pMu.Lock()
-	if _, exists := c.pins[k]; exists {
-		c.pMu.Unlock()
-		return true, nil
-	}
-	c.pins[k] = buf
-	c.pageBytes += size
-	c.pinBytes += size
-	c.rootBytes[k.Root] += size
-	c.enforceBudgetsLocked(k.Root)
-	c.pMu.Unlock()
-	return true, nil
-}
-
-// Reader wraps under with the page tier: ReadAt serves pinned members
-// and cached runs from memory and fills the cache from full successful
-// reads. onErr, when non-nil, observes every error under returns
-// (besides io.EOF) — the dataset layer uses it to invalidate a member
-// whose backing object was replaced under its pin.
+// Reader wraps under with the page tier: ReadAt serves cached runs
+// from memory and fills the cache from full successful reads. onErr,
+// when non-nil, observes every error under returns (besides io.EOF) —
+// the dataset layer uses it to invalidate a member whose backing object
+// was replaced under its ETag pin.
 func (c *Cache) Reader(k Key, under io.ReaderAt, onErr func(error)) io.ReaderAt {
 	return &cachedReader{c: c, k: k, under: under, onErr: onErr}
 }
@@ -245,8 +144,8 @@ func (r *cachedReader) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if n, err, ok := r.c.lookupRun(r.k, p, off); ok {
-		return n, err
+	if r.c.lookupRun(r.k, p, off) {
+		return len(p), nil
 	}
 	atomic.AddInt64(&r.c.pageMisses, 1)
 	n, err := r.under.ReadAt(p, off)

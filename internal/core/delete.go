@@ -158,7 +158,7 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 				mask = append(mask, int(r-pageStart))
 			}
 			newData := maskColumn(data, mask)
-			newPayload, scheme, err := encodePage(field, newData, f.rewriteOptions())
+			newPayload, scheme, err := encodePage(field, newData, rewriteOptions())
 			if err != nil {
 				return fmt.Errorf("core: re-encoding page %d: %w", p, err)
 			}
@@ -166,7 +166,7 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 				// The cascade's sample can misjudge a masked page; retry
 				// restricted to the page's original top scheme plus the
 				// always-safe basics before declaring a violation.
-				retryOpts := f.rewriteOptions()
+				retryOpts := rewriteOptions()
 				retryOpts.Enc = restrictToScheme(retryOpts.Enc, enc.SchemeID(f.view.PageCompression(p)))
 				if retry, retryScheme, rerr := encodePage(field, newData, retryOpts); rerr == nil && len(retry) <= span {
 					newPayload, scheme = retry, retryScheme
@@ -298,28 +298,14 @@ func restrictToScheme(base *enc.Options, id enc.SchemeID) *enc.Options {
 }
 
 // rewriteOptions returns the options used when re-encoding pages during
-// Level-2 erasure, always restricted to the maskable scheme subset.
-func (f *File) rewriteOptions() *Options {
-	opts := f.rewriteOpts
-	if opts == nil {
-		opts = DefaultOptions()
-	}
-	opts = opts.clone()
+// Level-2 erasure: the writer defaults restricted to the maskable scheme
+// subset.
+func rewriteOptions() *Options {
+	opts := DefaultOptions()
 	opts.Enc = maskableEncOptions(opts.Enc)
-	if opts.Sparse != nil {
-		sc := *opts.Sparse
-		if sc.Enc == nil {
-			sc.Enc = DefaultOptions().Enc
-		}
-		sc.Enc = maskableEncOptions(sc.Enc)
-		opts.Sparse = &sc
-	}
+	opts.Sparse.Enc = maskableEncOptions(opts.Sparse.Enc)
 	return opts
 }
-
-// SetRewriteOptions overrides the encoding options used for Level-2 page
-// rewrites (defaults to DefaultOptions).
-func (f *File) SetRewriteOptions(opts *Options) { f.rewriteOpts = opts }
 
 // rewriteFooter marshals ftr and writes it at the original footer offset.
 // All footer arrays are fixed-size for the file's geometry, so the byte

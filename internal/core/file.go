@@ -125,10 +125,9 @@ func (ftr *Footer) ColumnBloomFilter(c int) *enc.Bloom {
 // footer header (O(1)); projecting a column touches O(log n) index bytes
 // plus that column's pages — the §2.3 wide-table property.
 type File struct {
-	r           io.ReaderAt
-	ftr         *Footer
-	view        *footer.View // this handle's view; DeleteRows replaces it
-	rewriteOpts *Options     // encoding options for Level-2 page rewrites
+	r    io.ReaderAt
+	ftr  *Footer
+	view *footer.View // this handle's view; DeleteRows replaces it
 }
 
 // Open reads the footer from r and returns a file handle.

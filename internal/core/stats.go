@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"bullion/internal/enc"
 	"bullion/internal/footer"
@@ -359,30 +358,4 @@ func (z *zoneFold) fill(cs *ColumnStats) {
 		cs.Min, cs.Max = z.min, z.max
 		cs.HasMinMax = true
 	}
-}
-
-// TopColumnsBySize returns the n largest columns.
-func (s *FileStats) TopColumnsBySize(n int) []ColumnStats {
-	cols := append([]ColumnStats{}, s.Columns...)
-	sort.Slice(cols, func(i, j int) bool {
-		if cols[i].CompressedBytes != cols[j].CompressedBytes {
-			return cols[i].CompressedBytes > cols[j].CompressedBytes
-		}
-		return cols[i].Name < cols[j].Name
-	})
-	if n > len(cols) {
-		n = len(cols)
-	}
-	return cols[:n]
-}
-
-// EncodingHistogram aggregates page encodings across all columns.
-func (s *FileStats) EncodingHistogram() map[enc.SchemeID]int {
-	out := map[enc.SchemeID]int{}
-	for _, c := range s.Columns {
-		for id, n := range c.Encodings {
-			out[id] += n
-		}
-	}
-	return out
 }

@@ -69,21 +69,14 @@ func TestFileStats(t *testing.T) {
 		t.Fatal("clk_seq_cids missing from stats")
 	}
 
-	top := s.TopColumnsBySize(3)
-	if len(top) != 3 {
-		t.Fatalf("top = %d", len(top))
-	}
-	if top[0].CompressedBytes < top[1].CompressedBytes || top[1].CompressedBytes < top[2].CompressedBytes {
-		t.Fatal("top columns not sorted by size")
-	}
-
-	hist := s.EncodingHistogram()
 	pages := 0
-	for _, n := range hist {
-		pages += n
+	for _, c := range s.Columns {
+		for _, n := range c.Encodings {
+			pages += n
+		}
 	}
 	if pages != s.NumPages {
-		t.Fatalf("histogram covers %d of %d pages", pages, s.NumPages)
+		t.Fatalf("per-column encodings cover %d of %d pages", pages, s.NumPages)
 	}
 }
 
@@ -106,12 +99,14 @@ func TestStatsEncodingIDsAreNamed(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	batch := testBatch(t, schema, rng, 300)
 	_, f := writeTestFile(t, schema, batch, nil)
-	for id := range f.Stats().EncodingHistogram() {
-		if id == 0 {
-			continue // empty-page marker
-		}
-		if name := enc.SchemeID(id).String(); len(name) > 7 && name[:7] == "scheme(" {
-			t.Fatalf("page recorded unnamed scheme id %d", id)
+	for _, c := range f.Stats().Columns {
+		for id := range c.Encodings {
+			if id == 0 {
+				continue // empty-page marker
+			}
+			if name := enc.SchemeID(id).String(); len(name) > 7 && name[:7] == "scheme(" {
+				t.Fatalf("%s: page recorded unnamed scheme id %d", c.Name, id)
+			}
 		}
 	}
 }

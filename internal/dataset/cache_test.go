@@ -320,40 +320,37 @@ func TestCacheConcurrentLifecycle(t *testing.T) {
 	t.Fatalf("goroutines: %d before, %d after settle window", before, runtime.NumGoroutine())
 }
 
-// TestCacheGoldenEquivalence: the same scan through every cache
-// configuration — disabled, shared cold, shared warm, private with
-// pinning — yields byte-identical rows.
+// TestCacheGoldenEquivalence: the same scan through every cache policy
+// — disabled, the shared cache cold then warm, a caller-owned instance
+// cold then warm — yields byte-identical rows.
 func TestCacheGoldenEquivalence(t *testing.T) {
 	const nFiles, rows = 3, 400
 	dir := buildLocalDataset(t, nFiles, rows)
 
 	golden := scanAll(t, dir, &Options{DisableCache: true})
-	pinned := &Options{
-		FooterCacheEntries: 32,
-		CacheBytes:         64 << 20,
-		PinHotMembers:      true,
-	}
-	for name, opts := range map[string]*Options{
-		"shared":  nil,
-		"private": {FooterCacheEntries: 32},
-		"pinned":  pinned,
+	own := cache.New(cache.Options{PageBytes: 64 << 20})
+	defer own.Close()
+	for _, tc := range []struct {
+		name string
+		opts *Options
+	}{
+		{"shared", nil},
+		{"explicit", &Options{Cache: own}},
 	} {
-		got := scanAll(t, dir, opts)
-		if len(got) != len(golden) {
-			t.Fatalf("%s: %d rows, want %d", name, len(got), len(golden))
-		}
-		for i := range got {
-			if got[i] != golden[i] {
-				t.Fatalf("%s: row %d = %q, want %q", name, i, got[i], golden[i])
+		for _, pass := range []string{"cold", "warm"} {
+			got := scanAll(t, dir, tc.opts)
+			if len(got) != len(golden) {
+				t.Fatalf("%s %s: %d rows, want %d", tc.name, pass, len(got), len(golden))
+			}
+			for i := range got {
+				if got[i] != golden[i] {
+					t.Fatalf("%s %s: row %d = %q, want %q", tc.name, pass, i, got[i], golden[i])
+				}
 			}
 		}
-		// Scan twice: the warm pass must match too.
-		warm := scanAll(t, dir, opts)
-		for i := range warm {
-			if warm[i] != golden[i] {
-				t.Fatalf("%s warm: row %d = %q, want %q", name, i, warm[i], golden[i])
-			}
-		}
+	}
+	if st := own.Stats(); st.PageHits == 0 || st.FooterHits == 0 {
+		t.Fatalf("warm pass through the explicit cache hit nothing: %+v", st)
 	}
 }
 

@@ -41,37 +41,19 @@ type Options struct {
 	// sweep only ever touches temporaries — never part files or
 	// manifests, which older-generation readers may still reference.
 	DisableRecoverySweep bool
-	// Cache overrides the shared artifact cache member opens flow
-	// through (parsed footers, open handles, page bytes — see
-	// internal/cache). Nil selects the process-wide shared cache, except
-	// when Backend is set: a caller-supplied backend may simulate faults
-	// or power cuts that violate the cache's member-immutability
-	// contract, so custom backends run uncached unless a Cache is passed
-	// explicitly. Set DisableCache to bypass caching entirely.
+	// Cache is the artifact cache member opens flow through (parsed
+	// footers, open handles, page bytes — see internal/cache). Nil
+	// selects the process-wide shared cache, except when Backend is set:
+	// a caller-supplied backend may simulate faults or power cuts that
+	// violate the cache's member-immutability contract, so custom
+	// backends run uncached unless a Cache is passed explicitly. The
+	// caller owns the instance; Close never tears it down.
 	Cache *cache.Cache
-	// DisableCache bypasses the artifact cache: every member open reads
-	// and parses its footer from the backend, and page reads always hit
-	// storage. Scans are byte-identical either way.
+	// DisableCache bypasses the artifact cache (it wins over Cache):
+	// every member open reads and parses its footer from the backend, and
+	// page reads always hit storage. Scans are byte-identical either way.
 	DisableCache bool
-	// CacheBytes caps the page-cache bytes this dataset's members may
-	// hold (a per-root budget on whichever cache is in use; 0 = no
-	// per-dataset cap, only the cache's global budget applies).
-	CacheBytes int64
-	// FooterCacheEntries sizes the parsed-footer tier. Because entry
-	// caps are a property of the cache, setting this without an explicit
-	// Cache gives the dataset a private cache (sized with CacheBytes
-	// when that is also set) instead of resizing the shared one.
-	FooterCacheEntries int
-	// PinHotMembers materializes member files no larger than
-	// PinMemberBytes wholly in RAM on first open (mebo-style blobs):
-	// every page read of a pinned member is served at memory speed.
-	// Pins count against CacheBytes and the cache's global budget.
-	PinHotMembers bool
 }
-
-// PinMemberBytes is the size ceiling for Options.PinHotMembers: larger
-// members use the run cache only.
-const PinMemberBytes = 8 << 20
 
 // Dataset is a handle over a manifest-backed multi-file table. Scans may
 // run concurrently with each other and with Append/Delete/Compact: every
@@ -83,9 +65,8 @@ type Dataset struct {
 	backend storage.Backend
 
 	// cache is the artifact cache member opens flow through (nil =
-	// uncached); ownsCache marks a private cache Close must tear down.
-	cache     *cache.Cache
-	ownsCache bool
+	// uncached).
+	cache *cache.Cache
 
 	// mu serializes mutators (Append/ShardedWriter commit/Delete/Compact).
 	mu sync.Mutex
@@ -246,11 +227,6 @@ func (d *Dataset) openMember(e *FileEntry) (*core.File, error) {
 		return nil, fmt.Errorf("dataset: opening member %s: %w", e.Name, err)
 	}
 	ftr := ftrAny.(*core.Footer)
-	if d.opts.PinHotMembers && size <= PinMemberBytes {
-		// Best-effort: a member that fails to materialize (budget, read
-		// error) still scans through the run cache.
-		d.cache.Materialize(ck, r, size)
-	}
 	// Reads that prove the pinned object was replaced under us drop the
 	// member's cache entries, so the next open re-probes instead of
 	// serving a version that can only keep failing.
@@ -406,16 +382,6 @@ func Create(dir string, schema *core.Schema, opts *Options) (*Dataset, error) {
 	return Open(dir, opts)
 }
 
-// Open opens the dataset at dir, reading its current manifest
-// generation. dir may be an http(s):// URL naming a dataset published
-// over HTTP (see storage.NewHTTP): the dataset opens read-only behind
-// the default resilience policy, and mutating operations fail with
-// storage.ErrReadOnly. Unless Options.DisableRecoverySweep is set, Open first
-// garbage-collects orphaned temporary files — debris a crash mid-commit
-// can leave behind. (Like Vacuum, the sweep assumes no ShardedWriter is
-// concurrently active on another handle of the same directory: an
-// in-flight bulk load's unrenamed shards are indistinguishable from
-// crash debris.)
 // handleSeq numbers dataset handles process-wide (see Dataset.handleID).
 var handleSeq atomic.Uint64
 
@@ -435,6 +401,16 @@ func newHandle(dir string, opts *Options) (*Dataset, error) {
 	return d, nil
 }
 
+// Open opens the dataset at dir, reading its current manifest
+// generation. dir may be an http(s):// URL naming a dataset published
+// over HTTP (see storage.NewHTTP): the dataset opens read-only behind
+// the default resilience policy, and mutating operations fail with
+// storage.ErrReadOnly. Unless Options.DisableRecoverySweep is set, Open first
+// garbage-collects orphaned temporary files — debris a crash mid-commit
+// can leave behind. (Like Vacuum, the sweep assumes no ShardedWriter is
+// concurrently active on another handle of the same directory: an
+// in-flight bulk load's unrenamed shards are indistinguishable from
+// crash debris.)
 func Open(dir string, opts *Options) (*Dataset, error) {
 	d, err := newHandle(dir, opts)
 	if err != nil {
@@ -486,44 +462,20 @@ func sweepTempDebris(b storage.Backend) []string {
 }
 
 // resolveCache applies the Options cache policy (see Options.Cache):
-// explicit instance > disabled > private (sizing knobs without an
-// instance) > process-wide shared, with custom backends defaulting to
-// uncached. CacheBytes becomes this root's page budget either way.
+// disabled, else the caller's instance, else the process-wide shared
+// cache — except under a substituted backend (fault injection,
+// power-cut simulation), which may break the immutable-member contract
+// the cache keys rely on and so stays uncached unless the caller opts in
+// with Cache.
 func (d *Dataset) resolveCache() {
-	o := &d.opts
-	switch {
+	switch o := &d.opts; {
 	case o.DisableCache:
 		d.cache = nil
 	case o.Cache != nil:
 		d.cache = o.Cache
-	case o.FooterCacheEntries > 0:
-		d.cache = cache.New(cache.Options{
-			FooterEntries: o.FooterCacheEntries,
-			PageBytes:     o.CacheBytes,
-		})
-		d.ownsCache = true
-	case o.Backend != nil:
-		// A substituted backend (fault injection, power-cut simulation)
-		// may break the immutable-member contract the cache keys rely
-		// on: stay uncached unless the caller opts in with Cache.
-		d.cache = nil
-	default:
+	case o.Backend == nil:
 		d.cache = cache.Shared()
 	}
-	if d.cache != nil && o.CacheBytes > 0 {
-		d.cache.SetRootBudget(d.backend.Root(), o.CacheBytes)
-	}
-}
-
-// CacheStats snapshots the artifact cache serving this dataset (the
-// shared process-wide cache unless Options selected a private one or
-// disabled caching; zero when disabled). Counters are cache-wide, so
-// they include work other datasets sharing the cache performed.
-func (d *Dataset) CacheStats() cache.Stats {
-	if d.cache == nil {
-		return cache.Stats{}
-	}
-	return d.cache.Stats()
 }
 
 // generationSnapshot returns the current generation.
@@ -754,20 +706,10 @@ type VacuumReport struct {
 // pinned by a tag (see Tag), by a live Scanner, or by an open OpenAt
 // handle keep their manifests and member files. ShardedWriter must still
 // not be active on any handle of the directory — an in-flight bulk
-// load's unrenamed shards are indistinguishable from crash debris. It
-// returns the removed file names; VacuumWithReport additionally reports
-// what was retained and why.
-func (d *Dataset) Vacuum() ([]string, error) {
-	rep, err := d.VacuumWithReport()
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Removed, err
-}
-
-// VacuumWithReport is Vacuum returning the full reclamation report. On a
-// partial failure the report covers the files removed before the error.
-func (d *Dataset) VacuumWithReport() (*VacuumReport, error) {
+// load's unrenamed shards are indistinguishable from crash debris. The
+// report says what was removed and what was retained; on a partial
+// failure it covers the files removed before the error.
+func (d *Dataset) Vacuum() (*VacuumReport, error) {
 	if d.snapshot {
 		return nil, ErrSnapshotReadOnly
 	}
@@ -871,13 +813,5 @@ func (d *Dataset) Close() error {
 		}
 	}
 	d.opened = nil
-	if d.ownsCache {
-		// A private cache (Options.FooterCacheEntries without an explicit
-		// Cache) dies with its dataset; shared caches outlive every
-		// dataset and are never closed here.
-		if err := d.cache.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	return first
 }

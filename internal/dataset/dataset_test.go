@@ -425,11 +425,11 @@ func TestManifestAtomicCommit(t *testing.T) {
 		t.Fatalf("%d manifest files, want 3", manifests)
 	}
 
-	removed, err := d.Vacuum()
+	rep, err := d.Vacuum()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 2 {
-		t.Fatalf("vacuum removed %v, want the 2 stale manifests", removed)
+	if len(rep.Removed) != 2 {
+		t.Fatalf("vacuum removed %v, want the 2 stale manifests", rep.Removed)
 	}
 }

@@ -150,7 +150,7 @@ func TestVacuumRetainsTaggedGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := d.VacuumWithReport()
+	rep, err := d.Vacuum()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestVacuumRetainsLiveScannerGeneration(t *testing.T) {
 	if _, err := d.Compact(0.9); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := d.VacuumWithReport()
+	rep, err := d.Vacuum()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,29 +251,9 @@ func OpenAt(dir, ref string, opts *Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.openPinned(gen, cur)
-}
-
-// OpenAtGeneration is OpenAt with an explicit generation number.
-func OpenAtGeneration(dir string, gen uint64, opts *Options) (*Dataset, error) {
-	d, err := newHandle(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	return d.openPinned(gen, nil)
-}
-
-// openPinned finishes constructing a snapshot handle over generation gen.
-// cur, when the caller already loaded the live manifest, avoids reloading
-// it for the gen == current fast path.
-func (d *Dataset) openPinned(gen uint64, cur *Manifest) (*Dataset, error) {
-	var m *Manifest
-	var err error
-	if cur != nil && cur.Generation == gen {
-		m = cur
-	} else {
-		m, err = loadManifestGeneration(d.backend, gen)
-		if err != nil {
+	m := cur
+	if gen != cur.Generation {
+		if m, err = loadManifestGeneration(d.backend, gen); err != nil {
 			return nil, err
 		}
 	}

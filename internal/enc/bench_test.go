@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// Per-scheme decode microbenchmarks: the decode-bound scan regime in
-// BENCH_scan.json bottoms out in these inner loops, so each scheme gets a
+// Per-scheme decode microbenchmarks: a decode-bound scan (bench/README.md,
+// enc.decode_mb_per_s) bottoms out in these inner loops, so each scheme gets a
 // GB/s number (SetBytes counts decoded output bytes, 8 per value) and an
 // allocs/op count. Fixed-width kernel decodes (FixedBitWidth, FOR,
 // SIMDFastPFOR, SIMDFastBP128, DeltaDelta) must stay at 0 allocs/op —
 // CI enforces the ceiling on BenchmarkDecode/FixedBitWidth and
-// BenchmarkDecode/FOR. Results are recorded in BENCH_scan.json under
-// "decode"; regenerate with:
+// BenchmarkDecode/FOR. Run with:
 //
 //	go test -run xxx -bench BenchmarkDecode -benchmem ./internal/enc
 const decodeBenchN = 8192

@@ -13,7 +13,7 @@ import (
 const ChunkSize = 256 << 10
 
 // appendFlateChunks compresses raw in ChunkSize chunks with DEFLATE (the
-// stdlib substitute for zstd; see DESIGN.md substitutions) and appends:
+// stdlib substitute for zstd: go.mod stays dependency-free) and appends:
 //
 //	nChunks(uvarint) { compressedLen(uvarint) compressedBytes }*
 func appendFlateChunks(dst, raw []byte) ([]byte, error) {

@@ -3,8 +3,7 @@
 // encoding that must be deserialized in full — every column's metadata
 // struct is allocated and parsed before the first byte of data can be
 // located. It is the behavioural stand-in for Apache Parquet in the
-// Figure 5 (wide-table metadata) and deletion experiments; see DESIGN.md's
-// substitution notes.
+// Figure 5 (wide-table metadata) and deletion experiments.
 package legacy
 
 import (

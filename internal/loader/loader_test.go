@@ -308,7 +308,7 @@ func TestLoaderResumeGolden(t *testing.T) {
 	if err := live.Append(keyBatch(t, live.Schema(), 3000, 500)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := live.VacuumWithReport()
+	rep, err := live.Vacuum()
 	if err != nil {
 		t.Fatal(err)
 	}

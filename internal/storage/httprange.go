@@ -27,10 +27,6 @@ type HTTPOptions struct {
 	// connections per host, so a wide concurrent scan recycles a small
 	// warm pool instead of opening one socket per member read.
 	Client *http.Client
-	// DisableETagPinning skips If-Match on range reads. Only safe when
-	// the server is known not to emit ETags anyway; without pinning a
-	// member replaced mid-scan can serve torn bytes undetected.
-	DisableETagPinning bool
 }
 
 // DefaultHTTPMaxIdleConns is the default keep-alive pool size per host.
@@ -55,7 +51,6 @@ const DefaultHTTPMaxIdleConns = 16
 type HTTPBackend struct {
 	base   *url.URL
 	client *http.Client
-	pin    bool
 
 	// pins caches each file's HEAD-discovered size and ETag so reopening
 	// a member (fsck after scan, a second scanner) costs no extra probe
@@ -80,10 +75,9 @@ func NewHTTP(baseURL string, opts *HTTPOptions) (*HTTPBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: parsing %q: %w", baseURL, err)
 	}
-	h := &HTTPBackend{base: u, pin: true, pins: map[string]httpPin{}}
+	h := &HTTPBackend{base: u, pins: map[string]httpPin{}}
 	if opts != nil {
 		h.client = opts.Client
-		h.pin = !opts.DisableETagPinning
 	}
 	if h.client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -161,11 +155,7 @@ func (h *HTTPBackend) head(name, target string) (httpPin, error) {
 	if resp.ContentLength < 0 {
 		return httpPin{}, fmt.Errorf("storage: HEAD %s: server sent no Content-Length", name)
 	}
-	pin := httpPin{size: resp.ContentLength}
-	if h.pin {
-		pin.etag = resp.Header.Get("ETag")
-	}
-	return pin, nil
+	return httpPin{size: resp.ContentLength, etag: resp.Header.Get("ETag")}, nil
 }
 
 // Create is unsupported: the backend is read-only.

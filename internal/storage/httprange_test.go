@@ -95,14 +95,19 @@ func TestHTTPChangedUnderRead(t *testing.T) {
 	}
 }
 
-// TestHTTPPinningDisabled: with DisableETagPinning the backend keeps
-// reading through replacements (the caller has opted out of the fence).
-func TestHTTPPinningDisabled(t *testing.T) {
+// TestHTTPNoETagReadsUnpinned: a server that emits no ETag leaves
+// nothing to pin, so range reads carry no If-Match and keep reading
+// through a replacement — the fence follows what the server sends.
+func TestHTTPNoETagReadsUnpinned(t *testing.T) {
 	const name = "part-000001-000.bln"
-	local, dir, url := serveDir(t)
-	writeViaBackend(t, local, name, conformanceData())
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), conformanceData(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.FileServer(http.Dir(dir))) // sets no ETag
+	t.Cleanup(srv.Close)
 
-	h, err := NewHTTP(url, &HTTPOptions{DisableETagPinning: true})
+	h, err := NewHTTP(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,10 @@ func TestHTTPPinningDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	replacement := make([]byte, 1000) // same size: the range math still lines up
+	if tag := f.(ETagged).ETag(); tag != "" {
+		t.Fatalf("pinned ETag %q from a server that sends none", tag)
+	}
+	replacement := make([]byte, len(conformanceData())) // same size: the range math still lines up
 	for i := range replacement {
 		replacement[i] = byte(255 - i)
 	}
@@ -119,8 +127,8 @@ func TestHTTPPinningDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := make([]byte, 100)
-	if n, err := f.ReadAt(p, 200); n != 100 || err != nil {
-		t.Fatalf("unpinned post-replace read = (%d, %v), want success", n, err)
+	if n, err := f.ReadAt(p, 200); n != 100 || err != nil || !bytes.Equal(p, replacement[200:300]) {
+		t.Fatalf("unpinned post-replace read = (%d, %v), want the replacement's bytes", n, err)
 	}
 }
 

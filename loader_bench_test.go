@@ -1,6 +1,7 @@
 package bullion
 
-// Training-loader benchmarks (recorded in BENCH_loader.json): epoch
+// Training-loader microbenchmarks (the end-to-end epoch numbers are
+// remote_epoch_spills in bench/README.md): epoch
 // streaming throughput at 1 and 8 consumers over a multi-member local
 // dataset, and the shuffle-plan cost in isolation. The plan benchmark
 // wraps every member reader in a counter and self-asserts that planning

@@ -1,7 +1,7 @@
 package bullion
 
-// Pruning benchmarks (recorded in the "pruning" section of
-// BENCH_scan.json): what the statistics system saves on selective scans.
+// Pruning microbenchmarks (the end-to-end pruned scan is ads_scan_cold in
+// bench/README.md): what the statistics system saves on selective scans.
 //
 //   - BenchmarkScanPrunedFloat: one file, float64 key increasing with the
 //     row id, a float range filter covering ~1/16 of the value space —

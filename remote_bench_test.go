@@ -4,7 +4,7 @@ package bullion
 // reads suffer seeded tail-latency spikes — the object-storage pathology
 // hedged requests exist to absorb. Each iteration is one full dataset
 // scan; the benchmark reports the p50 and p99 per-scan latency, and the
-// hedged/unhedged pair (recorded in BENCH_remote.json) is the
+// hedged/unhedged pair is the
 // acceptance comparison: hedging must cut p99 by >=2x under spikes
 // while leaving the spike-free baseline untouched.
 
@@ -212,6 +212,6 @@ func benchRemoteRead(b *testing.B, hedged bool) {
 	b.ReportMetric(float64(st.HedgeWins)/float64(b.N), "hedgewins/op")
 }
 
-// The acceptance pair: BENCH_remote.json records the >=2x p99 gap.
+// The acceptance pair: hedging must show the >=2x p99 gap.
 func BenchmarkRemoteReadSpikesUnhedged(b *testing.B) { benchRemoteRead(b, false) }
 func BenchmarkRemoteReadSpikesHedged(b *testing.B)   { benchRemoteRead(b, true) }

@@ -1,7 +1,8 @@
 package bullion
 
-// Repeated-scan benchmarks for the shared artifact cache (recorded in
-// BENCH_cache.json): each iteration opens a fresh Dataset handle, runs
+// Repeated-scan microbenchmarks for the shared artifact cache (the
+// end-to-end rescan numbers are remote_rescan_fits in bench/README.md):
+// each iteration opens a fresh Dataset handle, runs
 // one selective 2-column scan over an 8-member dataset, and closes —
 // the serving-tier access pattern where handle lifetime is short but
 // the dataset is hot. The cold variants disable caching, so every
@@ -183,7 +184,7 @@ func benchRescanLatency(b *testing.B, warm bool) {
 	}
 }
 
-// The acceptance pair: warm must be >=5x cold (BENCH_cache.json), with
+// The acceptance pair: warm must be >=5x cold, with
 // the warm loop touching the modeled backend zero times.
 func BenchmarkDatasetRescanColdLatency(b *testing.B) { benchRescanLatency(b, false) }
 func BenchmarkDatasetRescanWarmLatency(b *testing.B) { benchRescanLatency(b, true) }

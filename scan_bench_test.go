@@ -10,9 +10,7 @@ package bullion
 //     NVMe). Workers overlap reads with each other and with decode, so
 //     the win appears even on a single core.
 //
-// BENCH_scan.json holds recorded numbers, including the last ones of the
-// per-column BenchmarkScanStreaming* baselines that were removed together
-// with that read path.
+// The end-to-end scan numbers are ads_scan_cold in bench/README.md.
 
 import (
 	"fmt"
