@@ -247,17 +247,16 @@
 // counters.
 //
 // Deletion and compaction split the paper's §2.1 story across two
-// timescales: Dataset.Delete flips deletion-vector bits in the affected
-// members (rows keep being filtered from scans immediately), and
-// Dataset.Compact later folds every member whose live-row ratio has
-// dropped below a threshold into a fresh file without its deleted rows,
-// committing the result as a new manifest generation. Commits are
-// write-temp + rename atomic, and scanners snapshot their generation at
-// Scan time: a scan running across a Delete or Compact keeps serving the
-// files of its own generation (superseded files stay on disk until
-// Dataset.Vacuum). Datasets default to compliance Level 1 for exactly
-// this reason — Level-2 in-place erasure would rewrite page bytes under
-// older generations' readers.
+// timescales: Dataset.Delete commits a manifest generation whose entries
+// carry deletion bitmaps (scans filter the rows from then on; no member
+// file is written), and Dataset.Compact later folds every member whose
+// live-row ratio has dropped below a threshold into a fresh file without
+// its deleted rows — the step that physically erases them, once Vacuum
+// reclaims the old files. Committed members are thus immutable, commits
+// are write-temp + rename atomic, and a scan, tagged snapshot or loader
+// keeps serving exactly its generation's rows across any later Delete or
+// Compact. Members are written at compliance Level 1: nothing erases
+// them in place, so Level 2's encoding restrictions would buy nothing.
 //
 // Commits are durable as well as atomic: member contents are fsynced
 // before they are renamed into place, every rename is followed by a
@@ -367,10 +366,11 @@
 // their manifest and member files, and Vacuum's report says exactly
 // what was kept and why (Fsck audits the same retained set, so a tagged
 // generation with a missing member fails fsck, not the next training
-// run). Untag and re-vacuum to reclaim. One caveat is deliberate:
-// Dataset.Delete flips deletion bits inside member files that snapshots
-// share, so compliance deletes propagate into tagged history — deletion
-// compliance outranks replay stability (§2.1).
+// run). Untag and re-vacuum to reclaim. A snapshot is frozen: deletes
+// committed after its generation live in later manifests and never
+// reach it. Erasing a user's rows from history therefore means
+// compacting, then untagging (or re-tagging) and vacuuming the
+// generations that still hold them.
 //
 // Loaders. NewLoader plans a shuffled multi-epoch stream over a handle's
 // generation from the manifest's row counts alone — the plan costs zero
@@ -881,8 +881,9 @@ func ResumeLoader(ds *Dataset, ck LoaderCheckpoint, opts LoaderOptions) (*Loader
 }
 
 // FsckDataset audits the dataset at dir without mutating it: manifest
-// integrity, per-member sizes/fingerprints/row counts, live-row drift
-// from crashed deletes, and orphaned temporaries or unreferenced files.
+// integrity (including each entry's deletion bitmap), per-member
+// sizes/fingerprints/row counts, live rows after the manifest's
+// deletions, and orphaned temporaries or unreferenced files.
 // With deep set, every member's Merkle checksum tree is verified too.
 func FsckDataset(dir string, opts *DatasetOptions, deep bool) (*FsckReport, error) {
 	return dataset.Fsck(dir, opts, deep)

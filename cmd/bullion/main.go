@@ -1013,9 +1013,9 @@ func compact(args []string) error {
 }
 
 // fsck audits each dataset directory — manifest integrity, member
-// sizes/fingerprints/row counts, live-row drift from crashed deletes,
-// and orphaned crash debris — without mutating it. With -repair it first
-// reopens the dataset (sweeping temporary debris) and vacuums
+// sizes/fingerprints/row counts, live rows against each entry's deletion
+// bitmap, and orphaned crash debris — without mutating it. With -repair
+// it first reopens the dataset (sweeping temporary debris) and vacuums
 // unreferenced files, then audits the result. Exits non-zero if any
 // directory fails its audit.
 func fsck(args []string) error {

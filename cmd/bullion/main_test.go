@@ -169,6 +169,141 @@ func oneMemberDataset(t *testing.T, path string) string {
 	return dir
 }
 
+// datasetRows renders every row of the dataset at dir — or of its
+// snapshot ref, when ref is not empty — one string per row, through the
+// library.
+func datasetRows(t *testing.T, dir, ref string) []string {
+	t.Helper()
+	var ds *bullion.Dataset
+	var err error
+	if ref != "" {
+		ds, err = bullion.OpenDatasetAt(dir, ref, nil)
+	} else {
+		ds, err = bullion.OpenDataset(dir, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	sc, err := ds.Scan(bullion.DatasetScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var rows []string
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < batch.NumRows(); r++ {
+			var sb strings.Builder
+			for _, col := range batch.Columns {
+				fmt.Fprintf(&sb, "%s|", cellString(col, r))
+			}
+			rows = append(rows, sb.String())
+		}
+	}
+}
+
+// partFiles returns the contents of the dataset's member files by name.
+func partFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "part-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(name)] = string(data)
+	}
+	return out
+}
+
+// TestDatasetLifecycle drives the mutating verbs over one dataset —
+// ingest -shards 2 → delete → fsck -json -deep → tag → compact -vacuum →
+// scan -json — and checks each step against the library's view of it.
+func TestDatasetLifecycle(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ds")
+	// 20,000 rows in batches of 8192 route to two shards: 11,808 and 8,192
+	// rows. The deletes push both members under the 0.99 live ratio.
+	captureStdout(t, func() error {
+		return ingest([]string{"-rows", "20000", "-cols", "3", "-shards", "2", dir})
+	})
+	written := datasetRows(t, dir, "")
+	if len(written) != 20000 {
+		t.Fatalf("ingest wrote %d rows, want 20000", len(written))
+	}
+
+	var args []string
+	gone := map[int]bool{}
+	for _, span := range [][2]int{{0, 200}, {11800, 11909}} {
+		for r := span[0]; r < span[1]; r++ {
+			args = append(args, fmt.Sprint(r))
+			gone[r] = true
+		}
+	}
+	var want []string
+	for i, row := range written {
+		if !gone[i] {
+			want = append(want, row)
+		}
+	}
+	checkRows := func(t *testing.T, step string, got []string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d rows, want the %d written rows minus the deleted ones", step, len(got), len(want))
+		}
+	}
+
+	members := partFiles(t, dir)
+	out := captureStdout(t, func() error { return deleteRows(dir, args) })
+	if !strings.Contains(out, fmt.Sprintf("%d live rows remain", len(want))) {
+		t.Fatalf("delete printed %q", out)
+	}
+	if !reflect.DeepEqual(partFiles(t, dir), members) {
+		t.Fatal("delete rewrote member files")
+	}
+	checkRows(t, "after delete", datasetRows(t, dir, ""))
+
+	out = captureStdout(t, func() error { return fsck([]string{"-json", "-deep", dir}) })
+	var rep bullion.FsckReport
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("fsck -json output: %v\n%s", err, out)
+	}
+	if !rep.OK() || len(rep.Warnings) > 0 || rep.LiveRows != uint64(len(want)) {
+		t.Fatalf("fsck: ok %v, warnings %v, %d live rows (want %d)", rep.OK(), rep.Warnings, rep.LiveRows, len(want))
+	}
+	if strings.Contains(out, "disk_live_rows") {
+		t.Fatalf("fsck -json reports a disk_live_rows key:\n%s", out)
+	}
+
+	captureStdout(t, func() error { return tag([]string{dir, "pre-compact"}) })
+	out = captureStdout(t, func() error { return compact([]string{"-threshold", "0.99", "-vacuum", dir}) })
+	if !strings.Contains(out, "2 files compacted") || !strings.Contains(out, fmt.Sprintf("%d deleted rows reclaimed", len(gone))) {
+		t.Fatalf("compact printed %q", out)
+	}
+	checkRows(t, "after compact", datasetRows(t, dir, ""))
+	checkRows(t, "tagged snapshot after vacuum", datasetRows(t, dir, "pre-compact"))
+
+	out = captureStdout(t, func() error { return scan([]string{"-json", dir}) })
+	var doc scanResult
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("scan -json output: %v\n%s", err, out)
+	}
+	if doc.Stats.RowsEmitted != int64(len(want)) || doc.Stats.FilesScanned != 2 {
+		t.Fatalf("scan emitted %d rows from %d files, want %d from 2",
+			doc.Stats.RowsEmitted, doc.Stats.FilesScanned, len(want))
+	}
+}
+
 // keySet collects the key paths of a decoded JSON document.
 func keySet(prefix string, v any, out map[string]bool) {
 	if m, ok := v.(map[string]any); ok {

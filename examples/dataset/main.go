@@ -1,9 +1,11 @@
 // Dataset: the multi-file table layer. Training tables are fleets of
 // immutable column-store files behind a manifest, not one file: ingest
 // shards across member files, scans prune whole files from the manifest's
-// zone maps before any I/O, deletes flip deletion-vector bits, and
-// compaction folds deletion-heavy members into fresh files — all with
-// atomic manifest commits and snapshot-isolated scans. The finale
+// zone maps before any I/O, deletes record rows in the manifest's
+// per-member deletion bitmaps without touching a member file, and
+// compaction folds deletion-heavy members into fresh files — the step
+// that physically erases deleted rows — all with atomic manifest commits
+// and snapshot-isolated scans. The finale
 // publishes the directory over HTTP and scans it remotely through the
 // range-read backend. Run with:
 //
@@ -133,8 +135,9 @@ func main() {
 	fmt.Printf("membership scan (campaign camp-2-5): %d rows, %d files pruned by bloom, %d scanned\n",
 		rows, stats.FilesPruned, stats.FilesScanned)
 
-	// 3. Delete the first quarter of the table. Scans filter the rows
-	//    immediately; the bytes stay on disk until compaction.
+	// 3. Delete the first quarter of the table: one manifest commit. Scans
+	//    filter the rows immediately; the bytes stay on disk until
+	//    compaction.
 	del := make([]uint64, ds.NumRows()/4)
 	for i := range del {
 		del[i] = uint64(i)

@@ -1,10 +1,9 @@
 // Package cache is the process-wide cache of immutable dataset
-// artifacts. Bullion member files are immutable once written (deletes
-// flip footer bits and bump the manifest's live-row accounting, so a
-// changed member always changes its version key), which makes caching
-// across Dataset handles and generations safe and invalidation trivial:
-// a key either still names exactly the bytes it was filled from, or it
-// is never asked for again.
+// artifacts. Bullion member files are immutable once written (a dataset
+// delete only changes the manifest), which makes caching across Dataset
+// handles and generations safe and invalidation trivial: a key either
+// still names exactly the bytes it was filled from, or it is never asked
+// for again.
 //
 // Three tiers share one capacity-bounded Cache:
 //
@@ -33,7 +32,7 @@ import (
 // Key identifies one immutable version of one member file. Root is the
 // backend identity (storage.Backend.Root), Name the member file name,
 // and Version a discriminator derived from the manifest entry (rows,
-// live rows, bytes, schema fingerprint) plus the backend ETag when one
+// bytes, schema fingerprint) plus the backend ETag when one
 // is available — any change to the member's bytes changes Version, so
 // stale entries are simply never hit.
 type Key struct {

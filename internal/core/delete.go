@@ -369,7 +369,7 @@ func (f *File) RewriteWithoutRows(out io.Writer, rows []uint64, opts *Options) (
 			n := batch.NumRows()
 			keep := make([]int, 0, n)
 			for i := 0; i < n; i, row = i+1, row+1 {
-				for f.view.RowDeleted(row) {
+				for f.rowDeleted(row) {
 					row++
 				}
 				if !drop[row] {

@@ -128,6 +128,9 @@ type File struct {
 	r    io.ReaderAt
 	ftr  *Footer
 	view *footer.View // this handle's view; DeleteRows replaces it
+	// del is the deletion bitmap WithDeletions attached, OR'd over the
+	// footer's own deletion vector by every read (nil = none).
+	del []uint64
 }
 
 // Open reads the footer from r and returns a file handle.
@@ -155,19 +158,19 @@ func (f *File) NumRows() uint64 { return f.view.NumRows() }
 
 // NumLiveRows returns rows not marked deleted.
 func (f *File) NumLiveRows() uint64 {
-	deleted := 0
-	for w := 0; w < f.view.DeletionWords(); w++ {
-		deleted += popcount(f.view.DeletionWord(w))
-	}
-	return f.view.NumRows() - uint64(deleted)
+	n := f.view.NumRows()
+	return n - uint64(f.deletedInRange(0, n))
 }
 
-func popcount(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
+// WithDeletions returns a handle over the same bytes and footer whose
+// reads — scans, whole-column reads, NumLiveRows, RewriteWithoutRows —
+// also skip the rows marked in words, a bitmap in the footer's
+// deletion_vec layout (bit r&63 of word r>>6 is row r). The file is not
+// modified; words must not be mutated afterwards.
+func (f *File) WithDeletions(words []uint64) *File {
+	g := *f
+	g.del = words
+	return &g
 }
 
 // Compliance returns the deletion-compliance level the file was written at.
@@ -219,16 +222,34 @@ func (f *File) pageByteRange(p int) (off, end int64) {
 	return off, f.ftr.footerOff
 }
 
+// deletionWord returns word w of the handle's deletion vector: the
+// footer's bits OR'd with the WithDeletions bitmap.
+func (f *File) deletionWord(w int) uint64 {
+	var word uint64
+	if w < f.view.DeletionWords() {
+		word = f.view.DeletionWord(w)
+	}
+	if w < len(f.del) {
+		word |= f.del[w]
+	}
+	return word
+}
+
+// rowDeleted reports whether global row r is marked deleted.
+func (f *File) rowDeleted(r uint64) bool {
+	return f.deletionWord(int(r>>6))&(1<<(r&63)) != 0
+}
+
 // deletedInRange counts deleted rows among global rows [lo, hi), one
 // popcount per 64-row word of the deletion vector.
 func (f *File) deletedInRange(lo, hi uint64) int {
-	words := f.view.DeletionWords()
+	words := max(f.view.DeletionWords(), len(f.del))
 	if words == 0 || lo >= hi {
 		return 0
 	}
 	n := 0
 	for w := int(lo >> 6); w <= int((hi-1)>>6) && w < words; w++ {
-		word := f.view.DeletionWord(w)
+		word := f.deletionWord(w)
 		if word == 0 {
 			continue
 		}
@@ -244,11 +265,11 @@ func (f *File) deletedInRange(lo, hi uint64) int {
 	return n
 }
 
-// filterDeleted drops rows marked in the deletion vector (Level-1 reads).
-func filterDeleted(data ColumnData, v *footer.View, rowStart uint64, logical int) ColumnData {
+// filterDeleted drops rows marked in f's deletion vector (Level-1 reads).
+func filterDeleted(data ColumnData, f *File, rowStart uint64, logical int) ColumnData {
 	keep := make([]int, 0, logical)
 	for i := 0; i < logical; i++ {
-		if !v.RowDeleted(rowStart + uint64(i)) {
+		if !f.rowDeleted(rowStart + uint64(i)) {
 			keep = append(keep, i)
 		}
 	}

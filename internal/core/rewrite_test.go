@@ -85,6 +85,75 @@ func TestRewriteWithoutRowsScanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWithDeletionsOverlay: a WithDeletions bitmap hides its rows from
+// every read of the returned handle — scans at aligned and misaligned
+// batch sizes, whole-column reads, NumLiveRows, RewriteWithoutRows — on
+// top of the footer's own deletion vector, and leaves the file's bytes
+// and the original handle untouched.
+func TestWithDeletionsOverlay(t *testing.T) {
+	schema := testSchema(t)
+	rng := rand.New(rand.NewSource(78))
+	const n = 3000
+	batch := testBatch(t, schema, rng, n)
+	opts := &Options{RowsPerPage: 256, GroupRows: 1500, Compliance: Level1}
+	mf, f := writeTestFile(t, schema, batch, opts)
+	footerDel := []uint64{3, 256, 2999}
+	if err := f.DeleteRows(mf, footerDel); err != nil {
+		t.Fatal(err)
+	}
+	before := string(mf.data)
+
+	// One whole page (its batch must prune), scattered rows across word,
+	// page and group boundaries, and rows the footer already deletes.
+	overlay := make([]uint64, (n+63)/64)
+	var marked []uint64
+	mark := func(r uint64) {
+		overlay[r>>6] |= 1 << (r & 63)
+		marked = append(marked, r)
+	}
+	for r := uint64(512); r < 768; r++ {
+		mark(r)
+	}
+	for _, r := range []uint64{0, 1, 63, 64, 256, 1499, 1500, 2998, 2999} {
+		mark(r)
+	}
+	g := f.WithDeletions(overlay)
+
+	want := liveMinus(batch.Columns, n, footerDel, marked)
+	if got, live := g.NumLiveRows(), uint64(want[0].Len()); got != live {
+		t.Fatalf("overlay handle has %d live rows, want %d", got, live)
+	}
+	for _, batchRows := range []int{256, 300, 100000} {
+		got, st := scanAll(t, g, ScanOptions{BatchRows: batchRows})
+		assertColumnsEqual(t, schema, want, got)
+		if batchRows == 256 && st.BatchesSkipped != 1 {
+			t.Fatalf("fully overlaid page: %d batches skipped, want 1", st.BatchesSkipped)
+		}
+	}
+	var names []string
+	for _, fd := range schema.Fields {
+		names = append(names, fd.Name)
+	}
+	whole, err := g.Project(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertColumnsEqual(t, schema, want, whole.Columns)
+	rf := rewriteAndReopen(t, g, []uint64{10}, opts)
+	got, _ := scanAll(t, rf, ScanOptions{})
+	assertColumnsEqual(t, schema, liveMinus(batch.Columns, n, append(footerDel, 10), marked), got)
+
+	// The overlay lives in the handle only.
+	if string(mf.data) != before {
+		t.Fatal("WithDeletions modified the file's bytes")
+	}
+	if got := f.NumLiveRows(); got != n-uint64(len(footerDel)) {
+		t.Fatalf("original handle has %d live rows, want %d", got, n-len(footerDel))
+	}
+	got, _ = scanAll(t, f, ScanOptions{})
+	assertColumnsEqual(t, schema, liveMinus(batch.Columns, n, footerDel, nil), got)
+}
+
 // TestGoldenRewriteWithoutRowsRoundTrip runs the same round-trip over the
 // committed golden file: rewriting the pinned format, reopening, and
 // scanning must reproduce the golden table minus the dropped rows.

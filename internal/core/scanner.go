@@ -783,7 +783,6 @@ func decodeFixed[T any](s *Scanner, slot *scanSlot, pos int, prev []T, dec func(
 	} else {
 		out = make([]T, want)
 	}
-	v := s.f.view
 	n := 0
 	err := s.walkPages(slot, pos, func(pg pageVisit) error {
 		if pg.whole() {
@@ -799,7 +798,7 @@ func decodeFixed[T any](s *Scanner, slot *scanSlot, pos int, prev []T, dec func(
 			return nil
 		}
 		for i := pg.clipLo; i < pg.clipHi; i++ {
-			if !v.RowDeleted(pg.rowStart + uint64(i)) {
+			if !s.f.rowDeleted(pg.rowStart + uint64(i)) {
 				out[n] = stage[i]
 				n++
 			}
@@ -823,7 +822,6 @@ func (s *Scanner) decodeNullable(slot *scanSlot, pos int, reuse ColumnData) (Col
 	} else {
 		vals, valid = make([]int64, want), make([]bool, want)
 	}
-	v := s.f.view
 	n := 0
 	err := s.walkPages(slot, pos, func(pg pageVisit) error {
 		if pg.whole() {
@@ -836,7 +834,7 @@ func (s *Scanner) decodeNullable(slot *scanSlot, pos int, reuse ColumnData) (Col
 			return err
 		}
 		for i := pg.clipLo; i < pg.clipHi; i++ {
-			if pg.nDel == 0 || !v.RowDeleted(pg.rowStart+uint64(i)) {
+			if pg.nDel == 0 || !s.f.rowDeleted(pg.rowStart+uint64(i)) {
 				vals[n], valid[n] = sv[i], sb[i]
 				n++
 			}
@@ -853,7 +851,6 @@ func (s *Scanner) decodeNullable(slot *scanSlot, pos int, reuse ColumnData) (Col
 // sparse sequences): each page decodes to its own column, which is
 // clipped, filtered and appended.
 func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnData, error) {
-	v := s.f.view
 	var out ColumnData
 	err := s.walkPages(slot, pos, func(pg pageVisit) error {
 		data, err := decodePage(field, pg.payload, pg.logical)
@@ -864,7 +861,7 @@ func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnDat
 			data = sliceColumn(data, pg.clipLo, pg.clipHi)
 		}
 		if pg.nDel > 0 {
-			data = filterDeleted(data, v, pg.rowStart+uint64(pg.clipLo), pg.clipHi-pg.clipLo)
+			data = filterDeleted(data, s.f, pg.rowStart+uint64(pg.clipLo), pg.clipHi-pg.clipLo)
 		}
 		out = appendColumn(out, data)
 		return nil

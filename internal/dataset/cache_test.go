@@ -173,6 +173,22 @@ func TestCacheParseOncePerMember(t *testing.T) {
 	if st.FooterMisses != int64(nFiles) {
 		t.Fatalf("FooterMisses = %d, want %d", st.FooterMisses, nFiles)
 	}
+
+	// A Delete commits nothing but a manifest: the rescan reuses every
+	// cached footer, handle and page — still zero member I/O — and serves
+	// the rows left.
+	if err := d.Delete(spanRows(0, rows+10)); err != nil {
+		t.Fatal(err)
+	}
+	keys, sst := scanKeys(t, d, ScanOptions{})
+	checkKeys(t, keys, wantKeys(rows+10, nFiles*rows))
+	if sst.Cache.FooterMisses != 0 {
+		t.Fatalf("rescan after Delete: FooterMisses = %d, want 0", sst.Cache.FooterMisses)
+	}
+	if o, m, dr := cb.memberCounts(); o != opens || m != meta || dr != data {
+		t.Fatalf("rescan after Delete touched the backend: opens %d->%d, meta %d->%d, data %d->%d",
+			opens, o, meta, m, data, dr)
+	}
 }
 
 func drainRows(sc *Scanner) (int, error) {

@@ -60,7 +60,7 @@ func TestConcurrentCommitCAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyLiveKeys(keys, wantKeys(0, 100), nil); err != nil {
+	if err := verifyLiveKeys(keys, wantKeys(0, 100)); err != nil {
 		t.Fatalf("surviving rows are not the winner's: %v", err)
 	}
 	names, err := reopened.backend.List()
@@ -94,7 +94,7 @@ func TestConcurrentCommitCAS(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(wantKeys(0, 100), wantKeys(1000, 1100)...)
-	if err := verifyLiveKeys(keys, want, nil); err != nil {
+	if err := verifyLiveKeys(keys, want); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,7 +142,7 @@ func TestCompactLosesCASToWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(wantKeys(50, 100), wantKeys(500, 600)...)
-	if err := verifyLiveKeys(keys, want, nil); err != nil {
+	if err := verifyLiveKeys(keys, want); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Fsck(dir, nil, false)

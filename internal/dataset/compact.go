@@ -24,10 +24,13 @@ type CompactStats struct {
 
 // Compact folds member files whose live-row ratio has dropped below
 // threshold into fresh files: each victim is rewritten without its
-// deleted rows (core.RewriteWithoutRows driven by the file's deletion
-// vector) and replaced in place in the manifest — preserving the
-// dataset's live-row order — then the result is committed as a new
-// manifest generation. Files with no live rows are dropped outright.
+// deleted rows (core.RewriteWithoutRows over the member opened with its
+// manifest deletion bitmap) and replaced in place in the manifest —
+// preserving the dataset's live-row order — then the result is committed
+// as a new manifest generation. Files with no live rows are dropped
+// outright. This is where a dataset's deleted rows are physically
+// erased: once Vacuum reclaims the victims (no tag or open reader
+// retaining an older generation), no file holds them.
 //
 // Scans holding the previous generation keep serving: the victims'
 // bytes are untouched on disk until Vacuum reclaims them.

@@ -164,6 +164,68 @@ func TestScanDuringCompact(t *testing.T) {
 	checkKeys(t, keys, live)
 }
 
+// TestScanDuringDelete runs scans concurrently with a series of Deletes,
+// each touching two members, which take no lock against scans: every scan
+// must serve exactly the rows of one committed generation — all of some
+// prefix of the deletes, none of the rest.
+func TestScanDuringDelete(t *testing.T) {
+	const n, step, deletes = 4096, 100, 6
+	d := newTestDataset(t, nil, 4, n/4)
+	// After k deletes, keys [0, k*step) and [n/2, n/2+k*step) are gone.
+	liveAfter := func(k int) []int64 {
+		cut := int64(k * step)
+		return append(wantKeys(cut, n/2), wantKeys(n/2+cut, n)...)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 8; i++ {
+				sc, err := d.Scan(ScanOptions{
+					ScanOptions:     core.ScanOptions{Columns: []string{"key"}},
+					FileConcurrency: 2,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var keys []int64
+				for {
+					b, err := sc.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Errorf("scan during delete: %v", err)
+						sc.Close()
+						return
+					}
+					keys = append(keys, b.Columns[0].(core.Int64Data)...)
+				}
+				sc.Close()
+				k := (n - len(keys)) / (2 * step)
+				if err := verifyLiveKeys(keys, liveAfter(k)); err != nil {
+					t.Errorf("scan saw no committed generation: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	for k := uint64(0); k < deletes; k++ {
+		rows := append(spanRows(k*step, (k+1)*step), spanRows(n/2+k*step, n/2+(k+1)*step)...)
+		if err := d.Delete(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	keys, _ := scanKeys(t, d, ScanOptions{})
+	checkKeys(t, keys, liveAfter(deletes))
+}
+
 // TestScanHoldsSnapshotAcrossCommit pins generation isolation precisely:
 // a scanner created before a Delete+Compact still returns the rows that
 // were live at its snapshot, even when drained after the commit.

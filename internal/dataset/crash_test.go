@@ -39,21 +39,18 @@ func (s *shadowModel) addSharded(batches [][]int64, n int) {
 }
 
 // applyDelete marks the given dataset-global rows (indexed over all rows,
-// deleted included, in member order) and returns the affected keys.
-func (s *shadowModel) applyDelete(rows []uint64) map[int64]bool {
-	targets := map[int64]bool{}
+// deleted included, in member order).
+func (s *shadowModel) applyDelete(rows []uint64) {
 	for _, r := range rows {
 		idx := r
 		for mi := range s.members {
 			if idx < uint64(len(s.members[mi])) {
 				s.members[mi][idx].del = true
-				targets[s.members[mi][idx].key] = true
 				break
 			}
 			idx -= uint64(len(s.members[mi]))
 		}
 	}
-	return targets
 }
 
 // compact mirrors Dataset.Compact: members under the live-ratio threshold
@@ -103,12 +100,6 @@ type commitRec struct {
 	live []int64
 }
 
-type deleteRec struct {
-	targets   map[int64]bool
-	startOps  int
-	commitGen uint64
-}
-
 // spanRows returns [lo, hi) as global row ids.
 func spanRows(lo, hi uint64) []uint64 {
 	out := make([]uint64, 0, hi-lo)
@@ -129,12 +120,11 @@ type tagRec struct {
 // crashWorkload drives every mutation kind through fb once — sharded
 // ingest, append, tag, delete, compact, vacuum — recording the shadow
 // state and op count at each successful commit.
-func crashWorkload(t *testing.T, fb *storage.Fault) ([]commitRec, []deleteRec, tagRec) {
+func crashWorkload(t *testing.T, fb *storage.Fault) ([]commitRec, tagRec) {
 	t.Helper()
 	opts := &Options{Backend: fb}
 	sh := &shadowModel{}
 	var commits []commitRec
-	var deletes []deleteRec
 	record := func(d *Dataset) {
 		commits = append(commits, commitRec{gen: d.Generation(), ops: fb.OpCount(), live: sh.liveKeys()})
 	}
@@ -182,13 +172,11 @@ func crashWorkload(t *testing.T, fb *storage.Fault) ([]commitRec, []deleteRec, t
 
 	// Delete rows spanning two members.
 	rows := append(spanRows(5, 25), spanRows(175, 185)...)
-	start := fb.OpCount()
-	targets := sh.applyDelete(rows)
+	sh.applyDelete(rows)
 	if err := d.Delete(rows); err != nil {
 		t.Fatal(err)
 	}
 	record(d) // generation 5
-	deletes = append(deletes, deleteRec{targets: targets, startOps: start, commitGen: d.Generation()})
 
 	// Compact everything holding deletions.
 	if _, err := d.Compact(0.999); err != nil {
@@ -210,15 +198,13 @@ func crashWorkload(t *testing.T, fb *storage.Fault) ([]commitRec, []deleteRec, t
 
 	// A second delete over the compacted layout.
 	rows = spanRows(0, 10)
-	start = fb.OpCount()
-	targets = sh.applyDelete(rows)
+	sh.applyDelete(rows)
 	if err := d.Delete(rows); err != nil {
 		t.Fatal(err)
 	}
 	record(d) // generation 8
-	deletes = append(deletes, deleteRec{targets: targets, startOps: start, commitGen: d.Generation()})
 
-	return commits, deletes, tag
+	return commits, tag
 }
 
 // scanKeyVals drains a key+val scan, verifying the val column's integrity
@@ -249,26 +235,15 @@ func scanKeyVals(d *Dataset) ([]int64, error) {
 	}
 }
 
-// verifyLiveKeys checks got against want: same keys in the same order,
-// except that keys in allowed (an in-flight delete's targets) may be
-// missing from got. Extra or reordered keys always fail.
-func verifyLiveKeys(got, want []int64, allowed map[int64]bool) error {
-	wi := 0
-	for _, k := range got {
-		for wi < len(want) && want[wi] != k {
-			if !allowed[want[wi]] {
-				return fmt.Errorf("key %d missing (not an in-flight delete target)", want[wi])
-			}
-			wi++
-		}
-		if wi == len(want) {
-			return fmt.Errorf("unexpected key %d (not in the durable generation)", k)
-		}
-		wi++
+// verifyLiveKeys checks got against want: exactly the same keys in the
+// same order.
+func verifyLiveKeys(got, want []int64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d keys, want %d", len(got), len(want))
 	}
-	for ; wi < len(want); wi++ {
-		if !allowed[want[wi]] {
-			return fmt.Errorf("key %d missing (not an in-flight delete target)", want[wi])
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("key %d at position %d, want %d", got[i], i, want[i])
 		}
 	}
 	return nil
@@ -280,11 +255,12 @@ func verifyLiveKeys(got, want []int64, allowed map[int64]bool) error {
 // exhaustively — then every snapshot is rebooted under both crash models
 // (strict: unsynced directory entries are lost; loose: metadata-journaled
 // namespaces survive, unsynced contents revert) and must reopen to
-// exactly the last durable generation with every row intact.
+// exactly the last durable generation (or its in-flight successor) with
+// exactly its rows, and pass a deep fsck without a warning.
 func TestCrashMatrix(t *testing.T) {
 	fb := storage.NewFault("crashds")
 	fb.EnableSnapshots()
-	commits, deletes, tag := crashWorkload(t, fb)
+	commits, tag := crashWorkload(t, fb)
 	snaps := fb.Snapshots()
 	if len(snaps) < 20 {
 		t.Fatalf("only %d snapshots recorded; the matrix is not covering the workload", len(snaps))
@@ -332,23 +308,11 @@ func TestCrashMatrix(t *testing.T) {
 				t.Fatalf("%s: rebooted to generation %d, want %d (or its in-flight successor)",
 					name, g, commits[max(expIdx, 0)].gen)
 			}
-			expected := &commits[matchIdx]
-
-			// An in-flight Delete may have synced deletion bits without its
-			// commit; only that delete's own targets may be missing.
-			allowed := map[int64]bool{}
-			for _, dr := range deletes {
-				if dr.commitGen > expected.gen && dr.startOps <= snap.AfterOps {
-					for k := range dr.targets {
-						allowed[k] = true
-					}
-				}
-			}
 			got, err := scanKeyVals(d2)
 			if err != nil {
 				t.Fatalf("%s: scan failed: %v", name, err)
 			}
-			if err := verifyLiveKeys(got, expected.live, allowed); err != nil {
+			if err := verifyLiveKeys(got, commits[matchIdx].live); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 
@@ -357,18 +321,14 @@ func TestCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fsck: %v", name, err)
 			}
-			if !rep.OK() {
-				t.Fatalf("%s: fsck not OK: errors=%v members=%+v", name, rep.Errors, rep.Members)
-			}
-			if len(rep.Warnings) > 0 && len(allowed) == 0 {
-				t.Fatalf("%s: fsck warnings outside any delete window: %v", name, rep.Warnings)
+			if !rep.OK() || len(rep.Warnings) > 0 {
+				t.Fatalf("%s: fsck not clean: errors=%v warnings=%v members=%+v",
+					name, rep.Errors, rep.Warnings, rep.Members)
 			}
 
 			// If the tag commit is durable in this snapshot, the tagged
-			// generation must be openable and serve its frozen row set.
-			// Deletes flip footer bits in member files the tagged generation
-			// shares, so any delete that had started by the crash point may
-			// have leaked into the snapshot — but nothing else may differ.
+			// generation must be openable and serve exactly its frozen row
+			// set: later deletes only ever changed later manifests.
 			tagDurable := d2.Tags()[tag.name] == tag.gen
 			checkSnapshot := func(when string) {
 				sd, err := OpenAt("crashds", tag.name, &Options{Backend: rb})
@@ -380,19 +340,11 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatalf("%s: tag %q resolved to generation %d, want %d",
 						name, tag.name, sd.Generation(), tag.gen)
 				}
-				snapAllowed := map[int64]bool{}
-				for _, dr := range deletes {
-					if dr.startOps <= snap.AfterOps {
-						for k := range dr.targets {
-							snapAllowed[k] = true
-						}
-					}
-				}
 				got, err := scanKeyVals(sd)
 				if err != nil {
 					t.Fatalf("%s: tagged snapshot scan %s: %v", name, when, err)
 				}
-				if err := verifyLiveKeys(got, tag.live, snapAllowed); err != nil {
+				if err := verifyLiveKeys(got, tag.live); err != nil {
 					t.Fatalf("%s: tagged snapshot %s: %v", name, when, err)
 				}
 			}

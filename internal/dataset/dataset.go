@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,11 +20,10 @@ import (
 type Options struct {
 	// Writer configures the per-file core writer used by Append,
 	// ShardedWriter, and Compact. Nil selects core.DefaultOptions with
-	// deletion compliance Level 1: datasets reclaim deleted rows by
-	// compaction rather than in-place page erasure, and Level-1 deletes
-	// only flip footer bits, which keeps older manifest generations
-	// readable while writers commit (Level-2 in-place erasure rewrites
-	// page bytes under concurrent readers and forfeits that isolation).
+	// deletion compliance Level 1: a dataset never erases rows in place —
+	// Delete records them in the manifest and Compact erases them by
+	// rewriting the member — so the encoding restrictions Level 2 pays for
+	// in-place erasure would buy nothing.
 	Writer *core.Options
 	// WrapReader, when non-nil, wraps each member file's reader when it is
 	// opened — the hook the CLI uses for per-file I/O accounting and the
@@ -70,11 +70,6 @@ type Dataset struct {
 
 	// mu serializes mutators (Append/ShardedWriter commit/Delete/Compact).
 	mu sync.Mutex
-	// fileMu excludes scan planning (read side) from operations that
-	// mutate existing member bytes on disk (Delete, write side), so a
-	// scan's member opens all observe the same side of a deletion.
-	// Append/ShardedWriter/Compact only add files and take no write lock.
-	fileMu sync.RWMutex
 	// genMu guards the current-generation pointer.
 	genMu sync.RWMutex
 	gen   *generation
@@ -115,8 +110,9 @@ type generation struct {
 }
 
 // member is one file of a generation, opened lazily: pruned members are
-// never opened at all, and reopening is what lets a new generation observe
-// a member's rewritten footer without disturbing older snapshots.
+// never opened at all. A handle serves exactly its entry's deletions, so
+// an entry a Delete changed gets a new member (see newGeneration) while
+// older snapshots keep theirs.
 type member struct {
 	entry FileEntry
 
@@ -138,8 +134,8 @@ type member struct {
 // open opens the member file on first use — through the dataset's
 // storage backend, the single choke point for all member reads —
 // verifying its schema fingerprint and row count against the manifest
-// entry. Successful opens are memoized; failures are retried on the
-// next call.
+// entry, and applies the entry's deletion bitmap on top of the footer's.
+// Successful opens are memoized; failures are retried on the next call.
 func (m *member) open(d *Dataset) (*core.File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,8 +146,8 @@ func (m *member) open(d *Dataset) (*core.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.file = f
-	return f, nil
+	m.file = f.WithDeletions(m.entry.DeletionVec)
+	return m.file, nil
 }
 
 // manifestBloom returns the entry's parsed bloom filter for col (nil
@@ -177,11 +173,13 @@ func (m *member) manifestBloom(col string) *enc.Bloom {
 }
 
 // memberVersion derives the cache-key version discriminator from the
-// manifest entry: any change to a member's bytes (a delete rewriting
-// footer bits, a replaced file) changes at least one of these fields,
-// so a version key always names exactly one byte-content.
+// manifest entry. Committed members are immutable and deletions live in
+// the manifest, so a Delete keeps the key — its footer and pages stay
+// cached — while a different file under the same name (another
+// dataset's, or one replaced outside any commit) changes at least one of
+// these fields or, remotely, the ETag the key is sharpened with.
 func memberVersion(e *FileEntry) string {
-	return fmt.Sprintf("%d|%d|%d|%s", e.Rows, e.LiveRows, e.Bytes, e.SchemaFP)
+	return fmt.Sprintf("%d|%d|%s", e.Rows, e.Bytes, e.SchemaFP)
 }
 
 // openMember opens one member file through the cache tiers: the handle
@@ -294,9 +292,9 @@ func (d *Dataset) track(f io.Closer) bool {
 }
 
 // newGeneration builds the in-memory snapshot for m, reusing open member
-// handles from prev for entries that are byte-identical (same name, rows,
-// live rows, size, fingerprint) — a commit only forces reopening of the
-// files it actually changed.
+// handles from prev for unchanged entries (same name, row accounting,
+// deletion bitmap, size, fingerprint) — a commit only forces reopening of
+// the entries it actually changed.
 func (d *Dataset) newGeneration(m *Manifest, prev *generation) (*generation, error) {
 	schema, err := schemaFromDefs(m.Schema)
 	if err != nil {
@@ -330,11 +328,12 @@ func (d *Dataset) newGeneration(m *Manifest, prev *generation) (*generation, err
 }
 
 // sameEntry reports whether an open member handle for a can still serve
-// b: identity plus row/byte accounting must match (zone maps are derived
-// and don't affect handle validity).
+// b: identity, row/byte accounting and deletions must match (zone maps
+// are derived and don't affect handle validity).
 func sameEntry(a, b FileEntry) bool {
 	return a.Name == b.Name && a.Rows == b.Rows && a.LiveRows == b.LiveRows &&
-		a.Bytes == b.Bytes && a.SchemaFP == b.SchemaFP
+		a.Bytes == b.Bytes && a.SchemaFP == b.SchemaFP &&
+		slices.Equal(a.DeletionVec, b.DeletionVec)
 }
 
 // backendFor resolves the storage backend for dir: the caller-supplied
@@ -502,6 +501,7 @@ func (d *Dataset) swapGeneration(g *generation) {
 func (d *Dataset) commit(publish func() error, mutate func(m *Manifest) error) error {
 	prev := d.generationSnapshot()
 	next := *prev.manifest
+	next.Version = ManifestVersion
 	next.Generation++
 	next.Files = append([]FileEntry(nil), prev.manifest.Files...)
 	if len(prev.manifest.Tags) > 0 {
@@ -601,10 +601,11 @@ func (d *Dataset) Append(batch *core.Batch) error {
 
 // Delete marks the given dataset-global rows deleted. Rows map to member
 // files through the manifest order (member i holds rows
-// [starts[i], starts[i]+rows)); each affected member's deletion vector is
-// updated through a fresh handle and the new row accounting is committed
-// as a new manifest generation. Scans started before the commit keep
-// their snapshot and continue to see the rows.
+// [starts[i], starts[i]+rows)); the rows are set in copies of the affected
+// entries' deletion bitmaps, which commit as a new manifest generation.
+// No member file is written: scans of earlier generations — tagged
+// snapshots included — keep serving the rows, and Compact erases them
+// physically by rewriting their members.
 func (d *Dataset) Delete(rows []uint64) error {
 	if len(rows) == 0 {
 		return nil
@@ -614,11 +615,6 @@ func (d *Dataset) Delete(rows []uint64) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Exclude scan planning while member bytes change on disk: a scan
-	// must open its members entirely before this delete or entirely
-	// after the commit (in-flight scans hold their already-open views).
-	d.fileMu.Lock()
-	defer d.fileMu.Unlock()
 	gen := d.generationSnapshot()
 
 	sorted := append([]uint64(nil), rows...)
@@ -627,61 +623,55 @@ func (d *Dataset) Delete(rows []uint64) error {
 		return fmt.Errorf("dataset: row %d out of range [0,%d)", hi, gen.total)
 	}
 
-	// Split the sorted rows into per-member local row id lists.
-	perMember := make([][]uint64, len(gen.members))
+	vecs := map[string][]uint64{} // member name -> its updated bitmap
 	mi := 0
 	for _, r := range sorted {
 		for r >= gen.starts[mi]+gen.members[mi].entry.Rows {
 			mi++
 		}
-		perMember[mi] = append(perMember[mi], r-gen.starts[mi])
-	}
-
-	newLive := make(map[string]uint64)
-	for i, local := range perMember {
-		if len(local) == 0 {
-			continue
+		m := gen.members[mi]
+		vec, ok := vecs[m.entry.Name]
+		if !ok {
+			var err error
+			if vec, err = d.deletionVec(m); err != nil {
+				return err
+			}
+			vecs[m.entry.Name] = vec
 		}
-		entry := gen.members[i].entry
-		// A fresh read-write handle, separate from the member handle that
-		// in-flight scans of this generation are using: DeleteRows mutates
-		// its File's in-memory footer view.
-		h, size, err := d.backend.ReadAt(entry.Name)
-		if err != nil {
-			return err
-		}
-		f, err := core.Open(h, size)
-		if err != nil {
-			h.Close()
-			return fmt.Errorf("dataset: opening member %s for delete: %w", entry.Name, err)
-		}
-		if err := f.DeleteRows(h, local); err != nil {
-			h.Close()
-			return fmt.Errorf("dataset: deleting from %s: %w", entry.Name, err)
-		}
-		live := f.NumLiveRows()
-		// Force the rewritten footer durable before the manifest commit
-		// records the new live-row counts: a committed delete must never
-		// resurrect rows at a power cut (the reverse — synced bits without
-		// a commit — only over-applies an in-flight delete's own targets).
-		if err := h.Sync(); err != nil {
-			h.Close()
-			return fmt.Errorf("dataset: syncing %s after delete: %w", entry.Name, err)
-		}
-		if err := h.Close(); err != nil {
-			return err
-		}
-		newLive[entry.Name] = live
+		local := r - gen.starts[mi]
+		vec[local>>6] |= 1 << (local & 63)
 	}
 
 	return d.commit(nil, func(m *Manifest) error {
 		for i := range m.Files {
-			if live, ok := newLive[m.Files[i].Name]; ok {
-				m.Files[i].LiveRows = live
+			e := &m.Files[i]
+			if vec, ok := vecs[e.Name]; ok {
+				e.DeletionVec = vec
+				e.LiveRows = e.Rows - deletedCount(vec)
 			}
 		}
 		return nil
 	})
+}
+
+// deletionVec returns a copy of member m's deletion bitmap, ceil(Rows/64)
+// words long, for Delete to set bits in. An entry that has no bitmap yet
+// still records deleted rows (a version-1 manifest, whose deletes flipped
+// footer bits) seeds it once from the member's footer.
+func (d *Dataset) deletionVec(m *member) ([]uint64, error) {
+	vec := make([]uint64, (m.entry.Rows+63)/64)
+	copy(vec, m.entry.DeletionVec)
+	if m.entry.DeletionVec == nil && m.entry.LiveRows < m.entry.Rows {
+		f, err := m.open(d)
+		if err != nil {
+			return nil, err
+		}
+		v := f.View()
+		for w := range min(len(vec), v.DeletionWords()) {
+			vec[w] = v.DeletionWord(w)
+		}
+	}
+	return vec, nil
 }
 
 // VacuumReport describes one reclamation pass: what was removed, and

@@ -346,10 +346,14 @@ func TestDatasetFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	// Members are opened (and verified) when a scan plans them.
+	// Members are opened (and verified) when their engine starts, so the
+	// mismatch surfaces from Next.
 	sc, err := d2.Scan(ScanOptions{})
-	if err == nil {
-		sc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if _, err = drainRows(sc); err == nil {
 		t.Fatal("scan over a swapped member succeeded")
 	}
 	if !strings.Contains(err.Error(), "fingerprint") {

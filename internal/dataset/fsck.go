@@ -17,14 +17,9 @@ type FsckMember struct {
 	Bytes    int64  `json:"bytes"`
 	Rows     uint64 `json:"rows"`
 	LiveRows uint64 `json:"live_rows"`
-	// DiskLiveRows is the live-row count the member's own footer reports.
-	// It may lag LiveRows when a Delete crashed after syncing deletion
-	// bits but before its manifest commit — tolerable drift, reported as
-	// a warning rather than an error.
-	DiskLiveRows uint64 `json:"disk_live_rows"`
 	// Errors lists integrity violations: missing file, size mismatch,
-	// unopenable footer, fingerprint or row-count mismatch, checksum
-	// failures under deep verification.
+	// unopenable footer, fingerprint, row-count or live-row mismatch,
+	// checksum failures under deep verification.
 	Errors []string `json:"errors,omitempty"`
 }
 
@@ -67,16 +62,16 @@ type FsckReport struct {
 	OrphanTmps      []string `json:"orphan_tmps,omitempty"`
 	OrphanParts     []string `json:"orphan_parts,omitempty"`
 	OrphanManifests []string `json:"orphan_manifests,omitempty"`
-	// Errors are dataset-level failures (unreadable CURRENT or manifest);
-	// Warnings are tolerable anomalies (member live-row drift from a
-	// crashed Delete).
+	// Errors are dataset-level failures (unreadable, malformed or
+	// inconsistent CURRENT or manifest); Warnings are checks the backend
+	// could not run (an HTTP namespace cannot be listed).
 	Errors   []string `json:"errors,omitempty"`
 	Warnings []string `json:"warnings,omitempty"`
 }
 
 // OK reports whether the dataset passed verification: no dataset-level
-// errors and no member errors. Warnings and orphans do not fail a check —
-// they are expected after crashes and before Vacuum.
+// errors and no member errors. Warnings and orphans do not fail a check;
+// orphans are expected after crashes and before Vacuum.
 func (r *FsckReport) OK() bool {
 	if len(r.Errors) > 0 {
 		return false
@@ -91,7 +86,8 @@ func (r *FsckReport) OK() bool {
 
 // Fsck verifies the dataset at dir without modifying it: the manifest
 // chain loads, every referenced member exists with the recorded size and
-// a readable footer whose fingerprint and row count match, and every
+// a readable footer whose fingerprint and row count match, its live rows
+// after the entry's deletion bitmap are exactly the entry's, and every
 // unreferenced file is classified (temporary debris, unreferenced parts,
 // superseded manifests). With deep set, every member's page checksums are
 // verified too — a full read of the dataset.
@@ -123,14 +119,6 @@ func Fsck(dir string, opts *Options, deep bool) (*FsckReport, error) {
 			report.Members = append(report.Members, fsckMember(b, e, deep))
 		}
 		fsckRetained(b, m, report, referenced)
-	}
-	for i := range report.Members {
-		fm := &report.Members[i]
-		if len(fm.Errors) == 0 && fm.DiskLiveRows != fm.LiveRows {
-			report.Warnings = append(report.Warnings, fmt.Sprintf(
-				"member %s: footer reports %d live rows, manifest %d (crashed delete?)",
-				fm.Name, fm.DiskLiveRows, fm.LiveRows))
-		}
 	}
 
 	names, err := b.List()
@@ -252,12 +240,8 @@ func fsckMember(b storage.Backend, e FileEntry, deep bool) FsckMember {
 	if rows := f.NumRows(); rows != e.Rows {
 		fail("%d rows, manifest records %d", rows, e.Rows)
 	}
-	fm.DiskLiveRows = f.NumLiveRows()
-	// The footer can only ever run ahead of the manifest (a crashed
-	// Delete synced bits before its commit); resurrected rows mean the
-	// commit protocol broke.
-	if fm.DiskLiveRows > e.LiveRows {
-		fail("footer reports %d live rows, more than manifest's %d", fm.DiskLiveRows, e.LiveRows)
+	if live := f.WithDeletions(e.DeletionVec).NumLiveRows(); live != e.LiveRows {
+		fail("%d live rows after the manifest's deletions, manifest records %d", live, e.LiveRows)
 	}
 	if deep {
 		if err := f.VerifyChecksums(); err != nil {

@@ -10,10 +10,13 @@
 //
 // Commits are atomic: each mutation (append, delete, compact) writes a
 // complete new manifest generation to a temporary file, renames it into
-// place, and then swaps the CURRENT pointer file the same way. Readers
-// holding an older generation keep serving from it — member files are
-// immutable (deletion flips footer bits; compaction writes replacement
-// files) and are only reclaimed by an explicit Vacuum.
+// place, and then swaps the CURRENT pointer file the same way. Committed
+// member files are immutable: appends and compactions write new files,
+// and a delete only sets bits in the member's manifest entry (a deletion
+// bitmap readers apply on top of the footer's own). Readers holding an
+// older generation therefore keep serving exactly that generation's rows,
+// and files are only reclaimed by an explicit Vacuum. Deleted rows are
+// physically erased when Compact rewrites their member.
 //
 // # Durability and crash recovery
 //
@@ -33,12 +36,8 @@
 //     re-read under a per-directory critical section and the commit fails
 //     with ErrGenerationConflict if another handle moved it. The losing
 //     mutator cleans up its files and the dataset is unchanged.
-//   - Delete is the one mutation that updates member bytes in place (its
-//     deletion-vector footer rewrite is fsynced before the manifest
-//     commit). A crash inside a Delete can therefore leave some of that
-//     call's target rows already deleted even though the commit never
-//     landed — rows outside an in-flight Delete's target set are never
-//     affected.
+//   - Delete writes nothing but its manifest generation, so a crash
+//     leaves either all of a Delete's rows deleted or none of them.
 //
 // A crash between publishing part files and committing the manifest
 // strands orphans. OpenDataset sweeps *.tmp debris automatically (see
@@ -52,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -76,7 +76,9 @@ var ErrGenerationConflict = errors.New("dataset: generation conflict: CURRENT mo
 var ErrCommitIndeterminate = errors.New("dataset: commit outcome indeterminate")
 
 // ManifestVersion is the manifest format version this package writes.
-const ManifestVersion = 1
+// Version 2 added FileEntry.DeletionVec; readers accept 1 and 2 (a
+// version-1 entry's deletions live in its member's footer).
+const ManifestVersion = 2
 
 // currentName is the pointer file naming the live manifest generation.
 const currentName = "CURRENT"
@@ -119,9 +121,15 @@ type FileEntry struct {
 	// Name is the member's file name, relative to the dataset directory.
 	Name string `json:"name"`
 	// Rows is the logical row count (including deleted rows); LiveRows
-	// excludes rows marked in the member's deletion vector.
+	// excludes deleted rows.
 	Rows     uint64 `json:"rows"`
 	LiveRows uint64 `json:"live_rows"`
+	// DeletionVec marks the rows Dataset.Delete removed, in the footer's
+	// deletion_vec layout (bit r&63 of word r>>6 is row r; at most
+	// ceil(Rows/64) words). Readers OR it over the member footer's own
+	// deletion vector, and LiveRows = Rows minus its set bits. Nil until a
+	// delete first touches the member.
+	DeletionVec []uint64 `json:"deletion_vec,omitempty"`
 	// Bytes is the member's total file size.
 	Bytes int64 `json:"bytes"`
 	// SchemaFP is the member's schema fingerprint (must equal the
@@ -411,10 +419,12 @@ func readManifestFile(b storage.Backend, name string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("dataset: parsing %s: %w", name, err)
 	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("dataset: manifest version %d unsupported (want %d)", m.Version, ManifestVersion)
+	if m.Version < 1 || m.Version > ManifestVersion {
+		return nil, fmt.Errorf("dataset: manifest version %d unsupported (want 1-%d)", m.Version, ManifestVersion)
 	}
-	for i, e := range m.Files {
+	var total uint64
+	for i := range m.Files {
+		e := &m.Files[i]
 		if e.SchemaFP != m.SchemaFP {
 			return nil, fmt.Errorf("dataset: member %q fingerprint %s != dataset %s",
 				e.Name, e.SchemaFP, m.SchemaFP)
@@ -422,8 +432,54 @@ func readManifestFile(b storage.Backend, name string) (*Manifest, error) {
 		if e.Name == "" || strings.ContainsAny(e.Name, "/\\") {
 			return nil, fmt.Errorf("dataset: member %d has invalid name %q", i, e.Name)
 		}
+		if total+e.Rows < total {
+			return nil, fmt.Errorf("dataset: %s: row count overflows at member %q", name, e.Name)
+		}
+		total += e.Rows
+		if err := e.checkRows(); err != nil {
+			return nil, fmt.Errorf("dataset: %s: %w", name, err)
+		}
 	}
 	return &m, nil
+}
+
+// checkRows validates an entry's row accounting: a deletion bitmap of at
+// most ceil(Rows/64) words marking no row past the last, and LiveRows
+// equal to Rows minus its marked rows. Without a bitmap LiveRows may only
+// be at most Rows (a version-1 entry's deletions live in its footer).
+func (e *FileEntry) checkRows() error {
+	if e.DeletionVec == nil {
+		if e.LiveRows > e.Rows {
+			return fmt.Errorf("member %q records %d live of %d rows", e.Name, e.LiveRows, e.Rows)
+		}
+		return nil
+	}
+	n := uint64(len(e.DeletionVec))
+	words, tail := e.Rows/64, e.Rows%64
+	if tail != 0 {
+		words++
+	}
+	if n > words {
+		return fmt.Errorf("member %q deletion bitmap has %d words, %d rows need at most %d",
+			e.Name, n, e.Rows, words)
+	}
+	if tail != 0 && n == words && e.DeletionVec[n-1]>>tail != 0 {
+		return fmt.Errorf("member %q deletion bitmap marks rows past its last row", e.Name)
+	}
+	if live := e.Rows - deletedCount(e.DeletionVec); live != e.LiveRows {
+		return fmt.Errorf("member %q records %d live rows, its deletion bitmap leaves %d",
+			e.Name, e.LiveRows, live)
+	}
+	return nil
+}
+
+// deletedCount returns the number of rows a deletion bitmap marks.
+func deletedCount(vec []uint64) uint64 {
+	var n int
+	for _, w := range vec {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
 }
 
 // manifestFiles returns every file name generation m retains: its own

@@ -164,13 +164,6 @@ type memberScan struct {
 // Scan returns (appends, deletes, compactions) do not affect the batches
 // this scanner emits.
 func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
-	// Planning holds the file lock so the snapshot is consistent: Delete
-	// mutates existing member bytes on disk before it commits, and a scan
-	// must not open some members before and some after that mutation.
-	// Append/Compact only add new files and are not excluded — scans keep
-	// planning (and streaming) concurrently with them.
-	d.fileMu.RLock()
-	defer d.fileMu.RUnlock()
 	gen := d.generationSnapshot()
 	if err := validateFilters(gen.schema, opts.Filters); err != nil {
 		return nil, err
@@ -233,22 +226,6 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 			localHi = m.entry.Rows - (fileHi - hi)
 		}
 		local.Range = &core.RowRange{Lo: localLo, Hi: localHi}
-		// Open surviving members now (pruned members are never opened):
-		// the scan must snapshot the files as they are at Scan time, not
-		// at first drain — a Delete committed between Scan and Next must
-		// not leak into this scanner's batches. Opens are cached per
-		// generation, so only the first scan of a generation pays them.
-		if _, err := m.open(d); err != nil {
-			// A Degraded scan reports the unreachable member (the retry
-			// budget was already spent inside the resilient backend) and
-			// plans around it instead of failing the whole scan.
-			if opts.Degraded {
-				s.degraded = append(s.degraded, m.entry.Name)
-				continue
-			}
-			s.unpin()
-			return nil, err
-		}
 		s.members = append(s.members, &memberScan{
 			m:    m,
 			d:    d,

@@ -167,15 +167,15 @@ func TestVacuumRetainsTaggedGenerations(t *testing.T) {
 		}
 	}
 
-	// The snapshot still serves. Deletion compliance leaks through by
-	// design: the Delete flipped bits inside the tagged generation's
-	// member file in place, so the snapshot reads 250 fewer rows.
+	// The snapshot still serves, frozen: the later Delete only changed
+	// later manifests, and the compaction wrote a new file, so the tagged
+	// generation reads all 1,000 rows it had.
 	snap, err := OpenAt(d.dir, "keep", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys, _ := scanKeys(t, snap, ScanOptions{})
-	checkKeys(t, keys, wantKeys(250, 1000))
+	checkKeys(t, keys, wantKeys(0, 1000))
 	snap.Close()
 
 	// Untagged, the generation is garbage again.
@@ -231,8 +231,8 @@ func TestVacuumRetainsLiveScannerGeneration(t *testing.T) {
 		t.Fatalf("vacuum did not retain generation %d under a live scanner: %+v", scanned, rep)
 	}
 
-	// The scanner drains its snapshot untouched: members were opened at
-	// Scan time, before the delete flipped any bits.
+	// The scanner drains its snapshot untouched: the delete and the
+	// compaction committed later generations without writing its members.
 	var keys []int64
 	for {
 		b, err := sc.Next()

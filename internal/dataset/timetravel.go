@@ -233,11 +233,9 @@ func resolveRef(m *Manifest, ref string) (uint64, error) {
 // what tags are for: pin with a tag before vacuuming from another handle.
 //
 // Mutations through the returned handle fail with ErrSnapshotReadOnly.
-// One caveat inherited from deletion compliance: Delete flips deletion
-// bits inside member files in place, so deletes committed after the
-// pinned generation ARE visible through it (the rows a snapshot can serve
-// only ever shrinks). Append, Compact, and Vacuum never disturb a pinned
-// generation.
+// Nothing committed later — Append, Delete, Compact, or Vacuum — changes
+// the rows the handle serves: deletes live in later manifests, and member
+// files are never rewritten.
 func OpenAt(dir, ref string, opts *Options) (*Dataset, error) {
 	d, err := newHandle(dir, opts)
 	if err != nil {

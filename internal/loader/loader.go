@@ -21,13 +21,9 @@
 // position, batches emitted within the shard) — and Resume replays the
 // remainder exactly. Pinning to a generation is what defends the
 // contract against a moving dataset: open the dataset with
-// dataset.OpenAt on a tag, and later Appends, Compacts, and Vacuums
-// cannot disturb the loader (the tag retains the generation's files).
-// One deliberate exception inherited from deletion compliance: Delete
-// flips deletion bits inside member files in place, so a delete
-// committed mid-training shrinks subsequent batches — compliance
-// (removing a user's rows everywhere, snapshots included) outranks
-// replay stability by design.
+// dataset.OpenAt on a tag, and later Appends, Deletes, Compacts, and
+// Vacuums cannot disturb the loader (deletes live in later manifests, and
+// the tag retains the generation's files).
 package loader
 
 import (

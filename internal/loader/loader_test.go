@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,10 +461,10 @@ func TestLoaderCheckpointAtEOF(t *testing.T) {
 func TestLoaderPlanReadsNoData(t *testing.T) {
 	dir := t.TempDir()
 	buildDataset(t, dir, 4, 1000).Close()
-	var opens int
+	var opens atomic.Int64 // member engines open concurrently
 	d, err := dataset.Open(dir, &dataset.Options{
 		WrapReader: func(name string, r io.ReaderAt, size int64) io.ReaderAt {
-			opens++
+			opens.Add(1)
 			return r
 		},
 	})
@@ -476,13 +477,13 @@ func TestLoaderPlanReadsNoData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if opens != 0 {
-		t.Fatalf("planning opened %d member files; the shuffle plan must come from the manifest alone", opens)
+	if n := opens.Load(); n != 0 {
+		t.Fatalf("planning opened %d member files; the shuffle plan must come from the manifest alone", n)
 	}
 	if _, err := l.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if opens == 0 {
+	if opens.Load() == 0 {
 		t.Fatal("streaming opened no members; the counter is not wired")
 	}
 }

@@ -48,27 +48,15 @@ func (readOnlyFile) WriteAt([]byte, int64) (int, error) {
 	return 0, errors.New("storage: file opened read-only")
 }
 
-// ReadAt opens the named file for random access. It prefers a
-// read-write handle (deletion flips footer bits in place) and falls back
-// to read-only on permission errors, so datasets on read-only media stay
-// scannable.
+// ReadAt opens the named file read-only for random access; datasets on
+// read-only media stay scannable.
 func (l *Local) ReadAt(name string) (File, int64, error) {
 	path, err := l.path(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	var f File
-	osf, err := os.OpenFile(path, os.O_RDWR, 0)
-	switch {
-	case err == nil:
-		f = osf
-	case errors.Is(err, os.ErrPermission):
-		osf, err = os.Open(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		f = readOnlyFile{osf}
-	default:
+	osf, err := os.Open(path)
+	if err != nil {
 		return nil, 0, err
 	}
 	st, err := osf.Stat()
@@ -76,7 +64,7 @@ func (l *Local) ReadAt(name string) (File, int64, error) {
 		osf.Close()
 		return nil, 0, err
 	}
-	return f, st.Size(), nil
+	return readOnlyFile{osf}, st.Size(), nil
 }
 
 // Create creates or truncates the named file for writing.

@@ -167,9 +167,10 @@ func IsRetryable(err error) bool {
 // sequence: Create(tmp), write, Sync, Close, Rename(tmp, final),
 // SyncDir.
 type Backend interface {
-	// ReadAt opens the named file for random-access reads (and in-place
-	// positional writes — deletion vectors rewrite footer bytes in
-	// place), returning the handle and the file's current size.
+	// ReadAt opens the named file for random-access reads, returning the
+	// handle and the file's current size. Published files are never
+	// written again, so the handle need not accept writes (Local's
+	// reject them).
 	ReadAt(name string) (File, int64, error)
 	// Create creates or truncates the named file for writing.
 	Create(name string) (File, error)
