@@ -74,10 +74,6 @@ func (ftr *Footer) View() *footer.View { return ftr.view }
 // Size returns the file size the footer was parsed from.
 func (ftr *Footer) Size() int64 { return ftr.size }
 
-// DataEnd returns the byte offset where page data ends and the footer
-// block begins: coalesced page runs never cross it.
-func (ftr *Footer) DataEnd() int64 { return ftr.footerOff }
-
 // groupGeometry computes rows-per-group and group row starts once
 // (deletion-invariant, so safe to share across handles and deletions).
 func (ftr *Footer) groupGeometry() ([]int, []uint64) {

@@ -919,10 +919,6 @@ func (s *Scanner) Stats() ScanStats {
 	}
 }
 
-// NumBatches returns the number of batches the scan will emit (after
-// range, deletion, and zone-map pruning).
-func (s *Scanner) NumBatches() int { return len(s.batches) }
-
 // Schema returns the projected schema, in output column order.
 func (s *Scanner) Schema() *Schema { return s.schema }
 

@@ -54,7 +54,6 @@ type Writer struct {
 
 	pending     []ColumnData
 	pendingRows int
-	dispatched  uint64 // rows handed to the pipeline (caller-side)
 
 	pipe     *ingestPipeline
 	pipeDown bool
@@ -211,7 +210,6 @@ func (w *Writer) cutGroup(n int) error {
 	if err := w.pipe.dispatch(group, n); err != nil {
 		return err
 	}
-	w.dispatched += uint64(n)
 	for i := range w.pending {
 		w.pending[i] = sliceColumn(w.pending[i], n, w.pendingRows)
 	}
@@ -501,10 +499,6 @@ func checksumArray(tree *merkle.Tree) []uint64 {
 	}
 	return append(out, uint64(tree.Root()))
 }
-
-// NumRowsWritten reports rows handed to the writer: dispatched groups plus
-// the still-buffered remainder.
-func (w *Writer) NumRowsWritten() uint64 { return w.dispatched + uint64(w.pendingRows) }
 
 // SelectorStats reports how often the §2.6 cascade selector reused a
 // cached decision versus running a full sampling pass, summed over all

@@ -3,7 +3,11 @@ package dataset
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+
+	"bullion/internal/core"
+	"bullion/internal/storage"
 )
 
 // TestConcurrentCommitCAS races two handles of the same directory
@@ -151,5 +155,91 @@ func TestCompactLosesCASToWriter(t *testing.T) {
 	}
 	if len(rep.OrphanParts) != 0 {
 		t.Fatalf("lost compact left rewritten files behind: %v", rep.OrphanParts)
+	}
+}
+
+// createHook wraps a backend and runs hook once, right after the first
+// Create it serves.
+type createHook struct {
+	storage.Backend
+	once sync.Once
+	hook func()
+}
+
+func (b *createHook) Create(name string) (storage.File, error) {
+	f, err := b.Backend.Create(name)
+	if err == nil && b.hook != nil {
+		b.once.Do(b.hook)
+	}
+	return f, err
+}
+
+// TestConcurrentCompactsStageApart races two handles compacting the same
+// generation with different writer options, so their rewrites differ
+// byte for byte: d2's whole Compact runs right after d1 created its first
+// staged member. d1 must lose the CAS cleanly, and d2's committed member
+// must be exactly the bytes d2 wrote — staged names are unique per
+// handle, so d1 never wrote into the file d2 published.
+func TestConcurrentCompactsStageApart(t *testing.T) {
+	dir := t.TempDir()
+	d0, err := Create(dir, testSchema(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Append(keyBatch(t, d0.Schema(), 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Delete(spanRows(0, 500)); err != nil {
+		t.Fatal(err)
+	}
+	d0.Close()
+
+	// Two fresh handles: each stages its first file with the same
+	// per-handle sequence number.
+	d2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	local, err := storage.NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb := &createHook{Backend: local}
+	wopts := core.DefaultOptions()
+	wopts.Compliance = core.Level1
+	wopts.RowsPerPage = 16
+	d1, err := Open(dir, &Options{Backend: hb, Writer: wopts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d1.Close()
+	hb.hook = func() {
+		if _, err := d2.Compact(0.9); err != nil {
+			t.Errorf("interleaved compact: %v", err)
+		}
+	}
+
+	if _, err := d1.Compact(0.9); !errors.Is(err, ErrGenerationConflict) {
+		t.Fatalf("stale compact = %v, want ErrGenerationConflict", err)
+	}
+	rep, err := Fsck(dir, nil, true)
+	if err != nil || !rep.OK() {
+		t.Fatalf("fsck after racing compacts: %v, errors=%v members=%+v", err, rep.Errors, rep.Members)
+	}
+	if len(rep.OrphanTmps) != 0 {
+		t.Fatalf("losing compact left its staged file behind: %v", rep.OrphanTmps)
+	}
+	reopened, err := Open(dir, &Options{DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	keys, err := scanKeyVals(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyLiveKeys(keys, wantKeys(500, 1000)); err != nil {
+		t.Fatal(err)
 	}
 }

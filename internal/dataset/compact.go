@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // CompactStats reports what a Compact call did.
 type CompactStats struct {
@@ -23,14 +19,14 @@ type CompactStats struct {
 }
 
 // Compact folds member files whose live-row ratio has dropped below
-// threshold into fresh files: each victim is rewritten without its
-// deleted rows (core.RewriteWithoutRows over the member opened with its
-// manifest deletion bitmap) and replaced in place in the manifest —
-// preserving the dataset's live-row order — then the result is committed
-// as a new manifest generation. Files with no live rows are dropped
-// outright. This is where a dataset's deleted rows are physically
-// erased: once Vacuum reclaims the victims (no tag or open reader
-// retaining an older generation), no file holds them.
+// threshold into fresh files: each victim's live rows are staged as a new
+// member (see stage) by core.RewriteWithoutRows over the member opened
+// with its manifest deletion bitmap, and the replacements commit like any
+// other new members — part-<gen>-<i>.bln, each at its victim's manifest
+// position, preserving the dataset's live-row order. Files with no live
+// rows are dropped outright. This is where a dataset's deleted rows are
+// physically erased: once Vacuum reclaims the victims (no tag or open
+// reader retaining an older generation), no file holds them.
 //
 // Scans holding the previous generation keep serving: the victims'
 // bytes are untouched on disk until Vacuum reclaims them.
@@ -40,138 +36,78 @@ func (d *Dataset) Compact(threshold float64) (CompactStats, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gen := d.generationSnapshot()
 
-	var stats CompactStats
-	stats.BytesBefore = datasetBytes(gen.manifest)
-
-	nextGen := gen.manifest.Generation + 1
-	replace := map[string]*FileEntry{} // victim name -> replacement (nil = drop)
-	var tmpFiles []string
-	cleanup := func() {
-		for _, tmp := range tmpFiles {
-			d.backend.Remove(tmp)
-		}
-	}
-	seq := 0
-	for _, m := range gen.members {
+	stats := CompactStats{BytesBefore: d.TotalBytes()}
+	replace := map[string]int{} // victim name -> index of its replacement in files (-1 = drop)
+	var files []*staged
+	for _, m := range d.generationSnapshot().members {
 		e := m.entry
-		if e.Rows == 0 || e.LiveRows >= e.Rows {
-			continue
-		}
-		if ratio := float64(e.LiveRows) / float64(e.Rows); ratio >= threshold {
+		if e.Rows == 0 || e.LiveRows >= e.Rows || float64(e.LiveRows)/float64(e.Rows) >= threshold {
 			continue
 		}
 		if e.LiveRows == 0 {
-			replace[e.Name] = nil
+			replace[e.Name] = -1
 			stats.FilesDropped++
 			stats.RowsReclaimed += e.Rows
 			continue
 		}
-		entry, tmpName, err := d.rewriteMember(m, nextGen, seq)
+		s, err := d.rewriteMember(m)
 		if err != nil {
-			cleanup()
+			d.discard(files)
 			return stats, err
 		}
-		tmpFiles = append(tmpFiles, tmpName)
-		replace[e.Name] = &entry
+		replace[e.Name] = len(files)
+		files = append(files, s)
 		stats.FilesCompacted++
 		stats.RowsReclaimed += e.Rows - e.LiveRows
-		seq++
 	}
 	if len(replace) == 0 {
 		stats.BytesAfter = stats.BytesBefore
 		return stats, nil
 	}
 
-	// The renames to final names run inside the commit critical section
-	// (after the generation CAS — a doomed commit must not clobber a
-	// winner's files), made durable by a directory sync before the
-	// manifest references them; then the commit replaces (or drops)
-	// victims at their original manifest positions.
-	publish := func() error {
-		for i, tmp := range tmpFiles {
-			final := strings.TrimSuffix(tmp, ".tmp")
-			if err := d.backend.Rename(tmp, final); err != nil {
-				return err
-			}
-			tmpFiles[i] = final
-		}
-		return d.backend.SyncDir()
-	}
-	err := d.commit(publish, func(m *Manifest) error {
+	err := d.commitStaged(files, func(m *Manifest, entries []FileEntry) {
 		out := m.Files[:0]
 		for _, e := range m.Files {
-			r, hit := replace[e.Name]
+			i, hit := replace[e.Name]
 			switch {
 			case !hit:
 				out = append(out, e)
-			case r != nil:
-				out = append(out, *r)
+			case i >= 0:
+				out = append(out, entries[i])
 			}
 		}
 		m.Files = out
-		return nil
 	})
 	if err != nil {
-		// Past the point of no return the replacement files may be
-		// referenced — leave them for Vacuum to sort out.
-		if !errors.Is(err, ErrCommitIndeterminate) {
-			cleanup()
-		}
 		return stats, err
 	}
-	stats.BytesAfter = datasetBytes(d.generationSnapshot().manifest)
+	stats.BytesAfter = d.TotalBytes()
 	return stats, nil
 }
 
-// rewriteMember copies a victim's live rows into a fresh file under a
-// temporary name — contents synced, ready to rename — and returns its
-// manifest entry under the final name plus the temporary name.
-func (d *Dataset) rewriteMember(m *member, gen uint64, seq int) (FileEntry, string, error) {
+// rewriteMember stages a victim's live rows as a fresh member: with no
+// extra rows, RewriteWithoutRows drops exactly the rows the deletion
+// bitmap marks.
+func (d *Dataset) rewriteMember(m *member) (*staged, error) {
 	f, err := m.open(d)
 	if err != nil {
-		return FileEntry{}, "", err
+		return nil, err
 	}
-	finalName := fmt.Sprintf("part-%06d-c%03d.bln", gen, seq)
-	tmpName := finalName + ".tmp"
-	out, err := d.backend.Create(tmpName)
+	s, err := d.stage()
 	if err != nil {
-		return FileEntry{}, "", err
+		return nil, err
 	}
-	// RewriteWithoutRows with no extra rows drops exactly the rows the
-	// deletion vector marks; its returned WrittenStats become the manifest
-	// entry directly (writer-side stats piggyback — the fresh file is
-	// never reopened).
-	ws, err := f.RewriteWithoutRows(out, nil, d.writerOpts())
+	ws, err := f.RewriteWithoutRows(s.f, nil, d.writerOpts())
+	if err == nil {
+		err = s.seal(ws)
+	}
+	if err == nil && ws.NumRows != m.entry.LiveRows {
+		err = fmt.Errorf("rewrite has %d rows, want %d live", ws.NumRows, m.entry.LiveRows)
+	}
 	if err != nil {
-		out.Close()
-		d.backend.Remove(tmpName)
-		return FileEntry{}, "", fmt.Errorf("dataset: compacting %s: %w", m.entry.Name, err)
+		d.discard([]*staged{s})
+		return nil, fmt.Errorf("dataset: compacting %s: %w", m.entry.Name, err)
 	}
-	// Durable before rename: the manifest must never reference contents a
-	// power cut could truncate.
-	if err := out.Sync(); err != nil {
-		out.Close()
-		d.backend.Remove(tmpName)
-		return FileEntry{}, "", err
-	}
-	if err := out.Close(); err != nil {
-		d.backend.Remove(tmpName)
-		return FileEntry{}, "", err
-	}
-	if ws.NumRows != m.entry.LiveRows {
-		d.backend.Remove(tmpName)
-		return FileEntry{}, "", fmt.Errorf("dataset: compacted %s has %d rows, want %d live",
-			m.entry.Name, ws.NumRows, m.entry.LiveRows)
-	}
-	return entryFromWritten(finalName, m.entry.SchemaFP, ws), tmpName, nil
-}
-
-func datasetBytes(m *Manifest) int64 {
-	var n int64
-	for _, e := range m.Files {
-		n += e.Bytes
-	}
-	return n
+	return s, nil
 }

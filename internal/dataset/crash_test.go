@@ -497,9 +497,13 @@ func TestCommitErrorMatrix(t *testing.T) {
 	}
 }
 
-// TestOpenSweepsTmpDebris plants crash debris and asserts Open removes
-// exactly the temporaries — never parts or manifests — and that
-// DisableRecoverySweep leaves it for Fsck to report.
+// isTempDebris reports whether name is a temporary the recovery sweep
+// removes.
+func isTempDebris(name string) bool { return kindOf(name) == tempFile }
+
+// TestOpenSweepsTmpDebris plants crash debris and asserts that Fsck,
+// which only reads, reports all of it classified, and that Open then
+// removes exactly the temporaries — never parts or manifests.
 func TestOpenSweepsTmpDebris(t *testing.T) {
 	fb := storage.NewFault("sweepds")
 	d, err := Create("sweepds", testSchema(t), &Options{Backend: fb})
@@ -523,7 +527,7 @@ func TestOpenSweepsTmpDebris(t *testing.T) {
 	f, _ := fb.Create(orphanPart)
 	f.Close()
 
-	// Fsck (which disables the sweep) sees all of it, classified.
+	// Fsck never opens a handle, so it sees all of it, classified.
 	rep, err := Fsck("sweepds", &Options{Backend: fb}, false)
 	if err != nil {
 		t.Fatal(err)

@@ -35,12 +35,6 @@ type Options struct {
 	// at the dataset directory; tests substitute storage.Fault to inject
 	// errors, latency, and power cuts.
 	Backend storage.Backend
-	// DisableRecoverySweep skips Open's garbage collection of orphaned
-	// *.tmp files (crash debris from interrupted commits). Fsck sets it
-	// so a report can surface the debris before anything removes it. The
-	// sweep only ever touches temporaries — never part files or
-	// manifests, which older-generation readers may still reference.
-	DisableRecoverySweep bool
 	// Cache is the artifact cache member opens flow through (parsed
 	// footers, open handles, page bytes — see internal/cache). Nil
 	// selects the process-wide shared cache, except when Backend is set:
@@ -74,11 +68,9 @@ type Dataset struct {
 	genMu sync.RWMutex
 	gen   *generation
 
-	// handleID and nameSeq disambiguate temporary file names: nameSeq
-	// across this handle's writers, handleID across handles of the same
-	// directory in this process (two racing bulk loads must not collide
-	// on ingest temporaries; cross-process races remain best-effort,
-	// like the commit CAS itself).
+	// handleID and nameSeq make staged file names unique across this
+	// process's handles (see stage); cross-process races remain
+	// best-effort, like the commit CAS itself.
 	handleID uint64
 	nameSeq  atomic.Uint64
 
@@ -355,30 +347,27 @@ func backendFor(dir string, opts *Options) (storage.Backend, error) {
 	return storage.NewLocal(dir)
 }
 
-// Create initializes a new dataset directory with an empty generation-1
-// manifest. The directory is created if needed; it must not already hold a
-// dataset.
+// Create initializes a new dataset directory by committing an empty
+// generation 1 — the same commit every mutation makes, CASing on a
+// directory that holds no dataset yet (ErrGenerationConflict if it does).
+// The directory is created if needed.
 func Create(dir string, schema *core.Schema, opts *Options) (*Dataset, error) {
 	if schema == nil || len(schema.Fields) == 0 {
 		return nil, fmt.Errorf("dataset: schema required")
 	}
-	b, err := backendFor(dir, opts)
+	d, err := newHandle(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := storage.ReadFile(b, currentName); err == nil {
-		return nil, fmt.Errorf("dataset: %s already holds a dataset", dir)
+	// Generation 0 is the empty directory.
+	d.gen = &generation{
+		manifest: &Manifest{SchemaFP: schema.Fingerprint(), Schema: fieldDefs(schema)},
+		schema:   schema,
 	}
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Generation: 1,
-		SchemaFP:   schema.Fingerprint(),
-		Schema:     fieldDefs(schema),
-	}
-	if err := writeManifest(b, m, 0); err != nil {
+	if err := d.commit(nil, func(*Manifest) error { return nil }); err != nil {
 		return nil, err
 	}
-	return Open(dir, opts)
+	return d, nil
 }
 
 // handleSeq numbers dataset handles process-wide (see Dataset.handleID).
@@ -404,60 +393,68 @@ func newHandle(dir string, opts *Options) (*Dataset, error) {
 // generation. dir may be an http(s):// URL naming a dataset published
 // over HTTP (see storage.NewHTTP): the dataset opens read-only behind
 // the default resilience policy, and mutating operations fail with
-// storage.ErrReadOnly. Unless Options.DisableRecoverySweep is set, Open first
-// garbage-collects orphaned temporary files — debris a crash mid-commit
-// can leave behind. (Like Vacuum, the sweep assumes no ShardedWriter is
-// concurrently active on another handle of the same directory: an
-// in-flight bulk load's unrenamed shards are indistinguishable from
-// crash debris.)
+// storage.ErrReadOnly. Open first garbage-collects orphaned temporary
+// files — debris a crash mid-commit can leave behind. (Like Vacuum, the
+// sweep assumes no ShardedWriter or Compact is concurrently active on
+// another handle of the same directory: their staged files are
+// indistinguishable from crash debris.)
 func Open(dir string, opts *Options) (*Dataset, error) {
 	d, err := newHandle(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	b := d.backend
-	if !d.opts.DisableRecoverySweep {
-		sweepTempDebris(b)
-	}
-	m, err := loadManifest(b)
+	sweepTempDebris(d.backend)
+	m, err := loadManifest(d.backend)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := d.newGeneration(m, nil)
-	if err != nil {
+	if d.gen, err = d.newGeneration(m, nil); err != nil {
 		return nil, err
 	}
-	d.gen = gen
 	return d, nil
 }
 
-// isTempDebris reports whether name is a commit temporary: crash debris
-// once no commit is in flight. Covers the current deterministic ".tmp"
-// names and the ".tmp-" random suffixes earlier releases wrote.
-func isTempDebris(name string) bool {
-	return strings.HasSuffix(name, ".tmp") || strings.Contains(name, ".tmp-")
+// fileKind is what a dataset-directory name holds (see kindOf).
+type fileKind int
+
+const (
+	foreignFile fileKind = iota // not written by this package: never touched
+	tempFile                    // staged part or commit temporary: debris once no commit is in flight
+	partFile
+	manifestFile
+)
+
+// kindOf classifies name — the one question the recovery sweep, Vacuum
+// and Fsck ask of a directory listing. Temporaries end in ".tmp" (or
+// carry the ".tmp-" random suffix earlier releases wrote).
+func kindOf(name string) fileKind {
+	switch {
+	case strings.HasSuffix(name, ".tmp") || strings.Contains(name, ".tmp-"):
+		return tempFile
+	case strings.HasPrefix(name, "part-"):
+		return partFile
+	case strings.HasPrefix(name, "manifest-"):
+		return manifestFile
+	}
+	return foreignFile
 }
 
 // sweepTempDebris removes orphaned temporaries, best-effort: recovery
 // must never make Open fail on a dataset that is otherwise readable.
-func sweepTempDebris(b storage.Backend) []string {
+func sweepTempDebris(b storage.Backend) {
 	names, err := b.List()
 	if err != nil {
-		return nil
+		return
 	}
-	var removed []string
+	removed := false
 	for _, name := range names {
-		if !isTempDebris(name) {
-			continue
-		}
-		if b.Remove(name) == nil {
-			removed = append(removed, name)
+		if kindOf(name) == tempFile && b.Remove(name) == nil {
+			removed = true
 		}
 	}
-	if removed != nil {
+	if removed {
 		b.SyncDir()
 	}
-	return removed
 }
 
 // resolveCache applies the Options cache policy (see Options.Cache):
@@ -495,9 +492,10 @@ func (d *Dataset) swapGeneration(g *generation) {
 // generation and swaps it in. mutate receives the copy (files slice is
 // cloned; entries may be appended, replaced, or removed). publish, if
 // non-nil, runs inside the commit critical section after the generation
-// CAS passes — it is where mutators rename their data files to final
+// CAS passes — it is where commitStaged renames staged files to final
 // generation-derived names, so a commit that is doomed to lose the CAS
-// never clobbers the winner's files. Callers must hold d.mu.
+// never clobbers the winner's files. Callers must hold d.mu (Create's
+// handle is not shared yet).
 func (d *Dataset) commit(publish func() error, mutate func(m *Manifest) error) error {
 	prev := d.generationSnapshot()
 	next := *prev.manifest
@@ -696,7 +694,7 @@ type VacuumReport struct {
 // pinned by a tag (see Tag), by a live Scanner, or by an open OpenAt
 // handle keep their manifests and member files. ShardedWriter must still
 // not be active on any handle of the directory — an in-flight bulk
-// load's unrenamed shards are indistinguishable from crash debris. The
+// load's staged shards are indistinguishable from crash debris. The
 // report says what was removed and what was retained; on a partial
 // failure it covers the files removed before the error.
 func (d *Dataset) Vacuum() (*VacuumReport, error) {
@@ -757,11 +755,8 @@ func (d *Dataset) Vacuum() (*VacuumReport, error) {
 			rep.RetainedFiles = append(rep.RetainedFiles, name)
 			continue
 		}
-		// Only reclaim files this package writes: member parts, superseded
-		// manifests, abandoned ingest shards, and commit temporaries.
-		// Anything else in the directory is not ours to delete.
-		if !strings.HasPrefix(name, "part-") && !strings.HasPrefix(name, "manifest-") &&
-			!strings.HasPrefix(name, "ingest-") && !isTempDebris(name) {
+		// Anything this package did not write is not ours to delete.
+		if kindOf(name) == foreignFile {
 			continue
 		}
 		if err := d.backend.Remove(name); err != nil {

@@ -53,8 +53,8 @@ type FsckReport struct {
 	// Retained generations' files are referenced, never orphans.
 	Tags     map[string]uint64 `json:"tags,omitempty"`
 	Retained []FsckRetained    `json:"retained,omitempty"`
-	// OrphanTmps are commit temporaries (*.tmp) — crash debris the Open
-	// recovery sweep (or Vacuum) removes. OrphanParts are part files no
+	// OrphanTmps are staged parts and commit temporaries (*.tmp) — crash
+	// debris the Open recovery sweep (or Vacuum) removes. OrphanParts are part files no
 	// longer referenced by the current generation and OrphanManifests are
 	// superseded generations; both are normal after commits and crashes
 	// alike and are reclaimed only by Vacuum, since readers may still be
@@ -138,12 +138,12 @@ func Fsck(dir string, opts *Options, deep bool) (*FsckReport, error) {
 		if referenced[name] {
 			continue
 		}
-		switch {
-		case isTempDebris(name):
+		switch kindOf(name) {
+		case tempFile:
 			report.OrphanTmps = append(report.OrphanTmps, name)
-		case strings.HasPrefix(name, "part-") || strings.HasPrefix(name, "ingest-"):
+		case partFile:
 			report.OrphanParts = append(report.OrphanParts, name)
-		case strings.HasPrefix(name, "manifest-"):
+		case manifestFile:
 			report.OrphanManifests = append(report.OrphanManifests, name)
 		}
 	}

@@ -21,29 +21,30 @@
 // # Durability and crash recovery
 //
 // All dataset I/O flows through a storage.Backend (local FS by default;
-// Options.Backend overrides it), and the commit protocol is
-// crash-consistent against power cuts:
+// Options.Backend overrides it). Every generation, Create's empty
+// generation 1 included, is published by one commit path, crash-consistent
+// against power cuts:
 //
-//   - Member file contents are fsynced before the file is renamed to its
-//     final part name, and the directory is fsynced after the renames, so
-//     a manifest can never reference bytes that are not durable.
+//   - New member bytes (ShardedWriter, Append, Compact) are staged in a
+//     handle-unique temporary, fsynced, and renamed to their final
+//     part-<gen>-<i>.bln name inside the commit, after the generation CAS;
+//     a directory fsync follows, so a manifest never references bytes
+//     that are not durable.
 //   - Both steps of a manifest commit — the manifest generation file and
 //     the CURRENT pointer swap — are temp-write + fsync + rename + fsync
-//     of the directory. After any mutation (ShardedWriter.Close, Append,
-//     Delete, Compact) returns nil, the new generation survives a power
-//     cut; a crash mid-commit leaves the previous generation intact.
+//     of the directory. After any mutation returns nil, the new generation
+//     survives a power cut; a crash mid-commit leaves the previous one.
 //   - Commits CAS on the generation number: the CURRENT pointer is
 //     re-read under a per-directory critical section and the commit fails
-//     with ErrGenerationConflict if another handle moved it. The losing
-//     mutator cleans up its files and the dataset is unchanged.
+//     with ErrGenerationConflict if another handle moved it (Create's, if
+//     the directory already holds a dataset). The loser removes its staged
+//     files and the dataset is unchanged.
 //   - Delete writes nothing but its manifest generation, so a crash
 //     leaves either all of a Delete's rows deleted or none of them.
 //
-// A crash between publishing part files and committing the manifest
-// strands orphans. OpenDataset sweeps *.tmp debris automatically (see
-// Options.DisableRecoverySweep); Vacuum additionally reclaims
-// unreferenced part files and superseded manifests; Fsck reports all of
-// it without deleting anything.
+// A crash between staging and commit strands orphans. Open sweeps *.tmp
+// debris; Vacuum also reclaims unreferenced part files and superseded
+// manifests; Fsck reports all of it without deleting anything.
 package dataset
 
 import (
@@ -316,20 +317,6 @@ func checkGeneration(b storage.Backend, prevGen uint64) error {
 			ErrGenerationConflict, got, manifestName(prevGen))
 	}
 	return nil
-}
-
-// writeManifest commits m as the backend's live generation, CASing on
-// prevGen, under the directory's commit lock. Mutators that publish data
-// files under generation-derived names use Dataset.commit instead, which
-// holds the lock across the renames too.
-func writeManifest(b storage.Backend, m *Manifest, prevGen uint64) error {
-	lock := commitLock(b.Root())
-	lock.Lock()
-	defer lock.Unlock()
-	if err := checkGeneration(b, prevGen); err != nil {
-		return err
-	}
-	return writeManifestLocked(b, m)
 }
 
 // writeManifestLocked publishes m — the manifest file first, then the

@@ -1,11 +1,9 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 
 	"bullion/internal/core"
-	"bullion/internal/storage"
 )
 
 // ShardedWriter routes ingest batches across N target member files, each
@@ -14,27 +12,19 @@ import (
 // call, so N concurrent encode pipelines stay busy while the file layout
 // remains deterministic for a given batch sequence.
 //
-// A ShardedWriter must be used from a single goroutine and Close must
-// always be called; until Close commits, the dataset is unchanged and the
-// shard files exist only under temporary names. A failed Write or Close
-// removes the temporaries and leaves the manifest untouched.
+// Each shard is a staged member (see stage): until Close commits, the
+// dataset is unchanged and the shard files exist only under temporary
+// names. A ShardedWriter must be used from a single goroutine and Close
+// must always be called. A failed Write or Close removes the temporaries
+// and leaves the manifest untouched.
 type ShardedWriter struct {
-	d      *Dataset
-	shards []*swShard
-	next   int
-	rows   uint64
-	err    error
-	closed bool
-}
-
-type swShard struct {
-	tmpName string
-	f       storage.File
-	w       *core.Writer
-	// stats is the writer's WrittenStats, captured when the shard closes;
-	// the commit lifts its manifest entry from here instead of reopening
-	// the file.
-	stats *core.WrittenStats
+	d *Dataset
+	// files[i] is shard i's staged file, written by writers[i]; both are
+	// nil once the load is closed or failed.
+	files   []*staged
+	writers []*core.Writer
+	next    int
+	err     error
 }
 
 // ShardedWriter starts a bulk load across n new member files.
@@ -45,23 +35,19 @@ func (d *Dataset) ShardedWriter(n int) (*ShardedWriter, error) {
 	if d.snapshot {
 		return nil, ErrSnapshotReadOnly
 	}
-	gen := d.generationSnapshot()
-	sw := &ShardedWriter{d: d, shards: make([]*swShard, n)}
-	for i := range sw.shards {
-		tmpName := fmt.Sprintf("ingest-%d-%d-%d.tmp", d.handleID, d.nameSeq.Add(1), i)
-		f, err := d.backend.Create(tmpName)
+	schema := d.Schema()
+	sw := &ShardedWriter{d: d}
+	for range n {
+		s, err := d.stage()
 		if err != nil {
-			sw.discard()
-			return nil, err
+			return nil, sw.fail(err)
 		}
-		w, err := core.NewWriter(f, gen.schema, d.writerOpts())
+		sw.files = append(sw.files, s)
+		w, err := core.NewWriter(s.f, schema, d.writerOpts())
 		if err != nil {
-			f.Close()
-			d.backend.Remove(tmpName)
-			sw.discard()
-			return nil, err
+			return nil, sw.fail(err)
 		}
-		sw.shards[i] = &swShard{tmpName: tmpName, f: f, w: w}
+		sw.writers = append(sw.writers, w)
 	}
 	return sw, nil
 }
@@ -72,143 +58,60 @@ func (sw *ShardedWriter) Write(batch *core.Batch) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sw.closed {
+	if sw.writers == nil {
 		return fmt.Errorf("dataset: sharded writer closed")
 	}
-	sh := sw.shards[sw.next]
-	sw.next = (sw.next + 1) % len(sw.shards)
-	if err := sh.w.Write(batch); err != nil {
-		sw.err = err
-		sw.discard()
-		return err
+	w := sw.writers[sw.next]
+	sw.next = (sw.next + 1) % len(sw.writers)
+	if err := w.Write(batch); err != nil {
+		return sw.fail(err)
 	}
-	sw.rows += uint64(batch.NumRows())
 	return nil
 }
 
-// discard tears down every shard and removes its on-disk file (temporary
-// or renamed-but-uncommitted).
-func (sw *ShardedWriter) discard() {
-	for _, sh := range sw.shards {
-		if sh == nil {
-			continue
-		}
-		if sh.w != nil {
-			sh.w.Close() // joins the pipeline; error irrelevant, file is doomed
-		}
-		if sh.f != nil {
-			sh.f.Close()
-		}
-		sh.w, sh.f = nil, nil
-		sw.d.backend.Remove(sh.tmpName)
+// fail makes err sticky and tears the load down: every shard writer is
+// joined and every staged file removed.
+func (sw *ShardedWriter) fail(err error) error {
+	for _, w := range sw.writers {
+		w.Close() // joins the pipeline; error irrelevant, the file is doomed
 	}
+	sw.d.discard(sw.files)
+	sw.writers, sw.files, sw.err = nil, nil, err
+	return err
 }
 
 // Close finishes every shard file and commits the non-empty ones to the
-// manifest as one new generation. Closing a writer that wrote no rows is
-// a no-op commit.
+// manifest as one new generation, named in shard order. Closing a writer
+// that wrote no rows is a no-op commit.
 func (sw *ShardedWriter) Close() error {
-	if sw.err != nil {
+	if sw.err != nil || sw.writers == nil {
 		return sw.err
 	}
-	if sw.closed {
-		return nil
+	var full, empty []*staged
+	for i, w := range sw.writers {
+		err := w.Close()
+		if err == nil {
+			err = sw.files[i].seal(w.WrittenStats())
+		}
+		if err != nil {
+			return sw.fail(err)
+		}
+		if sw.files[i].stats.NumRows == 0 {
+			empty = append(empty, sw.files[i])
+		} else {
+			full = append(full, sw.files[i])
+		}
 	}
-	sw.closed = true
-	for _, sh := range sw.shards {
-		if err := sh.w.Close(); err != nil {
-			sw.err = err
-			sw.discard()
-			return err
-		}
-		sh.stats = sh.w.WrittenStats()
-		// Force the shard's bytes durable before it is renamed into place:
-		// a committed manifest must never reference a member whose contents
-		// a power cut could still truncate.
-		if err := sh.f.Sync(); err != nil {
-			sw.err = err
-			sw.discard()
-			return err
-		}
-		if err := sh.f.Close(); err != nil {
-			sw.err = err
-			sw.discard()
-			return err
-		}
-		sh.w, sh.f = nil, nil
+	sw.d.discard(empty)
+	sw.writers, sw.files = nil, nil
+	if len(full) == 0 {
+		return nil
 	}
 
 	sw.d.mu.Lock()
 	defer sw.d.mu.Unlock()
-	gen := sw.d.generationSnapshot().manifest.Generation + 1
-	schemaFP := sw.d.Schema().Fingerprint()
-
-	// Lift each shard's manifest entry from the statistics its own writer
-	// surfaced at Close (the writer-side stats piggyback): a shard file is
-	// never opened between Write and the manifest commit. On any failure,
-	// discard removes every shard file — including ones already renamed,
-	// whose tmpName tracks the final name.
-	var entries []FileEntry
-	var renames []*swShard
-	fail := func(err error) error {
-		sw.discard()
-		sw.err = err
-		return err
-	}
-	for i, sh := range sw.shards {
-		ws := sh.stats
-		if ws == nil {
-			return fail(fmt.Errorf("dataset: shard %d closed without stats", i))
-		}
-		if ws.NumRows == 0 {
-			sw.d.backend.Remove(sh.tmpName)
-			continue
-		}
-		entries = append(entries, entryFromWritten(fmt.Sprintf("part-%06d-%03d.bln", gen, i), schemaFP, ws))
-		renames = append(renames, sh)
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	// The renames to final generation-derived part names run inside the
-	// commit critical section, after the generation CAS: a racing commit
-	// that already moved CURRENT fails cleanly before touching any final
-	// name another committer may own. The directory sync makes the
-	// renames durable before the manifest references them; the commit
-	// dir-syncs again after the CURRENT swap.
-	publish := func() error {
-		for j, sh := range renames {
-			if err := sw.d.backend.Rename(sh.tmpName, entries[j].Name); err != nil {
-				return err
-			}
-			sh.tmpName = entries[j].Name
-		}
-		return sw.d.backend.SyncDir()
-	}
-	if err := sw.d.commit(publish, func(m *Manifest) error {
-		for _, e := range entries {
-			if e.SchemaFP != m.SchemaFP {
-				return fmt.Errorf("dataset: shard %s fingerprint %s != dataset %s",
-					e.Name, e.SchemaFP, m.SchemaFP)
-			}
-		}
+	sw.err = sw.d.commitStaged(full, func(m *Manifest, entries []FileEntry) {
 		m.Files = append(m.Files, entries...)
-		return nil
-	}); err != nil {
-		if errors.Is(err, ErrCommitIndeterminate) {
-			// The CURRENT swap may have landed: the part files may be
-			// referenced, so they must stay. Vacuum reclaims them if the
-			// swap turns out to have failed.
-			sw.err = err
-			return err
-		}
-		return fail(err)
-	}
-	return nil
+	})
+	return sw.err
 }
-
-// NumRows reports rows written so far across all shards.
-func (sw *ShardedWriter) NumRows() uint64 { return sw.rows }
-
-// NumShards returns the target file count.
-func (sw *ShardedWriter) NumShards() int { return len(sw.shards) }
