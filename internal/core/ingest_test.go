@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -115,33 +116,81 @@ func TestWriterErrorAtFooter(t *testing.T) {
 }
 
 // TestParallelWriterDeterminism: the pipelined writer must emit
-// byte-identical files at every worker count and in-flight bound.
+// byte-identical files at every worker count and in-flight bound. Besides
+// the golden table it writes a column the selector stores as Huffman in a
+// Level-1 file (Level 2 excludes Huffman), whose code lengths hinge on how
+// frequency ties are broken.
 func TestParallelWriterDeterminism(t *testing.T) {
 	schema, batch, opts := goldenTable(t)
-	write := func(workers, inflight int) []byte {
-		o := opts.clone()
-		o.EncodeWorkers = workers
-		o.MaxInflightGroups = inflight
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, schema, o)
-		if err != nil {
-			t.Fatal(err)
+	schema, batch = withHuffmanColumn(t, schema, batch)
+	for _, level := range []Level{Level2, Level1} {
+		write := func(workers, inflight int) []byte {
+			o := opts.clone()
+			o.Compliance = level
+			o.EncodeWorkers = workers
+			o.MaxInflightGroups = inflight
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, schema, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
 		}
-		if err := w.Write(batch); err != nil {
-			t.Fatal(err)
+		base := write(1, 1)
+		if level == Level1 {
+			f, err := Open(bytes.NewReader(base), int64(len(base)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols := f.Stats().Columns; cols[len(cols)-1].Encodings[enc.Huffman] == 0 {
+				t.Fatalf("no page of the skewed column is Huffman: %v", cols[len(cols)-1].Encodings)
+			}
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+		for _, cfg := range [][2]int{{2, 2}, {4, 3}, {8, 0}, {0, 0}} {
+			if got := write(cfg[0], cfg[1]); !bytes.Equal(got, base) {
+				t.Fatalf("Level%d EncodeWorkers=%d MaxInflightGroups=%d produced different bytes (%d vs %d)",
+					level, cfg[0], cfg[1], len(got), len(base))
+			}
 		}
-		return buf.Bytes()
 	}
-	base := write(1, 1)
-	for _, cfg := range [][2]int{{2, 2}, {4, 3}, {8, 0}, {0, 0}} {
-		if got := write(cfg[0], cfg[1]); !bytes.Equal(got, base) {
-			t.Fatalf("EncodeWorkers=%d MaxInflightGroups=%d produced different bytes (%d vs %d)",
-				cfg[0], cfg[1], len(got), len(base))
+}
+
+// withHuffmanColumn appends a column of one dominant value (65%) and seven
+// rare wide values drawn with equal probability: Huffman beats Dictionary
+// (whose codes pay for the mask entry) and fixed-width packing, and the
+// rare values' frequencies tie often.
+func withHuffmanColumn(t *testing.T, schema *Schema, batch *Batch) (*Schema, *Batch) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(24))
+	var syms [8]int64
+	for i := range syms {
+		syms[i] = rng.Int63n(1 << 40)
+	}
+	n := batch.Columns[0].Len()
+	col := make(Int64Data, n)
+	for i := range col {
+		if u := rng.Intn(20); u < 13 {
+			col[i] = syms[0]
+		} else {
+			col[i] = syms[1+u-13]
 		}
 	}
+	fields := append(append([]Field{}, schema.Fields...), Field{Name: "bucket", Type: Type{Kind: Int64}})
+	s, err := NewSchema(fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBatch(s, append(append([]ColumnData{}, batch.Columns...), col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, b
 }
 
 // TestSelectorCacheAmortizesAcrossGroups: on a multi-group file the

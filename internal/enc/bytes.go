@@ -3,6 +3,7 @@ package enc
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sort"
 )
 
@@ -58,8 +59,18 @@ func encodeBytesDepth(dst []byte, vs [][]byte, opts *Options, depth int) ([]byte
 	if depth == 0 && opts.Cache != nil {
 		return opts.Cache.encodeBytes(dst, vs, opts)
 	}
-	id := chooseBytesScheme(vs, opts, depth)
-	return encodeBytesWithDepth(dst, id, vs, opts, depth)
+	_, out, err := encodeBytesChosen(dst, vs, opts, depth)
+	return out, err
+}
+
+// encodeBytesChosen mirrors encodeIntsChosen for byte-string streams.
+func encodeBytesChosen(dst []byte, vs [][]byte, opts *Options, depth int) (SchemeID, []byte, error) {
+	id, trial := chooseBytesScheme(vs, opts, depth)
+	if trial != nil {
+		return id, append(dst, trial...), nil
+	}
+	out, err := encodeBytesWithDepth(dst, id, vs, opts, depth)
+	return id, out, err
 }
 
 func encodeBytesWithDepth(dst []byte, id SchemeID, vs [][]byte, opts *Options, depth int) ([]byte, error) {
@@ -243,8 +254,20 @@ func decodeChunkedBytes(dst [][]byte, src []byte) ([][]byte, error) {
 		return nil, err
 	}
 	total, sz := binary.Uvarint(src)
-	if sz <= 0 {
+	if sz <= 0 || total > math.MaxInt {
 		return nil, corruptf("chunkedb: bad total length")
+	}
+	// The lengths must add up to total exactly; each step is checked
+	// against what is left, so the sum cannot overflow.
+	left := total
+	for _, l := range lens {
+		if l < 0 || uint64(l) > left {
+			return nil, corruptf("chunkedb: lengths exceed total %d", total)
+		}
+		left -= uint64(l)
+	}
+	if left != 0 {
+		return nil, corruptf("chunkedb: lengths sum to %d, total %d", total-left, total)
 	}
 	cat, err := readFlateChunks(src[sz:], int(total))
 	if err != nil {
@@ -252,9 +275,6 @@ func decodeChunkedBytes(dst [][]byte, src []byte) ([][]byte, error) {
 	}
 	off := 0
 	for i, l := range lens {
-		if l < 0 || off+int(l) > len(cat) {
-			return nil, corruptf("chunkedb: lengths overflow payload")
-		}
 		dst[i] = cat[off : off+int(l)]
 		off += int(l)
 	}

@@ -6,6 +6,13 @@ package enc
 // linear objective over compressed size and relative encode/decode cost
 // (Options.WriteWeight / Options.ReadWeight). Composite winners cascade
 // into their sub-streams up to Options.MaxDepth.
+//
+// When the stream fits in one sample (every 128-row page and most sparse
+// value streams), the sample *is* the stream, so the winning trial is
+// already the stream's encoding: the choose* functions return it and the
+// encoders append it instead of encoding the winner — and, for a composite
+// winner, re-running its whole child selection — a second time. Encoding
+// is deterministic, so the bytes are the same either way.
 
 // relCost holds unit-less relative encode/decode costs per scheme, measured
 // once against Plain=1 on this package's benchmarks. They only steer the
@@ -83,6 +90,10 @@ func sampleFloats(vs []float64, size int) []float64 {
 	return out
 }
 
+// bytesSampleSize is the number of byte strings trial-encoded when
+// selecting: blobs are heavier than ints, so the sample is smaller.
+func bytesSampleSize(opts *Options) int { return max(opts.SampleSize/8, 16) }
+
 // sampleBytes mirrors sampleInts for byte-string streams: strided
 // contiguous runs, so a locally duplicate-heavy prefix (e.g. a masked
 // page) cannot misrepresent the whole stream's cardinality.
@@ -105,16 +116,18 @@ func sampleBytes(vs [][]byte, size int) [][]byte {
 }
 
 // chooseIntScheme nominates candidates from statistics and returns the
-// lowest-cost scheme for vs at the given cascade depth.
-func chooseIntScheme(vs []int64, opts *Options, depth int) SchemeID {
+// lowest-cost scheme for vs at the given cascade depth. When the sample is
+// vs itself it also returns the winning trial, which is then the complete
+// encoding of vs; otherwise the returned stream is nil.
+func chooseIntScheme(vs []int64, opts *Options, depth int) (SchemeID, []byte) {
 	if len(vs) == 0 {
-		return Plain
+		return Plain, nil
 	}
 	sample := sampleInts(vs, opts.SampleSize)
 	s := statsOf(sample)
 
 	if s.distinct == 1 && statsOf(vs).distinct == 1 && opts.allows(Constant) {
-		return Constant
+		return Constant, nil
 	}
 
 	terminal := depth >= opts.MaxDepth
@@ -162,10 +175,11 @@ func chooseIntScheme(vs []int64, opts *Options, depth int) SchemeID {
 		add(Chunked)
 	}
 	if len(cands) == 0 {
-		return Plain
+		return Plain, nil
 	}
 
 	best, bestScore := Plain, -1.0
+	var bestTrial []byte
 	for _, id := range cands {
 		trial, err := encodeIntsWithDepth(nil, id, sample, opts, depth)
 		if err != nil {
@@ -173,10 +187,20 @@ func chooseIntScheme(vs []int64, opts *Options, depth int) SchemeID {
 		}
 		score := objective(float64(len(trial)), intCosts[id], opts)
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = id, score
+			best, bestScore, bestTrial = id, score, trial
 		}
 	}
-	return best
+	return best, wholeTrial(bestTrial, len(sample) == len(vs))
+}
+
+// wholeTrial returns the winning trial when the sample was the whole
+// stream (the sample* functions return the stream itself whenever it fits)
+// and nil otherwise.
+func wholeTrial(trial []byte, whole bool) []byte {
+	if !whole {
+		return nil
+	}
+	return trial
 }
 
 // objective is the linear scoring function: size dominates, encode/decode
@@ -186,9 +210,9 @@ func objective(size float64, c relCost, opts *Options) float64 {
 }
 
 // chooseFloatScheme mirrors chooseIntScheme for float64 streams.
-func chooseFloatScheme(vs []float64, opts *Options, depth int) SchemeID {
+func chooseFloatScheme(vs []float64, opts *Options, depth int) (SchemeID, []byte) {
 	if len(vs) == 0 {
-		return PlainF
+		return PlainF, nil
 	}
 	allConst := true
 	for _, v := range vs {
@@ -198,7 +222,7 @@ func chooseFloatScheme(vs []float64, opts *Options, depth int) SchemeID {
 		}
 	}
 	if allConst && opts.allows(ConstantF) {
-		return ConstantF
+		return ConstantF, nil
 	}
 	sample := sampleFloats(vs, opts.SampleSize)
 	var cands []SchemeID
@@ -216,6 +240,7 @@ func chooseFloatScheme(vs []float64, opts *Options, depth int) SchemeID {
 		add(ChunkedF)
 	}
 	best, bestScore := PlainF, -1.0
+	var bestTrial []byte
 	for _, id := range cands {
 		trial, err := encodeFloatsWithDepth(nil, id, sample, opts, depth)
 		if err != nil {
@@ -223,16 +248,16 @@ func chooseFloatScheme(vs []float64, opts *Options, depth int) SchemeID {
 		}
 		score := objective(float64(len(trial)), floatCosts[id], opts)
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = id, score
+			best, bestScore, bestTrial = id, score, trial
 		}
 	}
-	return best
+	return best, wholeTrial(bestTrial, len(sample) == len(vs))
 }
 
 // chooseBytesScheme mirrors chooseIntScheme for [][]byte streams.
-func chooseBytesScheme(vs [][]byte, opts *Options, depth int) SchemeID {
+func chooseBytesScheme(vs [][]byte, opts *Options, depth int) (SchemeID, []byte) {
 	if len(vs) == 0 {
-		return PlainB
+		return PlainB, nil
 	}
 	allConst := true
 	for _, v := range vs {
@@ -242,13 +267,9 @@ func chooseBytesScheme(vs [][]byte, opts *Options, depth int) SchemeID {
 		}
 	}
 	if allConst && opts.allows(ConstantB) {
-		return ConstantB
+		return ConstantB, nil
 	}
-	size := opts.SampleSize / 8 // blobs are heavier than ints; smaller sample
-	if size < 16 {
-		size = 16
-	}
-	sample := sampleBytes(vs, size)
+	sample := sampleBytes(vs, bytesSampleSize(opts))
 	var cands []SchemeID
 	add := func(id SchemeID) {
 		if opts.allows(id) {
@@ -262,6 +283,7 @@ func chooseBytesScheme(vs [][]byte, opts *Options, depth int) SchemeID {
 		add(ChunkedB)
 	}
 	best, bestScore := PlainB, -1.0
+	var bestTrial []byte
 	for _, id := range cands {
 		trial, err := encodeBytesWithDepth(nil, id, sample, opts, depth)
 		if err != nil {
@@ -269,8 +291,8 @@ func chooseBytesScheme(vs [][]byte, opts *Options, depth int) SchemeID {
 		}
 		score := objective(float64(len(trial)), bytesCosts[id], opts)
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = id, score
+			best, bestScore, bestTrial = id, score, trial
 		}
 	}
-	return best
+	return best, wholeTrial(bestTrial, len(sample) == len(vs))
 }

@@ -1,6 +1,8 @@
 package enc
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ func TestSelectorMatchesDistribution(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			vs := c.gen(rng, 8192)
-			id := chooseIntScheme(vs, opts, 0)
+			id, _ := chooseIntScheme(vs, opts, 0)
 			if !c.want[id] {
 				t.Errorf("selector picked %v for %s data", id, c.name)
 			}
@@ -133,6 +135,84 @@ func TestObjectiveWeights(t *testing.T) {
 	c := intCosts[Chunked]
 	if objective(100, c, readHeavy) <= objective(100, c, sizeOnly) {
 		t.Fatal("read weight did not increase Chunked's cost")
+	}
+}
+
+// TestTrialReuseMatchesReencode: when the sample is the whole stream the
+// encoders append the selector's winning trial instead of encoding again.
+// On both sides of the sample-size boundary, with and without a
+// SelectorCache, the output must equal a fresh encode with the chosen
+// scheme, and the selector must hand back a trial only for a whole-stream
+// sample.
+func TestTrialReuseMatchesReencode(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fresh := DefaultOptions()
+	around := func(n int) []int { return []int{n - 1, n, n + 1} }
+	for _, cached := range []bool{false, true} {
+		for _, tc := range intSchemes {
+			opts := trialOpts(cached)
+			for _, n := range around(opts.SampleSize) {
+				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh,
+					EncodeInts, EncodeIntsWith, chooseIntScheme)
+			}
+		}
+		for _, tc := range floatSchemes {
+			opts := trialOpts(cached)
+			for _, n := range around(opts.SampleSize) {
+				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh,
+					EncodeFloats, EncodeFloatsWith, chooseFloatScheme)
+			}
+		}
+		for _, tc := range bytesSchemes {
+			opts := trialOpts(cached)
+			for _, n := range around(bytesSampleSize(opts)) {
+				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= bytesSampleSize(opts), opts, fresh,
+					EncodeBytes, EncodeBytesWith, chooseBytesScheme)
+			}
+		}
+	}
+}
+
+// trialOpts returns default options, with a fresh selector cache when
+// cached: the three lengths of one generator then run as successive pages
+// of one column.
+func trialOpts(cached bool) *Options {
+	if cached {
+		return cachedOpts()
+	}
+	return DefaultOptions()
+}
+
+func checkTrialReuse[T any](t *testing.T, gen SchemeID, vs []T, whole bool, opts, fresh *Options,
+	encode func([]byte, []T, *Options) ([]byte, error),
+	encodeWith func([]byte, SchemeID, []T, *Options) ([]byte, error),
+	choose func([]T, *Options, int) (SchemeID, []byte),
+) {
+	t.Helper()
+	name := fmt.Sprintf("%v data, n=%d, cached=%v", gen, len(vs), opts.Cache != nil)
+	if opts.Cache != nil {
+		opts.Cache.BeginPage()
+	}
+	got, err := encode(nil, vs, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := encodeWith(nil, TopScheme(got), vs, fresh)
+	if err != nil {
+		t.Fatalf("%s: re-encode as %v: %v", name, TopScheme(got), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: encoded %d bytes, a fresh %v encode %d bytes", name, len(got), TopScheme(got), len(want))
+	}
+	id, trial := choose(vs, fresh, 0)
+	if opts.Cache == nil && id != TopScheme(got) {
+		t.Errorf("%s: selector chose %v but the stream is %v", name, id, TopScheme(got))
+	}
+	if trial == nil && whole && id != Constant && id != ConstantF && id != ConstantB {
+		t.Errorf("%s: whole-stream sample returned no trial for %v", name, id)
+	}
+	if trial != nil && !whole {
+		t.Errorf("%s: partial sample returned a trial", name)
 	}
 }
 

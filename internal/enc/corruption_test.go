@@ -1,7 +1,13 @@
 package enc
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bullion/internal/bitutil"
@@ -150,6 +156,97 @@ func TestNullableDecodersSurviveCorruption(t *testing.T) {
 		noPanic(t, "nullable", func() {
 			_, _, _ = DecodeNullableInts(bad, n)
 		})
+	}
+}
+
+// TestChunkedBytesHostileTotal: a ~20-byte ChunkedB page whose declared
+// total is absurd, or disagrees with its lengths, must be rejected before
+// anything is sized from it.
+func TestChunkedBytesHostileTotal(t *testing.T) {
+	valid, err := EncodeBytesWith(nil, ChunkedB, [][]byte{[]byte("ab"), []byte("c")}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, err := readChild(valid[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := valid[:len(valid)-len(rest)] // scheme id + lengths child
+	_, sz := binary.Uvarint(rest)
+	chunks := rest[sz:]
+	for _, total := range []uint64{1 << 62, 1<<64 - 1, 1 << 63, 4, 2, 0} {
+		page := binary.AppendUvarint(append([]byte{}, head...), total)
+		page = append(page, chunks...)
+		noPanic(t, fmt.Sprintf("total %d", total), func() {
+			if _, err := DecodeBytes(page, 2); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("total %d in a %d-byte page: got %v, want ErrCorrupt", total, len(page), err)
+			}
+		})
+	}
+	if got, err := DecodeBytes(valid, 2); err != nil || string(got[0])+string(got[1]) != "abc" {
+		t.Fatalf("valid page: %q, %v", got, err)
+	}
+}
+
+// TestChunkedDecompressionBounded: a chunk that inflates to 16 MiB must
+// fail with ErrCorrupt after inflating no more than the bytes it may hold —
+// those 8 values need, or one ChunkSize chunk of a ChunkedB page declaring
+// 1 TiB — not after the whole bomb.
+func TestChunkedDecompressionBounded(t *testing.T) {
+	var bomb bytes.Buffer
+	fw, err := flate.NewWriter(&bomb, flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 16; i++ {
+		if _, err := fw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// bombFirst is a chunk sequence of n chunks whose first one is the bomb.
+	bombFirst := func(n uint64) []byte {
+		b := binary.AppendUvarint(nil, n)
+		b = binary.AppendUvarint(b, uint64(bomb.Len()))
+		return append(b, bomb.Bytes()...)
+	}
+	// chunkedB is the head of a one-value ChunkedB page of the given length.
+	chunkedB := func(total int64) []byte {
+		lens, err := EncodeIntsWith(nil, Plain, []int64{total}, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.AppendUvarint(appendChild([]byte{byte(ChunkedB)}, lens), uint64(total))
+	}
+	decodeInts := func(p []byte) error { _, err := DecodeInts(p, 8); return err }
+	decodeBytes := func(p []byte) error { _, err := DecodeBytes(p, 1); return err }
+	cases := []struct {
+		name   string
+		page   []byte
+		decode func([]byte) error
+	}{
+		{"Chunked", append([]byte{byte(Chunked)}, bombFirst(1)...), decodeInts},
+		{"BitShuffle", append([]byte{byte(BitShuffle), 8}, bombFirst(1)...), decodeInts},
+		{"ChunkedF", append([]byte{byte(ChunkedF)}, bombFirst(1)...),
+			func(p []byte) error { _, err := DecodeFloats(p, 8); return err }},
+		{"ChunkedB", append(chunkedB(64), bombFirst(1)...), decodeBytes},
+		{"ChunkedB 1 TiB", append(chunkedB(1<<40), bombFirst(1<<40/ChunkSize)...), decodeBytes},
+	}
+	for _, c := range cases {
+		page := c.page
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(page)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+			t.Errorf("%s: decoding a %d-byte page allocated %d bytes", c.name, len(page), grew)
+		}
 	}
 }
 

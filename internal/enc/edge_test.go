@@ -88,6 +88,37 @@ func TestHuffmanRejectsWideAlphabet(t *testing.T) {
 	}
 }
 
+func TestHuffmanTiesAreDeterministic(t *testing.T) {
+	// 40 equal-frequency symbols: 24 get 5-bit codes and 16 get 6-bit
+	// codes, and which ones is decided purely by tie-breaking.
+	vs := make([]int64, 40*25)
+	for i := range vs {
+		vs[i] = int64(i%40) * 1000
+	}
+	first, err := EncodeIntsWith(nil, Huffman, vs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		again, err := EncodeIntsWith(nil, Huffman, vs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("re-encode %d differs from the first", k)
+		}
+	}
+	got, err := DecodeInts(first, len(vs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vs {
+		if got[i] != vs[i] {
+			t.Fatalf("value %d = %d, want %d", i, got[i], vs[i])
+		}
+	}
+}
+
 func TestChunkedMultiChunk(t *testing.T) {
 	// > 256 KB of raw data forces multiple flate chunks.
 	n := (ChunkSize/8)*2 + 1000

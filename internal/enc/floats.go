@@ -65,8 +65,18 @@ func encodeFloatsDepth(dst []byte, vs []float64, opts *Options, depth int) ([]by
 	if depth == 0 && opts.Cache != nil {
 		return opts.Cache.encodeFloats(dst, vs, opts)
 	}
-	id := chooseFloatScheme(vs, opts, depth)
-	return encodeFloatsWithDepth(dst, id, vs, opts, depth)
+	_, out, err := encodeFloatsChosen(dst, vs, opts, depth)
+	return out, err
+}
+
+// encodeFloatsChosen mirrors encodeIntsChosen for float64 streams.
+func encodeFloatsChosen(dst []byte, vs []float64, opts *Options, depth int) (SchemeID, []byte, error) {
+	id, trial := chooseFloatScheme(vs, opts, depth)
+	if trial != nil {
+		return id, append(dst, trial...), nil
+	}
+	out, err := encodeFloatsWithDepth(dst, id, vs, opts, depth)
+	return id, out, err
 }
 
 func encodeFloatsWithDepth(dst []byte, id SchemeID, vs []float64, opts *Options, depth int) ([]byte, error) {

@@ -1,7 +1,6 @@
 package enc
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"sort"
 
@@ -19,26 +18,6 @@ import (
 
 const maxHuffmanSymbols = 512
 
-type huffNode struct {
-	freq        int
-	sym         int64
-	left, right *huffNode
-}
-
-type huffHeap []*huffNode
-
-func (h huffHeap) Len() int           { return len(h) }
-func (h huffHeap) Less(i, j int) bool { return h[i].freq < h[j].freq }
-func (h huffHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x any)        { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // huffCode is a canonical code assignment for one symbol.
 type huffCode struct {
 	sym    int64
@@ -46,6 +25,20 @@ type huffCode struct {
 	code   uint64 // MSB-first canonical code
 }
 
+// huffNode is a leaf (children -1) or a merged subtree; nodes live in one
+// slice and refer to their children by index.
+type huffNode struct {
+	freq        int
+	left, right int
+}
+
+// buildHuffmanCodes derives code lengths with the two-queue construction:
+// leaves sorted by (frequency, symbol) form one queue, merged nodes —
+// created in non-decreasing frequency order — the other, and each step
+// merges the two cheapest fronts, preferring a leaf on a tie. Every tie is
+// broken by position, never by map order, so equal inputs always get
+// identical codes; inputs without ties have a unique Huffman tree, which
+// this finds like any other construction.
 func buildHuffmanCodes(vs []int64) ([]huffCode, bool) {
 	freq := make(map[int64]int, maxHuffmanSymbols+1)
 	for _, v := range vs {
@@ -57,32 +50,51 @@ func buildHuffmanCodes(vs []int64) ([]huffCode, bool) {
 	if len(freq) == 0 {
 		return nil, true
 	}
-	h := make(huffHeap, 0, len(freq))
-	for sym, f := range freq {
-		h = append(h, &huffNode{freq: f, sym: sym})
+	codes := make([]huffCode, 0, len(freq))
+	for sym := range freq {
+		codes = append(codes, huffCode{sym: sym})
 	}
-	heap.Init(&h)
-	if h.Len() == 1 {
+	if len(codes) == 1 {
 		// Single symbol: assign a 1-bit code.
-		return []huffCode{{sym: h[0].sym, length: 1}}, true
+		codes[0].length = 1
+		return codes, true
 	}
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*huffNode)
-		b := heap.Pop(&h).(*huffNode)
-		heap.Push(&h, &huffNode{freq: a.freq + b.freq, left: a, right: b})
-	}
-	root := h[0]
-	var codes []huffCode
-	var walk func(n *huffNode, depth int)
-	walk = func(n *huffNode, depth int) {
-		if n.left == nil {
-			codes = append(codes, huffCode{sym: n.sym, length: depth})
-			return
+	sort.Slice(codes, func(i, j int) bool {
+		fi, fj := freq[codes[i].sym], freq[codes[j].sym]
+		if fi != fj {
+			return fi < fj
 		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+		return codes[i].sym < codes[j].sym
+	})
+	nLeaves := len(codes)
+	nodes := make([]huffNode, nLeaves, 2*nLeaves-1)
+	for i, c := range codes {
+		nodes[i] = huffNode{freq: freq[c.sym], left: -1, right: -1}
 	}
-	walk(root, 0)
+	leaf, merged := 0, nLeaves
+	next := func() int {
+		if leaf < nLeaves && (merged == len(nodes) || nodes[leaf].freq <= nodes[merged].freq) {
+			leaf++
+			return leaf - 1
+		}
+		merged++
+		return merged - 1
+	}
+	for k := 1; k < nLeaves; k++ {
+		a := next()
+		b := next()
+		nodes = append(nodes, huffNode{freq: nodes[a].freq + nodes[b].freq, left: a, right: b})
+	}
+	// Children precede their parent, so one backward pass from the root
+	// (the last node) assigns every depth.
+	depth := make([]int, len(nodes))
+	for n := len(nodes) - 1; n >= nLeaves; n-- {
+		depth[nodes[n].left] = depth[n] + 1
+		depth[nodes[n].right] = depth[n] + 1
+	}
+	for i := range codes {
+		codes[i].length = depth[i]
+	}
 	assignCanonical(codes)
 	return codes, true
 }

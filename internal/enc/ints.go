@@ -78,8 +78,20 @@ func encodeIntsDepth(dst []byte, vs []int64, opts *Options, depth int) ([]byte, 
 	if depth == 0 && opts.Cache != nil {
 		return opts.Cache.encodeInts(dst, vs, opts)
 	}
-	id := chooseIntScheme(vs, opts, depth)
-	return encodeIntsWithDepth(dst, id, vs, opts, depth)
+	_, out, err := encodeIntsChosen(dst, vs, opts, depth)
+	return out, err
+}
+
+// encodeIntsChosen appends vs in the scheme the selector picks and returns
+// that scheme. A winning trial that already covers all of vs is appended
+// as is instead of being encoded again.
+func encodeIntsChosen(dst []byte, vs []int64, opts *Options, depth int) (SchemeID, []byte, error) {
+	id, trial := chooseIntScheme(vs, opts, depth)
+	if trial != nil {
+		return id, append(dst, trial...), nil
+	}
+	out, err := encodeIntsWithDepth(dst, id, vs, opts, depth)
+	return id, out, err
 }
 
 func encodeIntsWithDepth(dst []byte, id SchemeID, vs []int64, opts *Options, depth int) ([]byte, error) {

@@ -7,7 +7,11 @@ package enc
 // identify). A SelectorCache remembers the winning top-level scheme per
 // stream of a logical column and reuses it for subsequent pages, falling
 // back to a full re-selection only when the cached scheme stops applying
-// or its compression ratio drifts past Options.ResampleDrift.
+// or its compression ratio drifts past Options.ResampleDrift. A
+// re-selection over a page that fits in one sample appends the winning
+// trial instead of encoding the page again (see cascade.go), and the
+// DEFLATE state behind the BitShuffle/Chunked trials is pooled
+// (chunked.go), so a resample costs the trials and nothing more.
 
 // DefaultResampleDrift is the relative encoded-size drift that invalidates
 // a cached selector decision when Options.ResampleDrift is zero.
@@ -82,7 +86,8 @@ func (c *SelectorCache) drifted(base, ratio float64) bool {
 // is no longer constant) or drifts.
 func (c *SelectorCache) encodeInts(dst []byte, vs []int64, opts *Options) ([]byte, error) {
 	if len(vs) == 0 {
-		return encodeIntsWithDepth(dst, chooseIntScheme(vs, opts, 0), vs, opts, 0)
+		_, out, err := encodeIntsChosen(dst, vs, opts, 0)
+		return out, err
 	}
 	e := c.entry()
 	mark := len(dst)
@@ -98,8 +103,7 @@ func (c *SelectorCache) encodeInts(dst []byte, vs []int64, opts *Options) ([]byt
 		dst = dst[:mark]
 	}
 	c.resamples++
-	id := chooseIntScheme(vs, opts, 0)
-	out, err := encodeIntsWithDepth(dst, id, vs, opts, 0)
+	id, out, err := encodeIntsChosen(dst, vs, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +114,8 @@ func (c *SelectorCache) encodeInts(dst []byte, vs []int64, opts *Options) ([]byt
 // encodeFloats mirrors encodeInts for float64 streams.
 func (c *SelectorCache) encodeFloats(dst []byte, vs []float64, opts *Options) ([]byte, error) {
 	if len(vs) == 0 {
-		return encodeFloatsWithDepth(dst, chooseFloatScheme(vs, opts, 0), vs, opts, 0)
+		_, out, err := encodeFloatsChosen(dst, vs, opts, 0)
+		return out, err
 	}
 	e := c.entry()
 	mark := len(dst)
@@ -126,8 +131,7 @@ func (c *SelectorCache) encodeFloats(dst []byte, vs []float64, opts *Options) ([
 		dst = dst[:mark]
 	}
 	c.resamples++
-	id := chooseFloatScheme(vs, opts, 0)
-	out, err := encodeFloatsWithDepth(dst, id, vs, opts, 0)
+	id, out, err := encodeFloatsChosen(dst, vs, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +142,8 @@ func (c *SelectorCache) encodeFloats(dst []byte, vs []float64, opts *Options) ([
 // encodeBytes mirrors encodeInts for byte-string streams.
 func (c *SelectorCache) encodeBytes(dst []byte, vs [][]byte, opts *Options) ([]byte, error) {
 	if len(vs) == 0 {
-		return encodeBytesWithDepth(dst, chooseBytesScheme(vs, opts, 0), vs, opts, 0)
+		_, out, err := encodeBytesChosen(dst, vs, opts, 0)
+		return out, err
 	}
 	e := c.entry()
 	mark := len(dst)
@@ -157,8 +162,7 @@ func (c *SelectorCache) encodeBytes(dst []byte, vs [][]byte, opts *Options) ([]b
 		dst = dst[:mark]
 	}
 	c.resamples++
-	id := chooseBytesScheme(vs, opts, 0)
-	out, err := encodeBytesWithDepth(dst, id, vs, opts, 0)
+	id, out, err := encodeBytesChosen(dst, vs, opts, 0)
 	if err != nil {
 		return nil, err
 	}
