@@ -94,10 +94,9 @@
 // -race by the prune harness). Files written before format v3 report no
 // float or bloom statistics and simply never prune on those predicates.
 //
-// After Close, Writer.WrittenStats surfaces the same statistics the
-// footer just persisted — rows, bytes, per-column zone maps and blooms —
-// which is how the dataset layer commits shard files without reopening
-// them.
+// A closed writer keeps its own account of the statistics the footer
+// just persisted — rows, bytes, per-column zone maps and blooms — which
+// is how the dataset layer commits shard files without reopening them.
 //
 // # Reading at scale
 //
@@ -115,10 +114,10 @@
 //     each run with a single read of up to 1.25 MiB (core.CoalesceLimit);
 //     decode workers slice their pages out of the shared run buffer
 //     zero-copy. Runs separated by at most ScanOptions.CoalesceGap cold
-//     bytes (default DefaultCoalesceGap = 4 KiB) merge too — a few wasted
-//     kilobytes beat a second seek or object-storage request; a negative
-//     gap merges only exactly adjacent runs, for storage that penalizes
-//     wasted transfer. Cross-column merging needs the projected chunks
+//     bytes (default 4 KiB) merge too — a few wasted kilobytes beat a
+//     second seek or object-storage request; a negative gap merges only
+//     exactly adjacent runs, for storage that penalizes wasted transfer.
+//     Cross-column merging needs the projected chunks
 //     adjacent within the batch's span, so set BatchRows to the writer's
 //     GroupRows for I/O-bound scans: a hot-reordered projection then
 //     costs one read per row group.
@@ -321,9 +320,9 @@
 // the member exists. Which cache a handle uses is a three-way policy:
 // DatasetOptions.DisableCache runs it uncached, DatasetOptions.Cache
 // names an ArtifactCache the caller built with NewCache and owns, and
-// otherwise every dataset shares one process-wide cache (SharedCache) —
-// except a handle given a custom DatasetOptions.Backend, which runs
-// uncached unless it names a Cache. A cache has three tiers:
+// otherwise every dataset shares one process-wide cache — except a
+// handle given a custom DatasetOptions.Backend, which runs uncached
+// unless it names a Cache. A cache has three tiers:
 //
 //   - parsed footers and column bloom filters, keyed by member identity
 //     and version, with singleflight — N concurrent scanners opening the
@@ -341,8 +340,8 @@
 // invalidation automatic: a replaced member (new ETag or new
 // row/byte accounting) can never serve stale bytes, and Vacuum
 // eagerly drops the entries of files it removes. Scan-visible effect is
-// reported per scanner in DatasetScanStats.Cache and cache-wide by the
-// cache's own Stats (SharedCache().Stats() for the default).
+// reported per scanner in DatasetScanStats.Cache, and cache-wide by the
+// Stats method of a cache built with NewCache.
 //
 // # Training loaders and time travel
 //
@@ -477,19 +476,10 @@ type (
 	ColumnFilter = core.ColumnFilter
 	// ScanStats reports a scan's physical work.
 	ScanStats = core.ScanStats
-	// PageStats is the per-page min/max/null zone map.
-	PageStats = core.PageStats
-	// WrittenStats is a closed Writer's own account of the file it wrote.
-	WrittenStats = core.WrittenStats
 )
 
 // DefaultScanBatchRows is the default Scanner batch size.
 const DefaultScanBatchRows = core.DefaultScanBatchRows
-
-// DefaultCoalesceGap is the default ScanOptions.CoalesceGap: the largest
-// run of cold bytes a read will fetch through to avoid splitting into two
-// I/O operations.
-const DefaultCoalesceGap = core.DefaultCoalesceGap
 
 // Column kinds.
 const (
@@ -578,11 +568,6 @@ func (w *Writer) Write(batch *Batch) error { return w.cw.Write(batch) }
 // full sampling passes) across all columns. Call it after Close.
 func (w *Writer) SelectorStats() (hits, resamples int64) { return w.cw.SelectorStats() }
 
-// WrittenStats reports the closed file's statistics — rows, total bytes,
-// and per-column zone maps/blooms identical to a reopened file's Stats().
-// It returns nil until Close has succeeded.
-func (w *Writer) WrittenStats() *WrittenStats { return w.cw.WrittenStats() }
-
 // Close flushes buffered rows, writes the footer, and closes the file when
 // the writer owns one.
 func (w *Writer) Close() error {
@@ -595,10 +580,11 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// File is a read (and, for deletion, write) handle over a Bullion file.
+// File is a read handle over a Bullion file.
 type File struct {
 	cf   *core.File
 	file *os.File // non-nil when opened via OpenPath
+	path string   // set by OpenPath; DeleteRows reopens it for writing
 }
 
 // Open reads the footer from an io.ReaderAt.
@@ -610,10 +596,10 @@ func Open(r io.ReaderAt, size int64) (*File, error) {
 	return &File{cf: cf}, nil
 }
 
-// OpenPath opens a Bullion file on disk read-write (read-write so that
-// DeleteRows can erase in place; the file is never modified otherwise).
+// OpenPath opens a Bullion file on disk read-only; only DeleteRows opens
+// it for writing.
 func OpenPath(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +613,7 @@ func OpenPath(path string) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	return &File{cf: cf, file: f}, nil
+	return &File{cf: cf, file: f, path: path}, nil
 }
 
 // Close releases the underlying file handle, if owned.
@@ -656,9 +642,6 @@ func (f *File) Schema() *Schema { return f.cf.Schema() }
 
 // LookupColumn resolves a column name via the footer's hash index.
 func (f *File) LookupColumn(name string) (int, bool) { return f.cf.LookupColumn(name) }
-
-// FieldByIndex returns the schema field of column c.
-func (f *File) FieldByIndex(c int) Field { return f.cf.FieldByIndex(c) }
 
 // ReadColumn reads a full column by name (live rows only).
 func (f *File) ReadColumn(name string) (ColumnData, error) { return f.cf.ReadColumn(name) }
@@ -711,25 +694,23 @@ type ColumnStats = core.ColumnStats
 // Stats walks the footer (no data reads) and reports per-column storage.
 func (f *File) Stats() *FileStats { return f.cf.Stats() }
 
-// PageStats returns the min/max/null zone map of global page p (indices
-// run over Stats().NumPages), or ok=false when the writer recorded no
-// statistics section. These are the zone maps ScanOptions.Filters prune
-// with.
-func (f *File) PageStats(p int) (PageStats, bool) { return f.cf.PageStats(p) }
-
-// DeleteRows deletes rows per the file's compliance level. For files
-// opened with OpenPath the in-place write goes to the same file; otherwise
-// a WriterAt covering the same bytes must be supplied via DeleteRowsTo.
+// DeleteRows deletes rows per the file's compliance level, writing the
+// in-place update to the file's path, which it opens read-write for the
+// call. It requires a File from OpenPath.
 func (f *File) DeleteRows(rows []uint64) error {
-	if f.file == nil {
-		return fmt.Errorf("bullion: DeleteRows requires OpenPath (use DeleteRowsTo with a WriterAt)")
+	if f.path == "" {
+		return fmt.Errorf("bullion: DeleteRows requires OpenPath")
 	}
-	return f.cf.DeleteRows(f.file, rows)
+	w, err := os.OpenFile(f.path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	err = f.cf.DeleteRows(w, rows)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
-
-// DeleteRowsTo deletes rows, writing in-place updates through w (which
-// must address the same bytes the file reads).
-func (f *File) DeleteRowsTo(w io.WriterAt, rows []uint64) error { return f.cf.DeleteRows(w, rows) }
 
 // Dataset types re-exported from the dataset layer (see "Datasets and
 // compaction" above).
@@ -766,8 +747,6 @@ type (
 	// StorageBackend is the pluggable flat-namespace store dataset I/O
 	// runs on (DatasetOptions.Backend; defaults to the local filesystem).
 	StorageBackend = storage.Backend
-	// StorageFile is an open handle within a StorageBackend.
-	StorageFile = storage.File
 	// HTTPBackendOptions configures NewHTTPBackend (client override).
 	HTTPBackendOptions = storage.HTTPOptions
 	// ResilienceOptions tunes NewResilientBackend: per-op deadlines, retry
@@ -802,8 +781,6 @@ type (
 	// LoaderOptions configures NewLoader: projection, shuffle seed and
 	// granule, epochs, batch size, read-ahead, and pacing.
 	LoaderOptions = loader.Options
-	// LoaderShard is one shuffle granule: global rows [Lo, Hi).
-	LoaderShard = loader.Shard
 	// LoaderCheckpoint is an exact resume point — the plan identity
 	// (generation, seed, sizes) plus the (epoch, shard, batch) cursor.
 	// It marshals to JSON for persisting alongside model checkpoints.
@@ -811,10 +788,6 @@ type (
 	// LoaderStats snapshots a loader's progress and planning cost.
 	LoaderStats = loader.Stats
 )
-
-// DefaultLoaderShardRows is the shuffle granule when
-// LoaderOptions.ShardRows is 0.
-const DefaultLoaderShardRows = loader.DefaultShardRows
 
 // Sentinel errors surfaced by dataset commits.
 var (
@@ -914,10 +887,6 @@ func NewResilientBackend(b StorageBackend, opts *ResilienceOptions) *ResilientBa
 // it: closing a Dataset never closes it.
 func NewCache(opts CacheOptions) *ArtifactCache { return cache.New(opts) }
 
-// SharedCache returns the process-wide ArtifactCache that datasets use
-// by default (see "Caching and memory tiering").
-func SharedCache() *ArtifactCache { return cache.Shared() }
-
 // DatasetHTTPHandler serves a StorageBackend's files over GET/HEAD with
 // byte-range and If-Match support — the reference server side for
 // NewHTTPBackend, used by the examples and integration tests to publish
@@ -938,16 +907,3 @@ func SplitBF16Columns(vs []float32) (hi, lo []int64) { return quant.SplitBF16Col
 
 // JoinBF16Columns reconstructs the FP32 column from its two halves.
 func JoinBF16Columns(hi, lo []int64) []float32 { return quant.JoinBF16Columns(hi, lo) }
-
-// EncodeNormalizedEmbedding quantizes float32 embedding components to BF16
-// and packs them with the 12-bit normalized layout (§2.4's BF16-specific
-// encoding opportunity for vectors normalized to (-1,1)).
-func EncodeNormalizedEmbedding(vs []float32) []byte {
-	return quant.EncodeNormalizedEmbedding(vs)
-}
-
-// DecodeNormalizedEmbedding reverses EncodeNormalizedEmbedding (lossless
-// with respect to BF16).
-func DecodeNormalizedEmbedding(data []byte) ([]float32, error) {
-	return quant.DecodeNormalizedEmbedding(data)
-}

@@ -1,6 +1,8 @@
 package bullion
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -46,10 +48,11 @@ func adsMini(t *testing.T) (*Schema, *Batch) {
 	return schema, batch
 }
 
-func TestFileLifecycle(t *testing.T) {
+// writeAdsMini writes adsMini's rows to a fresh file and returns its path.
+func writeAdsMini(t *testing.T) string {
+	t.Helper()
 	schema, batch := adsMini(t)
 	path := tmpPath(t, "ads.bln")
-
 	w, err := Create(path, schema, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +63,11 @@ func TestFileLifecycle(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+func TestFileLifecycle(t *testing.T) {
+	path := writeAdsMini(t)
 	f, err := OpenPath(path)
 	if err != nil {
 		t.Fatal(err)
@@ -86,19 +93,7 @@ func TestFileLifecycle(t *testing.T) {
 }
 
 func TestDeleteThroughPublicAPI(t *testing.T) {
-	schema, batch := adsMini(t)
-	path := tmpPath(t, "ads.bln")
-	w, err := Create(path, schema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	path := writeAdsMini(t)
 	f, err := OpenPath(path)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +131,36 @@ func TestDeleteThroughPublicAPI(t *testing.T) {
 	defer f2.Close()
 	if got := f2.NumLiveRows(); got != 990 {
 		t.Fatalf("live rows after reopen = %d", got)
+	}
+}
+
+// TestOpenPathReadOnlyFile checks that a file the caller may read but not
+// write still opens, reports its stats and verifies, and that only
+// DeleteRows fails, with a permission error.
+func TestOpenPathReadOnlyFile(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("permission bits do not bind root")
+	}
+	path := writeAdsMini(t)
+	if err := os.Chmod(path, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if st := f.Stats(); st.LiveRows != 1000 {
+		t.Fatalf("Stats().LiveRows = %d", st.LiveRows)
+	}
+	if err := f.VerifyChecksums(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DeleteRows([]uint64{0}); !errors.Is(err, fs.ErrPermission) {
+		t.Fatalf("DeleteRows on a read-only file: %v, want a permission error", err)
+	}
+	if got := f.NumLiveRows(); got != 1000 {
+		t.Fatalf("live rows after the refused delete = %d", got)
 	}
 }
 

@@ -664,7 +664,7 @@ func scan(args []string) error {
 		agg := scanResult{Path: fmt.Sprintf("TOTAL (%d paths)", len(results))}
 		for _, r := range results {
 			agg.ElapsedMS += r.ElapsedMS
-			addScanStats(&agg.Stats, r.Stats)
+			agg.Stats.Add(r.Stats)
 			agg.ReadOps += r.ReadOps
 			agg.ReadBytes += r.ReadBytes
 			agg.seeks += r.seeks
@@ -678,32 +678,6 @@ func scan(args []string) error {
 		return printJSON(results)
 	}
 	return nil
-}
-
-func addScanStats(dst *bullion.DatasetScanStats, src bullion.DatasetScanStats) {
-	dst.BytesRead += src.BytesRead
-	dst.PagesDecoded += src.PagesDecoded
-	dst.PagesSkipped += src.PagesSkipped
-	dst.BatchesEmitted += src.BatchesEmitted
-	dst.BatchesSkipped += src.BatchesSkipped
-	dst.RowsEmitted += src.RowsEmitted
-	dst.ReadOps += src.ReadOps
-	dst.CoalescedBytes += src.CoalescedBytes
-	dst.WastedBytes += src.WastedBytes
-	dst.FilesPlanned += src.FilesPlanned
-	dst.FilesPruned += src.FilesPruned
-	dst.FilesScanned += src.FilesScanned
-	dst.Retries += src.Retries
-	dst.Hedges += src.Hedges
-	dst.HedgeWins += src.HedgeWins
-	dst.DegradedMembers = append(dst.DegradedMembers, src.DegradedMembers...)
-	dst.Cache.FooterHits += src.Cache.FooterHits
-	dst.Cache.FooterMisses += src.Cache.FooterMisses
-	dst.Cache.HandleHits += src.Cache.HandleHits
-	dst.Cache.HandleMisses += src.Cache.HandleMisses
-	dst.Cache.PageHits += src.Cache.PageHits
-	dst.Cache.PageMisses += src.Cache.PageMisses
-	dst.Cache.PageEvictions += src.Cache.PageEvictions
 }
 
 func printScanResult(r scanResult) {
@@ -939,6 +913,10 @@ func ingestDataset(dir string, schema *bullion.Schema, opts *bullion.Options, ba
 		return fmt.Errorf("ingest: dataset %s has a different schema (fingerprint %s)", dir, ds.Schema().Fingerprint())
 	}
 
+	existing := map[string]bool{}
+	for _, e := range ds.Manifest().Files {
+		existing[e.Name] = true
+	}
 	sw, err := ds.ShardedWriter(shards)
 	if err != nil {
 		return err
@@ -956,12 +934,17 @@ func ingestDataset(dir string, schema *bullion.Schema, opts *bullion.Options, ba
 	}
 	elapsed := time.Since(start)
 
+	// The commit adds only the shards that received rows.
 	m := ds.Manifest()
-	for _, e := range m.Files[len(m.Files)-min(shards, len(m.Files)):] {
-		fmt.Printf("%s/%s: %d rows, %d bytes\n", dir, e.Name, e.Rows, e.Bytes)
+	added := 0
+	for _, e := range m.Files {
+		if !existing[e.Name] {
+			fmt.Printf("%s/%s: %d rows, %d bytes\n", dir, e.Name, e.Rows, e.Bytes)
+			added++
+		}
 	}
-	fmt.Printf("ingested %d rows across %d shards (generation %d) in %v\n",
-		total, shards, m.Generation, elapsed.Round(time.Microsecond))
+	fmt.Printf("ingested %d rows, new files: %d (generation %d) in %v\n",
+		total, added, m.Generation, elapsed.Round(time.Microsecond))
 	fmt.Printf("throughput:     %.0f rows/sec\n", float64(total)/elapsed.Seconds())
 	return nil
 }

@@ -229,7 +229,8 @@ func partFiles(t *testing.T, dir string) map[string]string {
 
 // TestDatasetLifecycle drives the mutating verbs over one dataset —
 // ingest -shards 2 → delete → fsck -json -deep → tag → compact -vacuum →
-// scan -json — and checks each step against the library's view of it.
+// scan -json → ingest -shards 4 — and checks each step against the
+// library's view of it.
 func TestDatasetLifecycle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	// 20,000 rows in batches of 8192 route to two shards: 11,808 and 8,192
@@ -301,6 +302,23 @@ func TestDatasetLifecycle(t *testing.T) {
 	if doc.Stats.RowsEmitted != int64(len(want)) || doc.Stats.FilesScanned != 2 {
 		t.Fatalf("scan emitted %d rows from %d files, want %d from 2",
 			doc.Stats.RowsEmitted, doc.Stats.FilesScanned, len(want))
+	}
+
+	// A second ingest into the existing dataset lists only what its commit
+	// added: one 8,192-row batch fills one of the four shards.
+	members = partFiles(t, dir)
+	out = captureStdout(t, func() error {
+		return ingest([]string{"-rows", "8192", "-cols", "3", "-shards", "4", dir})
+	})
+	var added []string
+	for name := range partFiles(t, dir) {
+		if _, ok := members[name]; !ok {
+			added = append(added, name)
+		}
+	}
+	if len(added) != 1 || strings.Count(out, " bytes\n") != 1 ||
+		!strings.Contains(out, "/"+added[0]+": 8192 rows, ") || !strings.Contains(out, "new files: 1 ") {
+		t.Fatalf("second ingest added %v and printed %q", added, out)
 	}
 }
 

@@ -132,6 +132,19 @@ type ScanStats struct {
 	WastedBytes int64
 }
 
+// Add adds every counter of o to s.
+func (s *ScanStats) Add(o ScanStats) {
+	s.BytesRead += o.BytesRead
+	s.PagesDecoded += o.PagesDecoded
+	s.PagesSkipped += o.PagesSkipped
+	s.BatchesEmitted += o.BatchesEmitted
+	s.BatchesSkipped += o.BatchesSkipped
+	s.RowsEmitted += o.RowsEmitted
+	s.ReadOps += o.ReadOps
+	s.CoalescedBytes += o.CoalescedBytes
+	s.WastedBytes += o.WastedBytes
+}
+
 // rowSpan is one planned batch: global rows [lo, hi).
 type rowSpan struct {
 	lo, hi uint64

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -435,5 +436,53 @@ func TestManifestAtomicCommit(t *testing.T) {
 	}
 	if len(rep.Removed) != 2 {
 		t.Fatalf("vacuum removed %v, want the 2 stale manifests", rep.Removed)
+	}
+}
+
+// scanStatsInts maps each integer field of the struct v — nested structs
+// included, named by path — to its value, and fails on any field kind it
+// does not know how to sum.
+func scanStatsInts(t *testing.T, prefix string, v reflect.Value, out map[string]reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		name := prefix + v.Type().Field(i).Name
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			scanStatsInts(t, name+".", f, out)
+		case reflect.Int, reflect.Int64:
+			out[name] = f
+		case reflect.Slice: // DegradedMembers, checked by the caller
+		default:
+			t.Fatalf("ScanStats field %s has kind %s; teach Add and this test to sum it", name, f.Kind())
+		}
+	}
+}
+
+// TestScanStatsAddSumsEveryCounter gives every integer field of a
+// ScanStats — the embedded core counters and the cache section included —
+// a distinct value and checks that Add sums each one, so a counter added
+// to either struct but not to its Add fails here.
+func TestScanStatsAddSumsEveryCounter(t *testing.T) {
+	var src ScanStats
+	fields := map[string]reflect.Value{}
+	scanStatsInts(t, "", reflect.ValueOf(&src).Elem(), fields)
+	n := int64(0)
+	for _, f := range fields {
+		n++
+		f.SetInt(n)
+	}
+	src.DegradedMembers = []string{"part-1-0.bln"}
+
+	sum := src
+	sum.Add(src)
+	sums := map[string]reflect.Value{}
+	scanStatsInts(t, "", reflect.ValueOf(&sum).Elem(), sums)
+	for name, f := range fields {
+		if got, want := sums[name].Int(), 2*f.Int(); got != want {
+			t.Errorf("%s: Add gave %d, want %d", name, got, want)
+		}
+	}
+	if want := []string{"part-1-0.bln", "part-1-0.bln"}; !reflect.DeepEqual(sum.DegradedMembers, want) {
+		t.Errorf("DegradedMembers = %v, want %v", sum.DegradedMembers, want)
 	}
 }

@@ -73,6 +73,26 @@ type ScanStats struct {
 	Cache CacheScanStats
 }
 
+// Add adds every counter of o to s and appends o's DegradedMembers — the
+// sum over several scans.
+func (s *ScanStats) Add(o ScanStats) {
+	s.ScanStats.Add(o.ScanStats)
+	s.FilesPlanned += o.FilesPlanned
+	s.FilesPruned += o.FilesPruned
+	s.FilesScanned += o.FilesScanned
+	s.Retries += o.Retries
+	s.Hedges += o.Hedges
+	s.HedgeWins += o.HedgeWins
+	s.DegradedMembers = append(s.DegradedMembers, o.DegradedMembers...)
+	s.Cache.FooterHits += o.Cache.FooterHits
+	s.Cache.FooterMisses += o.Cache.FooterMisses
+	s.Cache.HandleHits += o.Cache.HandleHits
+	s.Cache.HandleMisses += o.Cache.HandleMisses
+	s.Cache.PageHits += o.Cache.PageHits
+	s.Cache.PageMisses += o.Cache.PageMisses
+	s.Cache.PageEvictions += o.Cache.PageEvictions
+}
+
 // CacheScanStats is the cache-counter section of ScanStats: hits and
 // misses per tier (parsed footers, open handles, page runs) plus page
 // evictions, as deltas over the scanner's lifetime.
@@ -391,21 +411,9 @@ func (s *Scanner) runMember(ms *memberScan) {
 	}
 	st := sc.Stats()
 	s.statsMu.Lock()
-	addStats(&s.agg, st)
+	s.agg.Add(st)
 	s.done++
 	s.statsMu.Unlock()
-}
-
-func addStats(dst *core.ScanStats, src core.ScanStats) {
-	dst.BytesRead += src.BytesRead
-	dst.PagesDecoded += src.PagesDecoded
-	dst.PagesSkipped += src.PagesSkipped
-	dst.BatchesEmitted += src.BatchesEmitted
-	dst.BatchesSkipped += src.BatchesSkipped
-	dst.RowsEmitted += src.RowsEmitted
-	dst.ReadOps += src.ReadOps
-	dst.CoalescedBytes += src.CoalescedBytes
-	dst.WastedBytes += src.WastedBytes
 }
 
 // Next returns the next batch in dataset order (member files in manifest

@@ -1,12 +1,17 @@
 package bullion
 
-// Remote-read benchmarks: a closed-loop scan over a fault backend whose
-// reads suffer seeded tail-latency spikes — the object-storage pathology
-// hedged requests exist to absorb. Each iteration is one full dataset
-// scan; the benchmark reports the p50 and p99 per-scan latency, and the
-// hedged/unhedged pair is the
-// acceptance comparison: hedging must cut p99 by >=2x under spikes
-// while leaving the spike-free baseline untouched.
+// Remote-read benchmarks against a fault backend whose reads suffer
+// seeded tail-latency spikes — the object-storage pathology hedged
+// requests exist to absorb. ci.yml's bench smoke runs all four; each
+// b.Fatals on a failed read or a short scan and reports p50/p99 latency
+// plus hedges per op (p99 needs -benchtime 100x or more to mean much):
+//
+//   - BenchmarkRemoteReadSpikes{Unhedged,Hedged}: one 64 KiB range read
+//     per iteration — the acceptance pair, where hedging must show the
+//     >=2x p99 gap.
+//   - BenchmarkRemoteScanSpikes{Unhedged,Hedged}: one full dataset scan
+//     per iteration; on a noisy shared machine whole-scan percentiles
+//     blur.
 
 import (
 	"io"
@@ -21,7 +26,6 @@ import (
 const (
 	remBenchFiles = 4
 	remBenchRows  = 4096
-	remBenchCols  = 4
 	// remBenchSpike models an object-store tail: ~4% of reads stall for
 	// 10ms (hundreds of times the clean read cost).
 	remBenchSpikeRate = 0.04
@@ -31,57 +35,33 @@ const (
 	remBenchHedge = 500 * time.Microsecond
 )
 
-// remBenchBackend builds the dataset once per call on a fresh fault
-// backend (cheap: in-memory) so each variant draws its own seeded spike
-// sequence.
-func remBenchBackend(b *testing.B, spikes bool) *storage.Fault {
-	b.Helper()
-	fb := storage.NewFault("mem://remotebench")
-	fields := make([]Field, remBenchCols)
-	for c := range fields {
-		fields[c] = Field{Name: []string{"key", "f1", "f2", "f3"}[c], Type: Type{Kind: Int64}}
+// reportLatencies reports the p50 and p99 of lats and rb's hedging work
+// per op.
+func reportLatencies(b *testing.B, lats []time.Duration, rb *storage.Resilient) {
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	pct := func(p float64) float64 {
+		return float64(lats[int(p*float64(len(lats)-1))].Nanoseconds())
 	}
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := dataset.Create("remotebench", schema, &dataset.Options{Backend: fb})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for f := 0; f < remBenchFiles; f++ {
-		cols := make([]ColumnData, remBenchCols)
-		for c := range cols {
-			vals := make(Int64Data, remBenchRows)
-			for r := range vals {
-				vals[r] = int64(f*remBenchRows + r + c)
-			}
-			cols[c] = vals
-		}
-		batch, err := NewBatch(schema, cols)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ds.Append(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ds.Close()
-	if spikes {
-		fb.SetNetFaults(&storage.NetFaults{
-			Seed:      4177,
-			SpikeRate: remBenchSpikeRate,
-			SpikeDur:  remBenchSpikeDur,
-		})
-	}
-	return fb
+	b.ReportMetric(pct(0.50), "p50-ns")
+	b.ReportMetric(pct(0.99), "p99-ns")
+	st := rb.ResilienceStats()
+	b.ReportMetric(float64(st.Hedges)/float64(b.N), "hedges/op")
+	b.ReportMetric(float64(st.HedgeWins)/float64(b.N), "hedgewins/op")
 }
 
-// benchRemoteScan runs one full scan per iteration and reports tail
-// latency percentiles across iterations (p99 needs -benchtime 100x or
-// more to be meaningful).
-func benchRemoteScan(b *testing.B, spikes, hedged bool) {
-	fb := remBenchBackend(b, spikes)
+// benchRemoteScan builds the dataset on a fresh in-memory fault backend,
+// so each variant draws its own seeded spike sequence, then runs one full
+// scan per iteration.
+func benchRemoteScan(b *testing.B, hedged bool) {
+	fb := storage.NewFault("mem://remotebench")
+	if err := writeBenchDataset("remotebench", fb, Level1, remBenchFiles, remBenchRows, 4, rowPlusCol); err != nil {
+		b.Fatal(err)
+	}
+	fb.SetNetFaults(&storage.NetFaults{
+		Seed:      4177,
+		SpikeRate: remBenchSpikeRate,
+		SpikeDur:  remBenchSpikeDur,
+	})
 	hedge := remBenchHedge
 	if !hedged {
 		hedge = storage.DisableHedging
@@ -135,33 +115,16 @@ func benchRemoteScan(b *testing.B, spikes, hedged bool) {
 		lats = append(lats, time.Since(start))
 	}
 	b.StopTimer()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		idx := int(p * float64(len(lats)-1))
-		return float64(lats[idx].Nanoseconds())
-	}
-	b.ReportMetric(pct(0.50), "p50-ns")
-	b.ReportMetric(pct(0.99), "p99-ns")
-	st := rb.ResilienceStats()
-	b.ReportMetric(float64(st.Hedges)/float64(b.N), "hedges/op")
-	b.ReportMetric(float64(st.HedgeWins)/float64(b.N), "hedgewins/op")
+	reportLatencies(b, lats, rb)
 }
 
-// Scan-level pair: whole-scan wall clock with spikes, hedging off vs
-// on. On a noisy shared machine whole-scan percentiles blur; the
-// read-level pair below is the acceptance measurement.
-func BenchmarkRemoteScanSpikesUnhedged(b *testing.B) { benchRemoteScan(b, true, false) }
-func BenchmarkRemoteScanSpikesHedged(b *testing.B)   { benchRemoteScan(b, true, true) }
-
-// Spike-free controls: hedging must cost nothing when the tail is clean
-// (the 500µs trigger should rarely fire).
-func BenchmarkRemoteScanCleanUnhedged(b *testing.B) { benchRemoteScan(b, false, false) }
-func BenchmarkRemoteScanCleanHedged(b *testing.B)   { benchRemoteScan(b, false, true) }
+func BenchmarkRemoteScanSpikesUnhedged(b *testing.B) { benchRemoteScan(b, false) }
+func BenchmarkRemoteScanSpikesHedged(b *testing.B)   { benchRemoteScan(b, true) }
 
 // benchRemoteRead is the closed-loop per-read benchmark: one 64 KiB
-// range read per iteration against a spiking backend. The injected
-// 20ms spikes put the unhedged p99 at the spike duration; hedging must
-// cut it by >=2x (the hedge leg redraws the spike lottery after 1ms).
+// range read per iteration against a backend where 5% of reads stall for
+// 50ms. The unhedged p99 sits at the spike duration; the hedge leg
+// redraws the spike lottery after 1ms.
 func benchRemoteRead(b *testing.B, hedged bool) {
 	const (
 		blobSize = 1 << 20
@@ -200,18 +163,8 @@ func benchRemoteRead(b *testing.B, hedged bool) {
 		lats = append(lats, time.Since(start))
 	}
 	b.StopTimer()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		idx := int(p * float64(len(lats)-1))
-		return float64(lats[idx].Nanoseconds())
-	}
-	b.ReportMetric(pct(0.50), "p50-ns")
-	b.ReportMetric(pct(0.99), "p99-ns")
-	st := rb.ResilienceStats()
-	b.ReportMetric(float64(st.Hedges)/float64(b.N), "hedges/op")
-	b.ReportMetric(float64(st.HedgeWins)/float64(b.N), "hedgewins/op")
+	reportLatencies(b, lats, rb)
 }
 
-// The acceptance pair: hedging must show the >=2x p99 gap.
 func BenchmarkRemoteReadSpikesUnhedged(b *testing.B) { benchRemoteRead(b, false) }
 func BenchmarkRemoteReadSpikesHedged(b *testing.B)   { benchRemoteRead(b, true) }
