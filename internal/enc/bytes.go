@@ -10,7 +10,7 @@ import (
 // EncodeBytes appends an encoded stream for the byte-string column vs,
 // choosing the scheme with the cascade selector.
 func EncodeBytes(dst []byte, vs [][]byte, opts *Options) ([]byte, error) {
-	return encodeBytesDepth(dst, vs, opts, 0)
+	return encodeDepth(&bytesKind, dst, vs, opts, 0)
 }
 
 // EncodeBytesWith appends an encoded stream using the given scheme.
@@ -53,24 +53,6 @@ func DecodeBytesInto(dst [][]byte, src []byte) ([][]byte, error) {
 	default:
 		return nil, corruptf("%v is not a bytes scheme", id)
 	}
-}
-
-func encodeBytesDepth(dst []byte, vs [][]byte, opts *Options, depth int) ([]byte, error) {
-	if depth == 0 && opts.Cache != nil {
-		return opts.Cache.encodeBytes(dst, vs, opts)
-	}
-	_, out, err := encodeBytesChosen(dst, vs, opts, depth)
-	return out, err
-}
-
-// encodeBytesChosen mirrors encodeIntsChosen for byte-string streams.
-func encodeBytesChosen(dst []byte, vs [][]byte, opts *Options, depth int) (SchemeID, []byte, error) {
-	id, trial := chooseBytesScheme(vs, opts, depth)
-	if trial != nil {
-		return id, append(dst, trial...), nil
-	}
-	out, err := encodeBytesWithDepth(dst, id, vs, opts, depth)
-	return id, out, err
 }
 
 func encodeBytesWithDepth(dst []byte, id SchemeID, vs [][]byte, opts *Options, depth int) ([]byte, error) {

@@ -54,7 +54,7 @@ func TestSelectorMatchesDistribution(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			vs := c.gen(rng, 8192)
-			id, _ := chooseIntScheme(vs, opts, 0)
+			id, _ := choose(&intKind, vs, opts, 0)
 			if !c.want[id] {
 				t.Errorf("selector picked %v for %s data", id, c.name)
 			}
@@ -132,7 +132,12 @@ func TestObjectiveWeights(t *testing.T) {
 	// relative to a size-only objective.
 	sizeOnly := &Options{MaxDepth: 2, SampleSize: 1024}
 	readHeavy := &Options{MaxDepth: 2, SampleSize: 1024, ReadWeight: 10}
-	c := intCosts[Chunked]
+	var c relCost
+	for _, row := range intKind.cands {
+		if row.id == Chunked {
+			c = row.cost
+		}
+	}
 	if objective(100, c, readHeavy) <= objective(100, c, sizeOnly) {
 		t.Fatal("read weight did not increase Chunked's cost")
 	}
@@ -152,22 +157,20 @@ func TestTrialReuseMatchesReencode(t *testing.T) {
 		for _, tc := range intSchemes {
 			opts := trialOpts(cached)
 			for _, n := range around(opts.SampleSize) {
-				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh,
-					EncodeInts, EncodeIntsWith, chooseIntScheme)
+				checkTrialReuse(t, &intKind, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh, EncodeInts)
 			}
 		}
 		for _, tc := range floatSchemes {
 			opts := trialOpts(cached)
 			for _, n := range around(opts.SampleSize) {
-				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh,
-					EncodeFloats, EncodeFloatsWith, chooseFloatScheme)
+				checkTrialReuse(t, &floatKind, tc.id, tc.gen(rng, n), n <= opts.SampleSize, opts, fresh, EncodeFloats)
 			}
 		}
 		for _, tc := range bytesSchemes {
 			opts := trialOpts(cached)
-			for _, n := range around(bytesSampleSize(opts)) {
-				checkTrialReuse(t, tc.id, tc.gen(rng, n), n <= bytesSampleSize(opts), opts, fresh,
-					EncodeBytes, EncodeBytesWith, chooseBytesScheme)
+			size := bytesKind.sampleSize(opts)
+			for _, n := range around(size) {
+				checkTrialReuse(t, &bytesKind, tc.id, tc.gen(rng, n), n <= size, opts, fresh, EncodeBytes)
 			}
 		}
 	}
@@ -183,10 +186,8 @@ func trialOpts(cached bool) *Options {
 	return DefaultOptions()
 }
 
-func checkTrialReuse[T any](t *testing.T, gen SchemeID, vs []T, whole bool, opts, fresh *Options,
+func checkTrialReuse[T any](t *testing.T, k *kind[T], gen SchemeID, vs []T, whole bool, opts, fresh *Options,
 	encode func([]byte, []T, *Options) ([]byte, error),
-	encodeWith func([]byte, SchemeID, []T, *Options) ([]byte, error),
-	choose func([]T, *Options, int) (SchemeID, []byte),
 ) {
 	t.Helper()
 	name := fmt.Sprintf("%v data, n=%d, cached=%v", gen, len(vs), opts.Cache != nil)
@@ -197,18 +198,18 @@ func checkTrialReuse[T any](t *testing.T, gen SchemeID, vs []T, whole bool, opts
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, err := encodeWith(nil, TopScheme(got), vs, fresh)
+	want, err := k.encode(nil, TopScheme(got), vs, fresh, 0)
 	if err != nil {
 		t.Fatalf("%s: re-encode as %v: %v", name, TopScheme(got), err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: encoded %d bytes, a fresh %v encode %d bytes", name, len(got), TopScheme(got), len(want))
 	}
-	id, trial := choose(vs, fresh, 0)
+	id, trial := choose(k, vs, fresh, 0)
 	if opts.Cache == nil && id != TopScheme(got) {
 		t.Errorf("%s: selector chose %v but the stream is %v", name, id, TopScheme(got))
 	}
-	if trial == nil && whole && id != Constant && id != ConstantF && id != ConstantB {
+	if trial == nil && whole && id != k.constant {
 		t.Errorf("%s: whole-stream sample returned no trial for %v", name, id)
 	}
 	if trial != nil && !whole {
@@ -221,16 +222,16 @@ func TestSampleIntsPreservesRuns(t *testing.T) {
 	for i := range vs {
 		vs[i] = int64(i / 100) // long runs
 	}
-	sample := sampleInts(vs, 1024)
-	if len(sample) > 1024 {
-		t.Fatalf("sample too large: %d", len(sample))
+	got := sample(vs, 1024)
+	if len(got) > 1024 {
+		t.Fatalf("sample too large: %d", len(got))
 	}
-	s := statsOf(sample)
+	s := statsOf(got)
 	if s.runs*3 > s.n {
 		t.Fatalf("sampling destroyed run structure: %d runs in %d values", s.runs, s.n)
 	}
 	short := []int64{1, 2, 3}
-	if got := sampleInts(short, 1024); len(got) != 3 {
+	if got := sample(short, 1024); len(got) != 3 {
 		t.Fatalf("short input should be returned whole")
 	}
 }

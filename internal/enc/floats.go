@@ -17,7 +17,7 @@ import (
 // EncodeFloats appends an encoded stream for vs, choosing the scheme with
 // the cascade selector.
 func EncodeFloats(dst []byte, vs []float64, opts *Options) ([]byte, error) {
-	return encodeFloatsDepth(dst, vs, opts, 0)
+	return encodeDepth(&floatKind, dst, vs, opts, 0)
 }
 
 // EncodeFloatsWith appends an encoded stream using the given scheme.
@@ -59,24 +59,6 @@ func DecodeFloatsInto(dst []float64, src []byte) ([]float64, error) {
 	default:
 		return nil, corruptf("%v is not a float scheme", id)
 	}
-}
-
-func encodeFloatsDepth(dst []byte, vs []float64, opts *Options, depth int) ([]byte, error) {
-	if depth == 0 && opts.Cache != nil {
-		return opts.Cache.encodeFloats(dst, vs, opts)
-	}
-	_, out, err := encodeFloatsChosen(dst, vs, opts, depth)
-	return out, err
-}
-
-// encodeFloatsChosen mirrors encodeIntsChosen for float64 streams.
-func encodeFloatsChosen(dst []byte, vs []float64, opts *Options, depth int) (SchemeID, []byte, error) {
-	id, trial := chooseFloatScheme(vs, opts, depth)
-	if trial != nil {
-		return id, append(dst, trial...), nil
-	}
-	out, err := encodeFloatsWithDepth(dst, id, vs, opts, depth)
-	return id, out, err
 }
 
 func encodeFloatsWithDepth(dst []byte, id SchemeID, vs []float64, opts *Options, depth int) ([]byte, error) {

@@ -9,7 +9,7 @@ import (
 // EncodeInts appends an encoded stream for vs to dst, choosing the scheme
 // with the cascade selector.
 func EncodeInts(dst []byte, vs []int64, opts *Options) ([]byte, error) {
-	return encodeIntsDepth(dst, vs, opts, 0)
+	return encodeDepth(&intKind, dst, vs, opts, 0)
 }
 
 // EncodeIntsWith appends an encoded stream using the given scheme. Composite
@@ -34,7 +34,6 @@ func DecodeIntsInto(dst []int64, src []byte) ([]int64, error) {
 	}
 	id := SchemeID(src[0])
 	payload := src[1:]
-	n := len(dst)
 	switch id {
 	case Plain:
 		return decodePlainInts(dst, payload)
@@ -69,29 +68,8 @@ func DecodeIntsInto(dst []int64, src []byte) ([]int64, error) {
 	case Chunked:
 		return decodeChunkedInts(dst, payload)
 	default:
-		_ = n
 		return nil, corruptf("%v is not an integer scheme", id)
 	}
-}
-
-func encodeIntsDepth(dst []byte, vs []int64, opts *Options, depth int) ([]byte, error) {
-	if depth == 0 && opts.Cache != nil {
-		return opts.Cache.encodeInts(dst, vs, opts)
-	}
-	_, out, err := encodeIntsChosen(dst, vs, opts, depth)
-	return out, err
-}
-
-// encodeIntsChosen appends vs in the scheme the selector picks and returns
-// that scheme. A winning trial that already covers all of vs is appended
-// as is instead of being encoded again.
-func encodeIntsChosen(dst []byte, vs []int64, opts *Options, depth int) (SchemeID, []byte, error) {
-	id, trial := chooseIntScheme(vs, opts, depth)
-	if trial != nil {
-		return id, append(dst, trial...), nil
-	}
-	out, err := encodeIntsWithDepth(dst, id, vs, opts, depth)
-	return id, out, err
 }
 
 func encodeIntsWithDepth(dst []byte, id SchemeID, vs []int64, opts *Options, depth int) ([]byte, error) {
@@ -136,7 +114,7 @@ func encodeIntsWithDepth(dst []byte, id SchemeID, vs []int64, opts *Options, dep
 
 // encodeChildInts encodes vs as a length-prefixed child stream.
 func encodeChildInts(dst []byte, vs []int64, opts *Options, depth int) ([]byte, error) {
-	child, err := encodeIntsDepth(nil, vs, opts, depth)
+	child, err := encodeDepth(&intKind, nil, vs, opts, depth)
 	if err != nil {
 		return nil, err
 	}

@@ -377,7 +377,7 @@ func TestCascadePicksConstant(t *testing.T) {
 	for i := range vs {
 		vs[i] = 42
 	}
-	if id, _ := chooseIntScheme(vs, DefaultOptions(), 0); id != Constant {
+	if id, _ := choose(&intKind, vs, DefaultOptions(), 0); id != Constant {
 		t.Fatalf("selector picked %v for constant data", id)
 	}
 }
@@ -387,7 +387,7 @@ func TestCascadeDepthLimit(t *testing.T) {
 	opts := DefaultOptions()
 	rng := rand.New(rand.NewSource(9))
 	vs := genRuns(rng, 2000)
-	id, _ := chooseIntScheme(vs, opts, opts.MaxDepth)
+	id, _ := choose(&intKind, vs, opts, opts.MaxDepth)
 	switch id {
 	case RLE, Dict, Delta, DeltaDelta, MainlyConst, Chunked, BitShuffle:
 		t.Fatalf("composite scheme %v chosen at max depth", id)

@@ -96,11 +96,7 @@ func encodeNullableInts(dst []byte, vs []int64, valid *bitutil.Bitmap, opts *Opt
 		return nil, err
 	}
 	dst = appendChild(dst, validityStream)
-	child, err := encodeIntsDepth(nil, dense, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	return appendChild(dst, child), nil
+	return encodeChildInts(dst, dense, opts, 1)
 }
 
 func decodeNullableIntsInto(vals []int64, valid []bool, src []byte) error {
@@ -173,11 +169,7 @@ func encodeSentinelInts(dst []byte, vs []int64, valid *bitutil.Bitmap, sentinel 
 			filled[i] = sentinel
 		}
 	}
-	child, err := encodeIntsDepth(nil, filled, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	return appendChild(dst, child), nil
+	return encodeChildInts(dst, filled, opts, 1)
 }
 
 func decodeSentinelIntsInto(vals []int64, valid []bool, src []byte) error {

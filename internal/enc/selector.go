@@ -81,19 +81,19 @@ func (c *SelectorCache) drifted(base, ratio float64) bool {
 	return d > c.drift*base+1e-3
 }
 
-// encodeInts is the cached path of EncodeInts: try the remembered scheme,
-// fall back to full selection when it errors (e.g. Constant on a page that
-// is no longer constant) or drifts.
-func (c *SelectorCache) encodeInts(dst []byte, vs []int64, opts *Options) ([]byte, error) {
+// cachedEncode is the cached path of the top-level encoders: try the
+// remembered scheme, fall back to full selection when it errors (e.g.
+// Constant on a page that is no longer constant) or drifts.
+func cachedEncode[T any](c *SelectorCache, k *kind[T], dst []byte, vs []T, opts *Options) ([]byte, error) {
 	if len(vs) == 0 {
-		_, out, err := encodeIntsChosen(dst, vs, opts, 0)
+		_, out, err := encodeChosen(k, dst, vs, opts, 0)
 		return out, err
 	}
 	e := c.entry()
 	mark := len(dst)
-	raw := 8 * float64(len(vs))
+	raw := k.rawSize(vs)
 	if e.valid {
-		out, err := encodeIntsWithDepth(dst, e.scheme, vs, opts, 0)
+		out, err := k.encode(dst, e.scheme, vs, opts, 0)
 		if err == nil {
 			if ratio := float64(len(out)-mark) / raw; !c.drifted(e.ratio, ratio) {
 				c.hits++
@@ -103,66 +103,7 @@ func (c *SelectorCache) encodeInts(dst []byte, vs []int64, opts *Options) ([]byt
 		dst = dst[:mark]
 	}
 	c.resamples++
-	id, out, err := encodeIntsChosen(dst, vs, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	*e = selectorEntry{valid: true, scheme: id, ratio: float64(len(out)-mark) / raw}
-	return out, nil
-}
-
-// encodeFloats mirrors encodeInts for float64 streams.
-func (c *SelectorCache) encodeFloats(dst []byte, vs []float64, opts *Options) ([]byte, error) {
-	if len(vs) == 0 {
-		_, out, err := encodeFloatsChosen(dst, vs, opts, 0)
-		return out, err
-	}
-	e := c.entry()
-	mark := len(dst)
-	raw := 8 * float64(len(vs))
-	if e.valid {
-		out, err := encodeFloatsWithDepth(dst, e.scheme, vs, opts, 0)
-		if err == nil {
-			if ratio := float64(len(out)-mark) / raw; !c.drifted(e.ratio, ratio) {
-				c.hits++
-				return out, nil
-			}
-		}
-		dst = dst[:mark]
-	}
-	c.resamples++
-	id, out, err := encodeFloatsChosen(dst, vs, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	*e = selectorEntry{valid: true, scheme: id, ratio: float64(len(out)-mark) / raw}
-	return out, nil
-}
-
-// encodeBytes mirrors encodeInts for byte-string streams.
-func (c *SelectorCache) encodeBytes(dst []byte, vs [][]byte, opts *Options) ([]byte, error) {
-	if len(vs) == 0 {
-		_, out, err := encodeBytesChosen(dst, vs, opts, 0)
-		return out, err
-	}
-	e := c.entry()
-	mark := len(dst)
-	raw := float64(len(vs))
-	for _, v := range vs {
-		raw += float64(len(v))
-	}
-	if e.valid {
-		out, err := encodeBytesWithDepth(dst, e.scheme, vs, opts, 0)
-		if err == nil {
-			if ratio := float64(len(out)-mark) / raw; !c.drifted(e.ratio, ratio) {
-				c.hits++
-				return out, nil
-			}
-		}
-		dst = dst[:mark]
-	}
-	c.resamples++
-	id, out, err := encodeBytesChosen(dst, vs, opts, 0)
+	id, out, err := encodeChosen(k, dst, vs, opts, 0)
 	if err != nil {
 		return nil, err
 	}
