@@ -569,3 +569,37 @@ func TestBatchValidation(t *testing.T) {
 		t.Error("type mismatch accepted")
 	}
 }
+
+// TestSignedZeroFloatPage: +0.0 and -0.0 compare equal under ==, but the
+// constant float scheme stores one bit pattern. A page of zeros with one
+// -0.0 must still write, with and without selector caches, and read back
+// with every sign intact.
+func TestSignedZeroFloatPage(t *testing.T) {
+	schema, err := NewSchema(Field{Name: "a", Type: Type{Kind: Float64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := make(Float64Data, 1000)
+	vs[500] = math.Copysign(0, -1)
+	batch, err := NewBatch(schema, []ColumnData{vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, drift := range []float64{0, -1} { // -1 installs no selector caches
+		opts := DefaultOptions()
+		e := *opts.Enc
+		e.ResampleDrift = drift
+		opts.Enc = &e
+		_, f := writeTestFile(t, schema, batch, opts)
+		data, err := f.ReadColumn("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := data.(Float64Data)
+		for i := range vs {
+			if math.Float64bits(got[i]) != math.Float64bits(vs[i]) {
+				t.Fatalf("drift %v: row %d = %v, want %v", drift, i, got[i], vs[i])
+			}
+		}
+	}
+}

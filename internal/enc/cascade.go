@@ -1,5 +1,7 @@
 package enc
 
+import "math"
+
 // The cascade selector. Following BtrBlocks and Procella, scheme selection
 // is sampling-based: candidates are nominated from cheap distribution
 // statistics, trial-encoded on a sample, and scored with a Nimble-style
@@ -91,9 +93,11 @@ var intKind = kind[int64]{
 }
 
 var floatKind = kind[float64]{
-	plain:      PlainF,
-	constant:   ConstantF,
-	same:       func(a, b float64) bool { return a == b },
+	plain:    PlainF,
+	constant: ConstantF,
+	// Bitwise, as ConstantF stores one bit pattern: +0.0 == -0.0 and
+	// NaN != NaN would both pick the wrong way under ==.
+	same:       func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) },
 	sampleSize: func(opts *Options) int { return opts.SampleSize },
 	rawSize:    func(vs []float64) float64 { return 8 * float64(len(vs)) },
 	cands: []candidate{

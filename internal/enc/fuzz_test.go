@@ -3,6 +3,7 @@ package enc
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"bullion/internal/bitutil"
@@ -48,6 +49,8 @@ func FuzzCascadeRoundTrip(f *testing.F) {
 	}
 	f.Add(run)
 	f.Add([]byte{0xff, 0xfe, 0x80, 0x01, 0x7f, 0x00, 0xaa, 0x55, 0x13})
+	// {+0.0, -0.0} as float64 bits: equal under ==, not bit-identical.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 { // keep per-exec cost bounded
@@ -95,6 +98,26 @@ func FuzzCascadeRoundTrip(f *testing.F) {
 			}
 		}
 		_, _, _ = DecodeNullableInts(data, 64)
+		// The same words as float64 bits through the float cascade, compared
+		// bit for bit: signed zeros and NaN payloads must survive.
+		fs := make([]float64, len(vs))
+		for i, v := range vs {
+			fs[i] = math.Float64frombits(uint64(v))
+		}
+		fenc, err := EncodeFloats(nil, fs, DefaultOptions())
+		if err != nil {
+			t.Fatalf("EncodeFloats(%d values): %v", len(fs), err)
+		}
+		fdec, err := DecodeFloats(fenc, len(fs))
+		if err != nil {
+			t.Fatalf("DecodeFloats round-trip: %v", err)
+		}
+		for i := range fs {
+			if math.Float64bits(fdec[i]) != math.Float64bits(fs[i]) {
+				t.Fatalf("float %d: %#x != %#x (scheme %v)", i,
+					math.Float64bits(fdec[i]), math.Float64bits(fs[i]), TopScheme(fenc))
+			}
+		}
 	})
 }
 

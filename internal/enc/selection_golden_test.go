@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,6 +53,9 @@ func TestSelectionGolden(t *testing.T) {
 				return g.gen(selectionRand(1, gi, n), n)
 			}, EncodeFloats)
 		}
+		for _, g := range floatEdges {
+			rows = appendSelectionRows(t, rows, "float", g.name, o.name, o.opts(), g.gen, EncodeFloats)
+		}
 		for gi, g := range bytesSchemes {
 			rows = appendSelectionRows(t, rows, "bytes", g.id.String(), o.name, o.opts(), func(n int) [][]byte {
 				return g.gen(selectionRand(2, gi, n), n)
@@ -90,6 +94,26 @@ func TestSelectionGolden(t *testing.T) {
 	if !t.Failed() && got != string(raw) {
 		t.Error("same rows in a different order")
 	}
+}
+
+// floatEdges are float pages that compare constant under == but not
+// bitwise, or the reverse.
+var floatEdges = []struct {
+	name string
+	gen  func(n int) []float64
+}{
+	{"signed-zeros", func(n int) []float64 {
+		vs := make([]float64, n)
+		vs[n/2] = math.Copysign(0, -1)
+		return vs
+	}},
+	{"nan", func(n int) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = math.NaN()
+		}
+		return vs
+	}},
 }
 
 // selectionRand seeds each (type, generator, length) cell on its own, so
