@@ -8,7 +8,8 @@ import (
 	"bullion/internal/bitutil"
 )
 
-// Float64 streams get their own cascade (Gorilla/Chimp/ALP/Pseudodecimal).
+// Float64 streams get their own candidate table (floatKind in cascade.go:
+// Gorilla/Chimp/ALP/Pseudodecimal).
 // Narrower float formats (FP32 and the quantized FP16/BF16/FP8 of §2.4)
 // are stored as raw bit patterns through the *integer* cascade, which
 // already handles fixed-width/dictionary/bit-shuffle compression of short

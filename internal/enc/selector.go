@@ -12,6 +12,12 @@ package enc
 // trial instead of encoding the page again (see cascade.go), and the
 // DEFLATE state behind the BitShuffle/Chunked trials is pooled
 // (chunked.go), so a resample costs the trials and nothing more.
+//
+// One cachedEncode serves every kind: an entry is a scheme id and a ratio
+// whatever the value type, and a resample is the same table-driven choose
+// the uncached path runs, so a scheme added to a kind's table is cached
+// with no change here. The cache inherits choose's determinism, which
+// rests on each table's fixed row order.
 
 // DefaultResampleDrift is the relative encoded-size drift that invalidates
 // a cached selector decision when Options.ResampleDrift is zero.
