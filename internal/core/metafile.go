@@ -10,10 +10,12 @@ import (
 // MarshalFooterFile serializes a footer-only Bullion file: zero rows, no
 // row groups, and a footer carrying only cols plus, optionally, one
 // file-level statistics entry and bloom per column (stats and blooms may
-// be nil). The dataset layer keeps its schema and its per-member pruning
-// statistics in such files, so both decode through the footer view — O(1)
-// open, hash-indexed name lookup — and ParseFooter/ParseFooterBytes read
-// them like any other file.
+// be nil). The dataset layer keeps its schema (SchemaFile) and each
+// member's pruning statistics (StatsFile, derived from the member's own
+// footer) in such files, so both decode through the footer view — O(1)
+// open, hash-indexed name lookup — ParseFooter/ParseFooterBytes read them
+// like any other file, and Footer.Excludes prunes with a statistics file
+// exactly as with the footer it was derived from.
 func MarshalFooterFile(cols []footer.Column, stats []footer.ColumnStat, blooms [][]byte) ([]byte, error) {
 	ftr := &footer.Footer{
 		NumColumns:     len(cols),

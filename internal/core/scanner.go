@@ -378,12 +378,16 @@ func resolveFilters(f *File, fs []ColumnFilter) ([]boundFilter, error) {
 		if err := cf.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %v", err)
 		}
-		out = append(out, boundFilter{
-			col: ci, min: cf.Min, max: cf.Max, fmin: cf.FloatMin, fmax: cf.FloatMax,
-			hashes: filterHashes(cf.ValueIn),
-		})
+		out = append(out, newBoundFilter(cf, ci))
 	}
 	return out, nil
+}
+
+func newBoundFilter(cf ColumnFilter, col int) boundFilter {
+	return boundFilter{
+		col: col, min: cf.Min, max: cf.Max, fmin: cf.FloatMin, fmax: cf.FloatMax,
+		hashes: filterHashes(cf.ValueIn),
+	}
 }
 
 // pruneBatch reports whether span can be skipped entirely: every row
@@ -474,12 +478,55 @@ func (s *Scanner) filterExcludesSpan(bf *boundFilter, span rowSpan) bool {
 // touching page statistics.
 func fileExcludedByFilters(f *File, filters []boundFilter) bool {
 	for i := range filters {
-		bf := &filters[i]
-		if st, ok := f.view.ColumnStat(bf.col); ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
+		if f.ftr.columnExcludes(filters[i].col, &filters[i]) {
 			return true
 		}
-		// Parsed column blooms are memoized on the shared Footer.
-		if bloomFilterExcludes(bf, f.ftr.ColumnBloomFilter(bf.col)) {
+	}
+	return false
+}
+
+// columnExcludes reports whether column c's file-level stats or bloom
+// prove bf cannot match. Parsed column blooms are memoized on the Footer.
+func (ftr *Footer) columnExcludes(c int, bf *boundFilter) bool {
+	if st, ok := ftr.view.ColumnStat(c); ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
+		return true
+	}
+	return bloomFilterExcludes(bf, ftr.ColumnBloomFilter(c))
+}
+
+// FileFilters is a set of column filters prepared once for the whole-file
+// check of many footers (Footer.Excludes): each membership set is hashed
+// once, not once per footer.
+type FileFilters struct {
+	names []string
+	bound []boundFilter
+}
+
+// PrepareFileFilters prepares fs for Footer.Excludes, or returns nil when
+// fs is empty; a nil set excludes nothing. The filters must already be
+// valid (ColumnFilter.Validate).
+func PrepareFileFilters(fs []ColumnFilter) *FileFilters {
+	if len(fs) == 0 {
+		return nil
+	}
+	out := &FileFilters{names: make([]string, len(fs)), bound: make([]boundFilter, len(fs))}
+	for i, cf := range fs {
+		out.names[i], out.bound[i] = cf.Column, newBoundFilter(cf, -1)
+	}
+	return out
+}
+
+// Excludes reports whether ftr's file-level statistics prove that no row
+// of its file can satisfy some filter of fs — the scan planner's
+// whole-file check, asked of any footer: a file's own, or a statistics
+// sidecar standing in for it (StatsFile). A filter on a column the footer
+// does not carry never excludes.
+func (ftr *Footer) Excludes(fs *FileFilters) bool {
+	if fs == nil {
+		return false
+	}
+	for i := range fs.bound {
+		if c, ok := ftr.view.LookupColumn(fs.names[i]); ok && ftr.columnExcludes(c, &fs.bound[i]) {
 			return true
 		}
 	}

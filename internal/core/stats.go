@@ -226,7 +226,6 @@ func (f *File) Stats() *FileStats {
 			Encodings: map[enc.SchemeID]int{},
 			Bloom:     v.ColumnBloom(c),
 		}
-		zone := newZoneFold()
 		for g := 0; g < v.NumGroups(); g++ {
 			_, size := v.ChunkByteRange(g, c)
 			cs.CompressedBytes += size
@@ -234,20 +233,100 @@ func (f *File) Stats() *FileStats {
 			cs.Pages += count
 			for p := first; p < first+count; p++ {
 				cs.Encodings[enc.SchemeID(v.PageCompression(p))]++
-				st, ok := v.PageStat(p)
-				zone.addPage(st, ok, v.PageRows(p))
 			}
 		}
-		if cstat, ok := v.ColumnStat(c); ok {
-			// v3 files persist the writer's fold; prefer it (it is what the
-			// dataset manifest lifted).
-			zone.set(cstat)
+		st := columnStat(v, c)
+		cs.NullCount = st.NullCount
+		switch {
+		case st.Flags&footer.StatHasMinMax == 0:
+		case st.Flags&footer.StatFloatBits != 0:
+			cs.FloatMin, cs.FloatMax = statFloatBounds(st.Min, st.Max)
+			cs.HasFloatMinMax = true
+		default:
+			cs.Min, cs.Max, cs.HasMinMax = st.Min, st.Max, true
 		}
-		zone.fill(&cs)
 		s.DataBytes += cs.CompressedBytes
 		s.Columns[c] = cs
 	}
 	return s
+}
+
+// columnStat returns column c's file-level zone map: the writer's fold as
+// a version-3 footer persists it, else the same fold over the column's
+// page statistics.
+func columnStat(v *footer.View, c int) footer.ColumnStat {
+	if st, ok := v.ColumnStat(c); ok {
+		return st
+	}
+	zone := newZoneFold()
+	for g := 0; g < v.NumGroups(); g++ {
+		first, count := v.ChunkPages(g, c)
+		for p := first; p < first+count; p++ {
+			st, ok := v.PageStat(p)
+			zone.addPage(st, ok, v.PageRows(p))
+		}
+	}
+	return zone.columnStat()
+}
+
+// maxStatsBloomBytes caps the bloom StatsFile copies into a statistics
+// sidecar. A sidecar is written once, so the cap does not guard what a
+// commit rewrites; it bounds what a filtered dataset scan reads per
+// member before it can prune (64 KiB is about 43k distinct values at the
+// default sizing), and version 1-2 dataset manifests, which inlined the
+// same statistics, were written under it. A column over the cap loses
+// only member-level membership pruning: the member's own footer bloom
+// still prunes once the file is opened.
+const maxStatsBloomBytes = 1 << 16
+
+// StatsFile renders ftr's file-level statistics as a statistics sidecar:
+// a footer-only file (MarshalFooterFile) with one column for each column
+// of ftr whose statistics can prune — int bounds, finite float bounds, or
+// a bloom of at most maxStatsBloomBytes — carrying those and the null
+// count. Non-finite float bounds are left out, as the JSON zones of
+// version 1-2 dataset manifests could not hold them; a missing bound only
+// costs pruning. The statistics are columnStat's, so the footer a writer
+// hands over in WrittenStats and the same file reopened yield the same
+// bytes. StatsFile returns nil when no column qualifies.
+func StatsFile(ftr *Footer) ([]byte, error) {
+	v := ftr.view
+	var (
+		cols      []footer.Column
+		stats     []footer.ColumnStat
+		blooms    [][]byte
+		haveBloom bool
+	)
+	for c := 0; c < v.NumColumns(); c++ {
+		st := columnStat(v, c)
+		out := footer.ColumnStat{NullCount: st.NullCount, Flags: footer.StatHasNullCount}
+		bounded := st.Flags&footer.StatHasMinMax != 0
+		if bounded && st.Flags&footer.StatFloatBits != 0 {
+			lo, hi := statFloatBounds(st.Min, st.Max)
+			bounded = !math.IsInf(lo, 0) && !math.IsNaN(lo) && !math.IsInf(hi, 0) && !math.IsNaN(hi)
+		}
+		if bounded {
+			out.Flags |= st.Flags & (footer.StatHasMinMax | footer.StatFloatBits)
+			out.Min, out.Max = st.Min, st.Max
+		}
+		bloom := v.ColumnBloom(c)
+		if len(bloom) > maxStatsBloomBytes {
+			bloom = nil
+		}
+		if !bounded && len(bloom) == 0 {
+			continue
+		}
+		cols = append(cols, footer.Column{Name: v.ColumnName(c)})
+		stats = append(stats, out)
+		blooms = append(blooms, bloom)
+		haveBloom = haveBloom || len(bloom) > 0
+	}
+	if len(cols) == 0 {
+		return nil, nil
+	}
+	if !haveBloom {
+		blooms = nil
+	}
+	return MarshalFooterFile(cols, stats, blooms)
 }
 
 // zoneFold folds page statistics into one column-level zone map, keeping
@@ -330,32 +409,4 @@ func (z *zoneFold) columnStat() footer.ColumnStat {
 		}
 	}
 	return st
-}
-
-// set overrides the fold with a persisted file-level entry.
-func (z *zoneFold) set(st footer.ColumnStat) {
-	z.nullCount = st.NullCount
-	z.seen = st.Flags&footer.StatHasMinMax != 0
-	z.allBounded = z.seen
-	z.floatBits = st.Flags&footer.StatFloatBits != 0
-	if z.floatBits {
-		z.fmin, z.fmax = statFloatBounds(st.Min, st.Max)
-	} else {
-		z.min, z.max = st.Min, st.Max
-	}
-}
-
-// fill copies the fold into a ColumnStats record.
-func (z *zoneFold) fill(cs *ColumnStats) {
-	cs.NullCount = z.nullCount
-	if !z.seen || !z.allBounded {
-		return
-	}
-	if z.floatBits {
-		cs.FloatMin, cs.FloatMax = z.fmin, z.fmax
-		cs.HasFloatMinMax = true
-	} else {
-		cs.Min, cs.Max = z.min, z.max
-		cs.HasMinMax = true
-	}
 }

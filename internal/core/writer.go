@@ -71,16 +71,12 @@ type Writer struct {
 	ftr        footer.Footer
 	pageHashes [][]merkle.Hash // per group, in page order
 	// Per-column statistics folded as groups serialize (group order, so
-	// the result is deterministic at every worker count): zone maps, the
-	// distinct byte-string hash sets feeding the file-level blooms, and
-	// the storage accounting surfaced by WrittenStats.
+	// the result is deterministic at every worker count): zone maps and
+	// the distinct byte-string hash sets feeding the file-level blooms.
 	colZones  []*zoneFold
 	colHashes []map[uint64]struct{}
-	colBytes  []uint64
-	colPages  []int
-	colEnc    []map[enc.SchemeID]int
 
-	fileBytes int64 // total bytes written, valid after Close
+	written *WrittenStats // set by a successful Close
 
 	closed bool
 	err    error
@@ -134,12 +130,8 @@ func NewWriter(w io.Writer, schema *Schema, opts *Options) (*Writer, error) {
 	nCols := len(schema.Fields)
 	bw.colZones = make([]*zoneFold, nCols)
 	bw.colHashes = make([]map[uint64]struct{}, nCols)
-	bw.colBytes = make([]uint64, nCols)
-	bw.colPages = make([]int, nCols)
-	bw.colEnc = make([]map[enc.SchemeID]int, nCols)
 	for i := range bw.colZones {
 		bw.colZones[i] = newZoneFold()
-		bw.colEnc[i] = map[enc.SchemeID]int{}
 	}
 	for _, f := range schema.Fields {
 		bw.ftr.Columns = append(bw.ftr.Columns, footer.Column{Name: f.Name, Type: fieldDesc(f)})
@@ -337,7 +329,6 @@ func (w *Writer) serializeGroup(g *groupJob) error {
 			groupHashes = append(groupHashes, pg.hash)
 			w.offset += uint64(pg.size)
 			w.colZones[ci].addPage(pg.stats, true, int(pg.rows))
-			w.colEnc[ci][enc.SchemeID(pg.scheme)]++
 		}
 		if len(chunk.hashes) > 0 {
 			if w.colHashes[ci] == nil {
@@ -350,8 +341,6 @@ func (w *Writer) serializeGroup(g *groupJob) error {
 		}
 		w.ftr.ColumnOffsets = append(w.ftr.ColumnOffsets, chunkStart)
 		w.ftr.ColumnSizes = append(w.ftr.ColumnSizes, w.offset-chunkStart)
-		w.colBytes[ci] += w.offset - chunkStart
-		w.colPages[ci] += len(chunk.pages)
 	}
 
 	w.ftr.PagesPerGroup = append(w.ftr.PagesPerGroup, uint32(len(w.ftr.PageOffsets)-groupPageStart))
@@ -444,50 +433,30 @@ func (w *Writer) Close() error {
 		w.err = err
 		return err
 	}
-	w.fileBytes = int64(w.offset) + int64(len(buf)) + 8
+	size := int64(w.offset) + int64(len(buf)) + 8
+	ftr, err := newFooter(buf, size)
+	if err != nil {
+		w.err = fmt.Errorf("core: reopening the written footer: %w", err)
+		return w.err
+	}
+	w.written = &WrittenStats{NumRows: w.numRows, Bytes: size, Footer: ftr}
 	return nil
 }
 
 // WrittenStats is the writer's own account of the file it just produced:
-// total size, rows, and per-column statistics identical to what Stats()
-// reports after reopening the file. It exists so commit paths (the
-// dataset's ShardedWriter, compaction rewrites) can lift manifest entries
-// without reopening the file they just wrote.
+// its size, its rows, and its footer parsed from the bytes Close wrote. It
+// exists so commit paths (the dataset's ShardedWriter, compaction
+// rewrites) can build a member's manifest entry and statistics sidecar
+// (StatsFile) without reopening the file they just wrote.
 type WrittenStats struct {
 	NumRows uint64
 	Bytes   int64
-	Columns []ColumnStats
+	Footer  *Footer
 }
 
 // WrittenStats reports the closed file's statistics. It returns nil until
 // Close has succeeded.
-func (w *Writer) WrittenStats() *WrittenStats {
-	if !w.closed || w.err != nil {
-		return nil
-	}
-	ws := &WrittenStats{
-		NumRows: w.numRows,
-		Bytes:   w.fileBytes,
-		Columns: make([]ColumnStats, len(w.schema.Fields)),
-	}
-	for ci, f := range w.schema.Fields {
-		cs := ColumnStats{
-			Name:            f.Name,
-			Type:            f.Type,
-			Sparse:          f.Sparse,
-			Nullable:        f.Nullable,
-			CompressedBytes: w.colBytes[ci],
-			Pages:           w.colPages[ci],
-			Encodings:       w.colEnc[ci],
-		}
-		if len(w.ftr.ColumnBlooms) > 0 {
-			cs.Bloom = w.ftr.ColumnBlooms[ci]
-		}
-		w.colZones[ci].fill(&cs)
-		ws.Columns[ci] = cs
-	}
-	return ws
-}
+func (w *Writer) WrittenStats() *WrittenStats { return w.written }
 
 // checksumArray flattens a Merkle tree into the footer layout:
 // page leaves (global page order), group hashes, root.

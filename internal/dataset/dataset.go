@@ -12,8 +12,6 @@ import (
 
 	"bullion/internal/cache"
 	"bullion/internal/core"
-	"bullion/internal/enc"
-	"bullion/internal/footer"
 	"bullion/internal/storage"
 )
 
@@ -116,16 +114,14 @@ type member struct {
 	mu   sync.Mutex
 	file *core.File
 
-	// zones memoizes a version-3 entry's statistics sidecar, read on the
-	// first filtered scan that asks for one of its columns; a failed read
-	// is not memoized (the scan just cannot prune the member). zoneBlooms
-	// memoizes the parsed per-column bloom filters. Entries are immutable
-	// and members are reused across generations, so each sidecar is read
-	// and each bloom parsed once per Dataset, not once per scan. A nil
-	// bloom records "absent or unparseable".
-	zoneMu     sync.Mutex
-	zones      *footer.View
-	zoneBlooms map[string]*enc.Bloom
+	// stats memoizes the entry's statistics (memberStats), read on the
+	// first filtered scan and by ManifestWithZones; a failed read is not
+	// memoized (the scan just cannot prune the member). Entries are
+	// immutable and members are reused across generations, so each
+	// sidecar is read once per Dataset, not once per scan, and the
+	// core.Footer parses each of its blooms once.
+	statsMu sync.Mutex
+	stats   *core.Footer
 }
 
 // open opens the member file on first use — through the dataset's
@@ -147,52 +143,19 @@ func (m *member) open(d *Dataset) (*core.File, error) {
 	return m.file, nil
 }
 
-// zone returns the member's zone map for col: inline for a version 1-2
-// entry, else from its statistics sidecar, read on first use.
-func (m *member) zone(d *Dataset, col string) (ColumnZone, bool) {
-	if m.entry.Stats == "" {
-		return m.entry.zone(col)
+// statistics returns the member's statistics (memberStats), memoized.
+func (m *member) statistics(d *Dataset) (*core.Footer, error) {
+	m.statsMu.Lock()
+	defer m.statsMu.Unlock()
+	if m.stats != nil {
+		return m.stats, nil
 	}
-	m.zoneMu.Lock()
-	if m.zones == nil {
-		if v, err := readZones(d.backend, m.entry.Stats); err == nil {
-			m.zones = v
-		}
+	st, err := memberStats(d.backend, &m.entry)
+	if err != nil {
+		return nil, err
 	}
-	v := m.zones
-	m.zoneMu.Unlock()
-	if v == nil {
-		return ColumnZone{}, false
-	}
-	c, ok := v.LookupColumn(col)
-	if !ok {
-		return ColumnZone{}, false
-	}
-	return zoneAt(v, c), true
-}
-
-// manifestBloom returns the member's parsed bloom filter for col (nil
-// when its statistics carry none, or it fails to parse), memoized for the
-// member's lifetime.
-func (m *member) manifestBloom(d *Dataset, col string) *enc.Bloom {
-	m.zoneMu.Lock()
-	fl, ok := m.zoneBlooms[col]
-	m.zoneMu.Unlock()
-	if ok {
-		return fl
-	}
-	if z, ok := m.zone(d, col); ok && len(z.Bloom) > 0 {
-		if parsed, err := enc.OpenBloom(z.Bloom); err == nil {
-			fl = parsed
-		}
-	}
-	m.zoneMu.Lock()
-	if m.zoneBlooms == nil {
-		m.zoneBlooms = map[string]*enc.Bloom{}
-	}
-	m.zoneBlooms[col] = fl
-	m.zoneMu.Unlock()
-	return fl
+	m.stats = st
+	return st, nil
 }
 
 // memberVersion derives the cache-key version discriminator from the
@@ -656,21 +619,21 @@ func (d *Dataset) NumLiveRows() uint64 {
 func (d *Dataset) Manifest() *Manifest { return d.generationSnapshot().manifest }
 
 // ManifestWithZones returns a copy of the current manifest whose entries
-// carry their zones inline, read from every member's statistics sidecar —
-// the one-document rendering `bullion info -json` prints.
+// carry their zones inline, rendered from every member's statistics —
+// the one-document rendering `bullion info -json` prints. The zones read
+// the same before and after a version 1-2 manifest is upgraded.
 func (d *Dataset) ManifestWithZones() (*Manifest, error) {
-	m := *d.generationSnapshot().manifest
+	gen := d.generationSnapshot()
+	m := *gen.manifest
 	m.Files = append([]FileEntry(nil), m.Files...)
-	for i := range m.Files {
-		e := &m.Files[i]
-		if e.Stats == "" {
-			continue
-		}
-		v, err := readZones(d.backend, e.Stats)
+	for i, mb := range gen.members {
+		st, err := mb.statistics(d)
 		if err != nil {
 			return nil, err
 		}
-		e.Columns = allZones(v)
+		if st != nil {
+			m.Files[i].Columns = allZones(st.View())
+		}
 	}
 	return &m, nil
 }

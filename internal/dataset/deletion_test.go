@@ -92,11 +92,11 @@ func legacyShape(t *testing.T, dir string, m *Manifest, version int) {
 		if e.Stats == "" {
 			continue
 		}
-		v, err := readZones(b, e.Stats)
+		st, err := memberStats(b, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Columns, e.Stats = allZones(v), ""
+		e.Columns, e.Stats = allZones(st.View()), ""
 	}
 	m.Version = version
 }

@@ -92,12 +92,13 @@ func (r *FsckReport) OK() bool {
 // chain loads, the schema file matches its fingerprint, every referenced
 // member exists with the recorded size and a readable footer whose
 // fingerprint and row count match, its live rows after the entry's
-// deletion bitmap are exactly the entry's, its statistics sidecar parses,
-// and every unreferenced file is classified (temporary debris,
-// unreferenced parts and sidecars, superseded manifests). With deep set,
-// every member's page checksums are verified and every sidecar is
-// compared with the zones its member's footer yields (entryForFile) — a
-// full read of the dataset.
+// deletion bitmap are exactly the entry's, its statistics (a sidecar, or
+// a version 1-2 entry's inline zones) parse, and every unreferenced file
+// is classified (temporary debris, unreferenced parts and sidecars,
+// superseded manifests). With deep set, every member's page checksums are
+// verified and its statistics — the ones a filtered scan prunes with
+// (memberStats) — are compared with what core.StatsFile derives from the
+// member's footer (statsAgree): a full read of the dataset.
 //
 // The error return covers only failures to reach the directory at all;
 // integrity violations land in the report.
@@ -262,14 +263,12 @@ func fsckMember(b storage.Backend, e FileEntry, deep bool) FsckMember {
 	if live := f.WithDeletions(e.DeletionVec).NumLiveRows(); live != e.LiveRows {
 		fail("%d live rows after the manifest's deletions, manifest records %d", live, e.LiveRows)
 	}
-	if e.Stats != "" {
-		v, err := readZones(b, e.Stats)
-		switch {
-		case err != nil:
-			fail("%v", err)
-		case deep && !zonesAgree(allZones(v), entryForFile(e.Name, f, size).Columns):
-			fail("statistics %s disagree with the member's footer", e.Stats)
-		}
+	st, err := memberStats(b, &e)
+	switch {
+	case err != nil:
+		fail("%v", err)
+	case deep && st != nil && !statsAgree(st, f.Footer()):
+		fail("statistics disagree with the member's footer")
 	}
 	if deep {
 		if err := f.VerifyChecksums(); err != nil {
@@ -279,16 +278,27 @@ func fsckMember(b storage.Backend, e FileEntry, deep bool) FsckMember {
 	return fm
 }
 
-// zonesAgree reports whether every zone a sidecar holds is the zone the
-// member's footer yields for that column (entryForFile). A sidecar written
-// at commit holds exactly those; one migrated from a version-1 manifest
-// may hold fewer, which costs pruning, never rows.
-func zonesAgree(sidecar, footer []ColumnZone) bool {
-	want := make(map[string]ColumnZone, len(footer))
-	for _, z := range footer {
-		want[z.Name] = z
+// statsAgree reports whether every column of a member's statistics
+// (memberStats) is the column core.StatsFile derives from the member's
+// footer. A sidecar written at commit holds exactly those; one rendered
+// from a version-1 manifest's zones may hold fewer, which costs pruning,
+// never rows.
+func statsAgree(stats, member *core.Footer) bool {
+	data, err := core.StatsFile(member)
+	if err != nil {
+		return false
 	}
-	for _, z := range sidecar {
+	want := map[string]ColumnZone{}
+	if data != nil {
+		derived, err := core.ParseFooterBytes(data)
+		if err != nil {
+			return false
+		}
+		for _, z := range allZones(derived.View()) {
+			want[z.Name] = z
+		}
+	}
+	for _, z := range allZones(stats.View()) {
 		if w, ok := want[z.Name]; !ok || !reflect.DeepEqual(z, w) {
 			return false
 		}

@@ -26,15 +26,23 @@
 //     core.Schema is materialized only when a caller asks for every field
 //     (Dataset.Schema, an unprojected scan, a writer).
 //   - One statistics sidecar per member, stats-<x> for member part-<x>:
-//     the member's zones and blooms as a footer-only Bullion file, staged,
-//     fsynced and renamed together with its part, and never rewritten. A
-//     scan reads a member's sidecar only when a filter names a column, and
-//     memoizes it per member for the life of the handle.
+//     the file-level zone maps and blooms of the member's own footer,
+//     copied by core.StatsFile into a footer-only Bullion file. The bytes
+//     come from the footer the member's writer hands over at Close
+//     (core.WrittenStats), so no member is reopened to derive them; the
+//     sidecar is staged, fsynced and renamed together with its part, and
+//     never rewritten. A scan reads a member's sidecar only when a filter
+//     names a column, memoizes it per member for the life of the handle,
+//     and prunes the member when core.Footer.Excludes — the check a core
+//     scan runs against a member's own footer — says the filters exclude
+//     it.
 //
 // Versions 1 and 2 carried the schema and every member's zones inline in
 // one JSON document (version 2 added the deletion bitmap). Both still
-// open. The first commit on such a dataset writes the schema file and a
-// sidecar for each inline-zoned member, and publishes version 3.
+// open: each entry's inline zones are rendered into the sidecar form in
+// memory (memberStats), so scans, Fsck and ManifestWithZones read one
+// kind of statistics. The first commit on such a dataset writes the
+// schema file and those sidecars, and publishes version 3.
 //
 // Commits are atomic: each mutation (append, delete, compact) writes a
 // complete new head to a temporary file, renames it into place, and then
@@ -80,7 +88,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 	"sync"
@@ -177,15 +184,15 @@ type FileEntry struct {
 	// column with anything usable: int or float min/max zone maps and
 	// bloom filters over byte-string values. Version 1-2 manifests carry
 	// them here; a version-3 head leaves this empty and keeps them in the
-	// Stats sidecar (Dataset.ManifestWithZones reads them back inline).
+	// Stats sidecar (Dataset.ManifestWithZones renders either inline).
 	Columns []ColumnZone `json:"columns,omitempty"`
 }
 
-// ColumnZone is the file-level pruning statistics of one column, lifted
-// from the member's footer when the file was committed. Kind selects the
-// bounds domain: "" or "int" (Min/Max, int64 order — "" is what
-// pre-float manifests wrote) or "float" (FMin/FMax). A zone may carry a
-// bloom filter with no bounds at all (byte-string columns).
+// ColumnZone is the JSON shape of one column's file-level pruning
+// statistics: inline in a version 1-2 manifest, and in the rendering of
+// Dataset.ManifestWithZones. Kind selects the bounds domain: "" or "int"
+// (Min/Max, int64 order — "" is what pre-float manifests wrote), "float"
+// (FMin/FMax) or "bytes" (no bounds; a bloom filter only).
 type ColumnZone struct {
 	Name      string   `json:"name"`
 	Kind      string   `json:"kind,omitempty"`
@@ -197,20 +204,6 @@ type ColumnZone struct {
 	// Bloom is the column's serialized split-block bloom filter
 	// (enc.OpenBloom); base64 in the JSON rendering.
 	Bloom []byte `json:"bloom,omitempty"`
-}
-
-// hasIntBounds reports whether Min/Max are valid int64 bounds.
-func (z *ColumnZone) hasIntBounds() bool { return z.Kind == "" || z.Kind == "int" }
-
-// zone returns the named column's inline zone map, if the entry recorded
-// one.
-func (e *FileEntry) zone(name string) (ColumnZone, bool) {
-	for _, z := range e.Columns {
-		if z.Name == name {
-			return z, true
-		}
-	}
-	return ColumnZone{}, false
 }
 
 // manifestName returns the file name of generation g.
@@ -260,27 +253,10 @@ func schemaFromDefs(defs []FieldDef) (*core.Schema, error) {
 	return core.NewSchema(fields...)
 }
 
-// entryForFile builds a member's manifest entry, zones inline, from its
-// opened handle: row accounting from the footer, statistics from core's
-// Stats walk (no data reads). The commit paths avoid even this — the
-// writer surfaces the same statistics directly (entryFromWritten) — so
-// this survives as the verification path: a member's sidecar must hold
-// exactly these zones, and Fsck checks that it does.
-func entryForFile(name string, f *core.File, size int64) FileEntry {
-	return FileEntry{
-		Name:     name,
-		Rows:     f.NumRows(),
-		LiveRows: f.NumLiveRows(),
-		Bytes:    size,
-		SchemaFP: f.Footer().Fingerprint(),
-		Columns:  zonesFromColumns(f.Stats().Columns),
-	}
-}
-
 // entryFromWritten builds a member's entry from the statistics its own
 // writer surfaced at Close — the writer-side stats piggyback: a freshly
-// written shard is never reopened just to lift its footer. Its zones are
-// in the sidecar seal staged, when it staged one (hasZones).
+// written shard is never reopened just to lift its footer. Its statistics
+// are in the sidecar seal staged, when it staged one (hasZones).
 func entryFromWritten(name, schemaFP string, ws *core.WrittenStats, hasZones bool) FileEntry {
 	e := FileEntry{
 		Name:     name,
@@ -294,50 +270,6 @@ func entryFromWritten(name, schemaFP string, ws *core.WrittenStats, hasZones boo
 	}
 	return e
 }
-
-// maxManifestBloomBytes caps the bloom size lifted into a member's
-// statistics. Sidecars are written once, so the cap no longer guards what
-// each commit rewrites; it bounds what a filtered scan reads per member
-// before it can prune (64 KiB ≈ 43k distinct values at the default
-// sizing), and version 1-2 manifests, which inline their zones, were
-// written under it. Columns over the cap lose manifest-level membership
-// pruning only — the member's own footer bloom still prunes at scan time
-// once the file is opened.
-const maxManifestBloomBytes = 1 << 16
-
-// zonesFromColumns renders column statistics as manifest zones. Non-finite
-// float bounds are dropped (JSON cannot carry ±Inf; a missing zone only
-// costs pruning, never correctness), as are blooms over
-// maxManifestBloomBytes.
-func zonesFromColumns(cols []core.ColumnStats) []ColumnZone {
-	var out []ColumnZone
-	for _, cs := range cols {
-		z := ColumnZone{Name: cs.Name, NullCount: cs.NullCount}
-		keep := false
-		switch {
-		case cs.HasMinMax:
-			z.Kind, z.Min, z.Max = "int", cs.Min, cs.Max
-			keep = true
-		case cs.HasFloatMinMax && finite(cs.FloatMin) && finite(cs.FloatMax):
-			lo, hi := cs.FloatMin, cs.FloatMax
-			z.Kind, z.FMin, z.FMax = "float", &lo, &hi
-			keep = true
-		}
-		if len(cs.Bloom) > 0 && len(cs.Bloom) <= maxManifestBloomBytes {
-			if !keep {
-				z.Kind = "bytes"
-			}
-			z.Bloom = cs.Bloom
-			keep = true
-		}
-		if keep {
-			out = append(out, z)
-		}
-	}
-	return out
-}
-
-func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // commitLocks serializes the generation CAS per backend root: the
 // CURRENT re-read and the pointer swap must be one critical section so

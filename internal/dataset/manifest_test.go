@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -370,30 +371,40 @@ func TestVacuumRetainsSidecars(t *testing.T) {
 	checkFsckClean(t, d.dir)
 }
 
+// legacyFixture copies the committed version-1 or version-2 dataset
+// under testdata into a temporary directory and returns it.
+func legacyFixture(t *testing.T, version int) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join("testdata", fmt.Sprintf("manifest_v%d", version))
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // TestLegacyManifestCompat opens the committed version-1 and version-2
-// datasets under testdata: each serves its rows, a uid filter prunes
-// members through the inline zones, and a Delete publishes a version-3
-// head (schema file and sidecars written) after which the rescan, the
-// sidecar-pruned filtered scan and a deep Fsck agree with the original
-// rows.
+// datasets under testdata: each serves its rows, filters prune members
+// through the inline zones — a uid range on both, and on version 2, whose
+// zones also carry float bounds and blooms, a val range and a tag
+// membership set — and a Delete publishes a version-3 head (schema file
+// and sidecars written) after which the rescan, the sidecar-pruned
+// filtered scans, the rendered zones and a deep Fsck agree with the
+// original ones.
 func TestLegacyManifestCompat(t *testing.T) {
 	for _, version := range []int{1, 2} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			dir := t.TempDir()
-			src := filepath.Join("testdata", fmt.Sprintf("manifest_v%d", version))
-			ents, err := os.ReadDir(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ent := range ents {
-				data, err := os.ReadFile(filepath.Join(src, ent.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, ent.Name()), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			dir := legacyFixture(t, version)
 			d, err := Open(dir, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -403,7 +414,8 @@ func TestLegacyManifestCompat(t *testing.T) {
 				t.Fatalf("testdata manifest version %d, want %d", v, version)
 			}
 			// Both datasets hold uids [0,300) in three members, rows 10-19
-			// of the first deleted (footer bits in v1, a bitmap in v2).
+			// of the first deleted (footer bits in v1, a bitmap in v2); val
+			// is uid/2 and tag one of t00-t06.
 			uids := func(t *testing.T, d *Dataset, opts ScanOptions) ([]int64, ScanStats) {
 				t.Helper()
 				opts.Columns = []string{"uid"}
@@ -424,19 +436,44 @@ func TestLegacyManifestCompat(t *testing.T) {
 					out = append(out, b.Columns[0].(core.Int64Data)...)
 				}
 			}
+			lo, hi := int64(150), int64(160)
+			flo, fhi := 60.0, 70.0
+			type filterCase struct {
+				name   string
+				filter core.ColumnFilter
+				pruned int
+				want   []int64 // the one surviving member, whole, or nothing
+			}
+			filtered := []filterCase{
+				{"uid", core.ColumnFilter{Column: "uid", Min: &lo, Max: &hi}, 2, wantKeys(100, 200)},
+			}
+			if version == 2 {
+				filtered = append(filtered,
+					filterCase{"val", core.ColumnFilter{Column: "val", FloatMin: &flo, FloatMax: &fhi}, 2, wantKeys(100, 200)},
+					filterCase{"tag", core.ColumnFilter{Column: "tag", ValueIn: [][]byte{[]byte("absent")}}, 3, nil},
+				)
+			}
+			checkFiltered := func(t *testing.T, h *Dataset, source string) {
+				t.Helper()
+				for _, fc := range filtered {
+					got, st := uids(t, h, ScanOptions{ScanOptions: core.ScanOptions{
+						Filters: []core.ColumnFilter{fc.filter},
+					}})
+					if st.FilesPruned != fc.pruned {
+						t.Fatalf("%s filter: %s pruned %d members, want %d", fc.name, source, st.FilesPruned, fc.pruned)
+					}
+					checkKeys(t, got, fc.want)
+				}
+			}
 			want := append(wantKeys(0, 10), wantKeys(20, 300)...)
 			got, _ := uids(t, d, ScanOptions{})
 			checkKeys(t, got, want)
-			lo, hi := int64(150), int64(160)
-			filtered := ScanOptions{ScanOptions: core.ScanOptions{
-				Filters: []core.ColumnFilter{{Column: "uid", Min: &lo, Max: &hi}},
-			}}
-			got, st := uids(t, d, filtered)
-			if st.FilesPruned != 2 {
-				t.Fatalf("inline zones pruned %d members, want 2", st.FilesPruned)
-			}
-			checkKeys(t, got, wantKeys(100, 200)) // the one surviving member, whole
+			checkFiltered(t, d, "inline zones")
 			checkFsckClean(t, dir)
+			before, err := d.ManifestWithZones()
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if err := d.Delete(spanRows(290, 300)); err != nil {
 				t.Fatal(err)
@@ -454,11 +491,16 @@ func TestLegacyManifestCompat(t *testing.T) {
 			for _, h := range []*Dataset{d, reopen(t, dir)} {
 				got, _ = uids(t, h, ScanOptions{})
 				checkKeys(t, got, want)
-				got, st = uids(t, h, filtered)
-				if st.FilesPruned != 2 {
-					t.Fatalf("sidecar zones pruned %d members, want 2", st.FilesPruned)
+				checkFiltered(t, h, "sidecar zones")
+				after, err := h.ManifestWithZones()
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkKeys(t, got, wantKeys(100, 200)) // the one surviving member, whole
+				for i := range after.Files {
+					if b, a := before.Files[i].Columns, after.Files[i].Columns; !reflect.DeepEqual(b, a) {
+						t.Fatalf("member %d: zones before the upgrade %+v, after %+v", i, b, a)
+					}
+				}
 			}
 			rep, err := Fsck(dir, nil, true)
 			if err != nil {
@@ -467,6 +509,42 @@ func TestLegacyManifestCompat(t *testing.T) {
 			if !rep.OK() || rep.LiveRows != uint64(len(want)) {
 				t.Fatalf("deep fsck after the upgrade: ok %v, %d live rows (want %d): %+v",
 					rep.OK(), rep.LiveRows, len(want), rep)
+			}
+		})
+	}
+}
+
+// TestFsckChecksLegacyInlineZones: a deep Fsck checks a version 1-2
+// entry's inline zones — the statistics its scans prune with until the
+// upgrade commit — against the member's footer. Both fixtures pass; a
+// copy with one member's uid max lowered fails on that member only, and
+// a shallow Fsck, which reads no footer statistics, still passes it.
+func TestFsckChecksLegacyInlineZones(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := legacyFixture(t, version)
+			checkFsckClean(t, dir)
+			editCurrentManifest(t, dir, func(m *Manifest) {
+				zones := m.Files[1].Columns
+				for i := range zones {
+					if zones[i].Name == "uid" {
+						zones[i].Max -= 50
+						return
+					}
+				}
+				t.Fatal("fixture member 1 has no inline uid zone")
+			})
+			if rep, err := Fsck(dir, nil, false); err != nil || !rep.OK() {
+				t.Fatalf("shallow fsck of lowered inline zones: %v %+v", err, rep)
+			}
+			rep, err := Fsck(dir, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, fm := range rep.Members {
+				if bad := len(fm.Errors) > 0; bad != (i == 1) {
+					t.Fatalf("deep fsck with member 1's uid max lowered: member %d errors %v", i, fm.Errors)
+				}
 			}
 		})
 	}
@@ -540,11 +618,13 @@ func FuzzManifestDecode(f *testing.F) {
 				_ = sf.schema().Fingerprint()
 			}
 		}
-		if v, err := parseZones("stats-000001-000.bln", data); err == nil {
-			if c, ok := v.LookupColumn("uid"); ok {
-				_ = zoneAt(v, c)
-			}
-			_ = allZones(v)
+		if st, err := parseStats("stats-000001-000.bln", data); err == nil {
+			lo := int64(0)
+			_ = st.Excludes(core.PrepareFileFilters([]core.ColumnFilter{
+				{Column: "uid", Min: &lo},
+				{Column: "tag", ValueIn: [][]byte{[]byte("t0001")}},
+			}))
+			_ = allZones(st.View())
 		}
 
 		runtime.ReadMemStats(&after)

@@ -8,7 +8,6 @@ import (
 
 	"bullion/internal/cache"
 	"bullion/internal/core"
-	"bullion/internal/enc"
 	"bullion/internal/storage"
 )
 
@@ -230,11 +229,11 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 		s.cache = d.cache
 		s.cacheBase = d.cache.Stats()
 	}
-	prepared := prepareFilters(opts.Filters)
+	filters := core.PrepareFileFilters(opts.Filters)
 	for i, m := range gen.members {
 		fileLo, fileHi := gen.starts[i], gen.starts[i]+m.entry.Rows
 		if m.entry.Rows == 0 || m.entry.LiveRows == 0 ||
-			fileHi <= lo || fileLo >= hi || m.excluded(d, prepared) {
+			fileHi <= lo || fileLo >= hi || m.excluded(d, filters) {
 			s.pruned++
 			continue
 		}
@@ -312,64 +311,16 @@ func validateFilters(schema *schemaFile, filters []core.ColumnFilter) error {
 	return nil
 }
 
-// manifestFilter is one filter prepared for manifest-level pruning: the
-// membership set is hashed once per scan, not per member file.
-type manifestFilter struct {
-	cf     core.ColumnFilter
-	hashes []uint64
-}
-
-func prepareFilters(filters []core.ColumnFilter) []manifestFilter {
-	out := make([]manifestFilter, len(filters))
-	for i, cf := range filters {
-		out[i].cf = cf
-		for _, v := range cf.ValueIn {
-			out[i].hashes = append(out[i].hashes, enc.BloomHash(v))
-		}
-	}
-	return out
-}
-
 // excluded reports whether the member's file-level statistics prove no
-// row of it can satisfy some filter: int and float zone maps for range
-// predicates, the per-member bloom for membership predicates. Columns
-// without matching-domain statistics never prune (conservative, exactly
-// like page pruning). Only a filter reads the member's statistics
-// sidecar, and the member memoizes it and its parsed blooms — repeated
-// scans re-probe without re-reading or re-parsing.
-func (m *member) excluded(d *Dataset, filters []manifestFilter) bool {
-	for i := range filters {
-		cf := &filters[i].cf
-		z, ok := m.zone(d, cf.Column)
-		if !ok {
-			continue
-		}
-		if z.hasIntBounds() && (cf.Min != nil || cf.Max != nil) {
-			if (cf.Min != nil && z.Max < *cf.Min) || (cf.Max != nil && z.Min > *cf.Max) {
-				return true
-			}
-		}
-		if z.Kind == "float" && z.FMin != nil && z.FMax != nil && (cf.FloatMin != nil || cf.FloatMax != nil) {
-			if (cf.FloatMin != nil && *z.FMax < *cf.FloatMin) || (cf.FloatMax != nil && *z.FMin > *cf.FloatMax) {
-				return true
-			}
-		}
-		if hs := filters[i].hashes; len(hs) > 0 {
-			if fl := m.manifestBloom(d, cf.Column); fl != nil && !bloomAnyHash(fl, hs) {
-				return true
-			}
-		}
+// row of it can satisfy some filter: core.Footer.Excludes, the check a
+// core scan makes against a member's own footer, asked of the member's
+// statistics. Only a filter reads them.
+func (m *member) excluded(d *Dataset, filters *core.FileFilters) bool {
+	if filters == nil {
+		return false
 	}
-	return false
-}
-
-func bloomAnyHash(fl *enc.Bloom, hashes []uint64) bool {
-	for _, h := range hashes {
-		if fl.ContainsHash(h) {
-			return true
-		}
-	}
-	return false
+	st, err := m.statistics(d)
+	return err == nil && st != nil && st.Excludes(filters)
 }
 
 // runMember waits for its dispatch gate, runs one scan engine over the

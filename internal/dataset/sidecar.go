@@ -93,9 +93,44 @@ func (s *schemaFile) schema() *core.Schema {
 	return s.full
 }
 
-// zonesFile renders zones as a member's statistics sidecar: a footer-only
-// Bullion file with one column per zone, its bounds in the footer's
-// file-level column stats and its bloom in the column-bloom section.
+// memberStats returns entry e's statistics as a footer: its statistics
+// sidecar (version 3), or a version 1-2 entry's inline zones rendered into
+// the same form (zonesFile, the bytes the upgrade commit writes as its
+// sidecar); nil when the entry carries none. Scans prune with it through
+// core.Footer.Excludes, Fsck checks it against the member's footer, and
+// ManifestWithZones renders it, so none of them forks on the version.
+func memberStats(b storage.Backend, e *FileEntry) (*core.Footer, error) {
+	switch {
+	case e.Stats != "":
+		data, err := storage.ReadFile(b, e.Stats)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: reading statistics %s: %w", e.Stats, err)
+		}
+		return parseStats(e.Stats, data)
+	case len(e.Columns) > 0:
+		data, err := zonesFile(e.Columns)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: inline zones of %s: %w", e.Name, err)
+		}
+		return parseStats(e.Name, data)
+	}
+	return nil, nil
+}
+
+// parseStats parses the bytes of statistics sidecar name; the footer
+// aliases data.
+func parseStats(name string, data []byte) (*core.Footer, error) {
+	ftr, err := core.ParseFooterBytes(data)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: parsing statistics %s: %w", name, err)
+	}
+	return ftr, nil
+}
+
+// zonesFile renders a version 1-2 entry's inline zones as a statistics
+// sidecar: a footer-only Bullion file with one column per zone, its
+// bounds in the footer's file-level column stats and its bloom in the
+// column-bloom section — the layout core.StatsFile writes.
 func zonesFile(zones []ColumnZone) ([]byte, error) {
 	cols := make([]footer.Column, len(zones))
 	stats := make([]footer.ColumnStat, len(zones))
@@ -107,7 +142,7 @@ func zonesFile(zones []ColumnZone) ([]byte, error) {
 		case z.Kind == "float" && z.FMin != nil && z.FMax != nil:
 			st.Flags |= footer.StatHasMinMax | footer.StatFloatBits
 			st.Min, st.Max = int64(math.Float64bits(*z.FMin)), int64(math.Float64bits(*z.FMax))
-		case z.hasIntBounds():
+		case z.Kind == "" || z.Kind == "int":
 			st.Flags |= footer.StatHasMinMax
 			st.Min, st.Max = z.Min, z.Max
 		}
@@ -122,52 +157,26 @@ func zonesFile(zones []ColumnZone) ([]byte, error) {
 	return core.MarshalFooterFile(cols, stats, blooms)
 }
 
-// readZones reads and parses a statistics sidecar.
-func readZones(b storage.Backend, name string) (*footer.View, error) {
-	data, err := storage.ReadFile(b, name)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading statistics %s: %w", name, err)
-	}
-	return parseZones(name, data)
-}
-
-// parseZones parses the bytes of statistics sidecar name; the view
-// aliases data.
-func parseZones(name string, data []byte) (*footer.View, error) {
-	ftr, err := core.ParseFooterBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: parsing statistics %s: %w", name, err)
-	}
-	return ftr.View(), nil
-}
-
-// zoneAt decodes column c of a statistics sidecar back into the zone
-// zonesFile wrote for it.
-func zoneAt(v *footer.View, c int) ColumnZone {
-	st, _ := v.ColumnStat(c)
-	z := ColumnZone{Name: v.ColumnName(c), Kind: "bytes"}
-	if bl := v.ColumnBloom(c); len(bl) > 0 {
-		z.Bloom = bl
-	}
-	if st.Flags&footer.StatHasNullCount != 0 {
-		z.NullCount = st.NullCount
-	}
-	switch {
-	case st.Flags&footer.StatHasMinMax == 0:
-	case st.Flags&footer.StatFloatBits != 0:
-		lo, hi := math.Float64frombits(uint64(st.Min)), math.Float64frombits(uint64(st.Max))
-		z.Kind, z.FMin, z.FMax = "float", &lo, &hi
-	default:
-		z.Kind, z.Min, z.Max = "int", st.Min, st.Max
-	}
-	return z
-}
-
-// allZones decodes every zone of a statistics sidecar, in file order.
+// allZones renders every column of a statistics footer as the zone
+// zonesFile would have written it from, in file order — the JSON shape of
+// `bullion info -json`.
 func allZones(v *footer.View) []ColumnZone {
 	out := make([]ColumnZone, v.NumColumns())
 	for c := range out {
-		out[c] = zoneAt(v, c)
+		st, _ := v.ColumnStat(c)
+		z := ColumnZone{Name: v.ColumnName(c), Kind: "bytes", NullCount: st.NullCount}
+		if bl := v.ColumnBloom(c); len(bl) > 0 {
+			z.Bloom = bl
+		}
+		switch {
+		case st.Flags&footer.StatHasMinMax == 0:
+		case st.Flags&footer.StatFloatBits != 0:
+			lo, hi := math.Float64frombits(uint64(st.Min)), math.Float64frombits(uint64(st.Max))
+			z.Kind, z.FMin, z.FMax = "float", &lo, &hi
+		default:
+			z.Kind, z.Min, z.Max = "int", st.Min, st.Max
+		}
+		out[c] = z
 	}
 	return out
 }

@@ -20,7 +20,7 @@ import (
 var updateSidecars = flag.Bool("update", false, "rewrite testdata/sidecars.golden")
 
 // goldenShardRows puts more distinct "big" strings in every member than
-// a bloom under maxManifestBloomBytes can hold at the default sizing.
+// a bloom under the 64 KiB sidecar cap can hold at the default sizing.
 const goldenShardRows = 45_000
 
 // sidecarSchema is the ads schema plus the columns whose statistics take

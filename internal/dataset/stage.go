@@ -36,8 +36,9 @@ func (d *Dataset) stage() (*staged, error) {
 // seal forces the staged bytes durable — a manifest must never reference
 // contents a power cut could still truncate — closes the file, and keeps
 // ws, the statistics its writer surfaced at Close, as the source of its
-// manifest entry: a staged file is never reopened. The zones in ws go to
-// a statistics sidecar staged beside it, durable too.
+// manifest entry: a staged file is never reopened. The statistics sidecar
+// core.StatsFile derives from the writer's footer is staged beside it,
+// durable too.
 func (s *staged) seal(ws *core.WrittenStats) error {
 	err := s.f.Sync()
 	if cerr := s.f.Close(); err == nil {
@@ -47,12 +48,8 @@ func (s *staged) seal(ws *core.WrittenStats) error {
 	if err != nil {
 		return err
 	}
-	zones := zonesFromColumns(ws.Columns)
-	if len(zones) == 0 {
-		return nil
-	}
-	data, err := zonesFile(zones)
-	if err != nil {
+	data, err := core.StatsFile(ws.Footer)
+	if err != nil || data == nil {
 		return err
 	}
 	s.zones = statsName(s.name)

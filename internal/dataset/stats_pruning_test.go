@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -194,14 +195,21 @@ func TestShardedWriterNeverReopensShards(t *testing.T) {
 	// for the tag, each in the member's statistics sidecar.
 	for _, m := range d.generationSnapshot().members {
 		name := m.entry.Name
-		z, ok := m.zone(d, "key")
-		if !ok || z.Kind != "int" {
+		st, err := m.statistics(d)
+		if err != nil || st == nil {
+			t.Fatalf("member %s: statistics %q: %v", name, m.entry.Stats, err)
+		}
+		zones := map[string]ColumnZone{}
+		for _, z := range allZones(st.View()) {
+			zones[z.Name] = z
+		}
+		if z, ok := zones["key"]; !ok || z.Kind != "int" {
 			t.Fatalf("member %s: no int zone for key in %q", name, m.entry.Stats)
 		}
-		if z, ok := m.zone(d, "val"); !ok || z.Kind != "float" || z.FMin == nil || z.FMax == nil {
+		if z, ok := zones["val"]; !ok || z.Kind != "float" || z.FMin == nil || z.FMax == nil {
 			t.Fatalf("member %s: no float zone for val", name)
 		}
-		if z, ok := m.zone(d, "tag"); !ok || len(z.Bloom) == 0 {
+		if z, ok := zones["tag"]; !ok || len(z.Bloom) == 0 {
 			t.Fatalf("member %s: no bloom for tag", name)
 		}
 	}
@@ -219,11 +227,11 @@ func TestShardedWriterNeverReopensShards(t *testing.T) {
 	checkKeys(t, keys, want)
 }
 
-// TestWrittenStatsMatchReopen cross-checks the two manifest-entry paths:
-// the entry lifted from the writer's WrittenStats, with the zones its
-// statistics sidecar holds, must equal the entry derived by reopening the
-// file and walking its footer (entryForFile) — zones, blooms, bytes, and
-// rows.
+// TestWrittenStatsMatchReopen cross-checks the two sources of a member's
+// entry and sidecar: the ones built from the writer's WrittenStats at
+// commit must equal the ones derived by reopening the file — rows, bytes
+// and fingerprint from its footer, and a sidecar byte-identical to what
+// core.StatsFile derives from that footer (zones and blooms).
 func TestWrittenStatsMatchReopen(t *testing.T) {
 	d, err := Create(t.TempDir(), testSchema(t), nil)
 	if err != nil {
@@ -242,30 +250,43 @@ func TestWrittenStatsMatchReopen(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := d.ManifestWithZones()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range m.Files {
+	for _, e := range d.Manifest().Files {
 		if e.Stats != statsName(e.Name) {
 			t.Fatalf("member %s names statistics %q", e.Name, e.Stats)
 		}
-		e.Stats = "" // entryForFile carries the zones inline
-		path := filepath.Join(d.dir, e.Name)
-		osf, err := os.Open(path)
+		data, err := os.ReadFile(filepath.Join(d.dir, e.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _ := osf.Stat()
-		f, err := core.Open(osf, st.Size())
+		ftr, err := core.ParseFooterBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reopened := entryForFile(e.Name, f, st.Size())
-		osf.Close()
+		f := core.OpenWithFooter(nil, ftr)
+		reopened := FileEntry{Name: e.Name, Rows: f.NumRows(), LiveRows: f.NumLiveRows(),
+			Bytes: int64(len(data)), SchemaFP: ftr.Fingerprint(), Stats: statsName(e.Name)}
 		if !reflect.DeepEqual(e, reopened) {
 			t.Fatalf("member %s: writer-lifted entry differs from reopened entry\nwriter:   %+v\nreopened: %+v",
 				e.Name, e, reopened)
+		}
+		sidecar, err := os.ReadFile(filepath.Join(d.dir, e.Stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived, err := core.StatsFile(ftr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sidecar, derived) {
+			t.Fatalf("member %s: sidecar written from the writer's footer differs from the one its reopened footer yields", e.Name)
+		}
+		st, err := parseStats(e.Stats, sidecar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zones := allZones(st.View()); len(zones) != 3 || zones[0].Kind != "int" ||
+			zones[1].Kind != "float" || len(zones[2].Bloom) == 0 {
+			t.Fatalf("member %s: sidecar zones %+v, want key, val and a tag bloom", e.Name, zones)
 		}
 		if !strings.HasPrefix(e.Name, "part-") {
 			t.Fatalf("unexpected member name %s", e.Name)
