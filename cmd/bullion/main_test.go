@@ -424,3 +424,61 @@ func TestOneReadPath(t *testing.T) {
 		t.Run(tc.name, tc.check)
 	}
 }
+
+// streamed parses the row and batch totals `epochs` prints.
+func streamed(t *testing.T, out string) (rows, batches int) {
+	t.Helper()
+	i := strings.Index(out, "streamed:")
+	if i < 0 {
+		t.Fatalf("epochs printed no totals:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "streamed: %d rows in %d batches", &rows, &batches); err != nil {
+		t.Fatalf("epochs totals: %v\n%s", err, out)
+	}
+	return rows, batches
+}
+
+// TestEpochsResumeAndTag drives `epochs` over a dataset: a run cut short
+// by -max-batches and resumed from its checkpoint streams what one
+// uninterrupted run streams, and -at streams a tagged generation after a
+// later ingest.
+func TestEpochsResumeAndTag(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ds")
+	captureStdout(t, func() error {
+		return ingest([]string{"-rows", "5000", "-cols", "2", "-shards", "2", dir})
+	})
+	captureStdout(t, func() error { return tag([]string{dir, "first"}) })
+	run := func(args ...string) (rows, batches int) {
+		t.Helper()
+		return streamed(t, captureStdout(t, func() error { return epochs(append(args, dir)) }))
+	}
+	loop := []string{"-seed", "7", "-epochs", "2", "-shard-rows", "700", "-batch", "100"}
+
+	fullRows, fullBatches := run(loop...)
+	if fullRows != 2*5000 {
+		t.Fatalf("two epochs streamed %d rows, want %d", fullRows, 2*5000)
+	}
+	// Stop mid-way through the first epoch, then resume to the end.
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	cutRows, cutBatches := run(append(loop, "-max-batches", "37", "-checkpoint", ck)...)
+	if cutBatches != 37 {
+		t.Fatalf("-max-batches 37 streamed %d batches", cutBatches)
+	}
+	restRows, restBatches := run("-resume", ck)
+	if cutRows+restRows != fullRows || cutBatches+restBatches != fullBatches {
+		t.Fatalf("cut + resumed streamed %d+%d rows in %d+%d batches; one run streams %d rows in %d batches",
+			cutRows, restRows, cutBatches, restBatches, fullRows, fullBatches)
+	}
+
+	// A later ingest grows the live dataset; the tag keeps serving the
+	// generation it named.
+	captureStdout(t, func() error {
+		return ingest([]string{"-rows", "3000", "-cols", "2", "-shards", "2", dir})
+	})
+	if rows, _ := run("-at", "first"); rows != 5000 {
+		t.Fatalf("-at first streamed %d rows, want the tagged 5000", rows)
+	}
+	if rows, _ := run(); rows != 8000 {
+		t.Fatalf("live dataset streamed %d rows, want 8000", rows)
+	}
+}

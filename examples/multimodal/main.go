@@ -1,13 +1,15 @@
 // Multimodal: quality-aware organization of LLM training data (§2.5,
 // Figure 7). The meta table inlines frame highlights and is presorted by
 // quality score, so a thresholded training read touches one contiguous
-// prefix of pages instead of scattering reads across the file. Run with:
+// prefix of pages per row group instead of scattering reads across the
+// file. Run with:
 //
 //	go run ./examples/multimodal
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -15,6 +17,10 @@ import (
 
 	"bullion"
 )
+
+// rowsPerPage is the tables' page size; the scan reads one page per batch
+// so that the quality zone maps prune page by page.
+const rowsPerPage = 256
 
 func main() {
 	dir, err := os.MkdirTemp("", "bullion-multimodal")
@@ -82,7 +88,7 @@ func main() {
 	write := func(name string, presort bool) string {
 		path := filepath.Join(dir, name)
 		opts := bullion.DefaultOptions()
-		opts.RowsPerPage = 256
+		opts.RowsPerPage = rowsPerPage
 		if presort {
 			opts.QualityColumn = "quality" // §2.5 quality-aware presorting
 		}
@@ -102,49 +108,48 @@ func main() {
 	unsortedPath := write("meta_unsorted.bln", false)
 
 	// A curation-filtered epoch: train on samples with quality >= 0.6.
-	const threshold = 0.6
-	sorted, err := bullion.OpenPath(sortedPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sorted.Close()
-
-	// With presorting, quality is descending: binary-search the cutoff,
-	// then read only rows [0, cut) of each needed column.
-	qcol, _ := sorted.LookupColumn("quality")
-	qd, err := sorted.ReadColumnByIndex(qcol)
-	if err != nil {
-		log.Fatal(err)
-	}
-	qs := qd.(bullion.Float64Data)
-	cut := 0
-	for cut < len(qs) && qs[cut] >= threshold {
-		cut++
-	}
-	fcol, _ := sorted.LookupColumn("frames")
-	selFrames, err := sorted.ReadRows(fcol, 0, uint64(cut))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("presorted layout: %d/%d samples qualify; read as one contiguous prefix (%d frame lists fetched)\n",
-		cut, n, selFrames.Len())
-
-	// The unsorted file must scan everything to find the same samples.
-	unsorted, err := bullion.OpenPath(unsortedPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer unsorted.Close()
-	uq, err := unsorted.ReadColumn("quality")
-	if err != nil {
-		log.Fatal(err)
-	}
-	count := 0
-	for _, q := range uq.(bullion.Float64Data) {
-		if q >= threshold {
-			count++
+	// Both layouts are read by the same filtered scan. The float zone maps
+	// skip every page that holds no qualifying sample before any I/O, and
+	// the rows a surviving page holds below the threshold are dropped here.
+	threshold := 0.6
+	read := func(path string) (selected int, stats bullion.ScanStats) {
+		f, err := bullion.OpenPath(path)
+		if err != nil {
+			log.Fatal(err)
 		}
+		defer f.Close()
+		sc, err := f.Scan(bullion.ScanOptions{
+			Columns:   []string{"quality", "caption", "frames", "audio", "video_row"},
+			BatchRows: rowsPerPage,
+			Filters:   []bullion.ColumnFilter{{Column: "quality", FloatMin: &threshold}},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer sc.Close()
+		for {
+			b, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, q := range b.Columns[0].(bullion.Float64Data) {
+				if q >= threshold {
+					selected++
+				}
+			}
+		}
+		return selected, sc.Stats()
 	}
-	fmt.Printf("unsorted layout: the same %d samples are scattered across every page, forcing full-column fetches\n", count)
+	for _, layout := range []struct{ name, path string }{
+		{"presorted", sortedPath},
+		{"unsorted", unsortedPath},
+	} {
+		selected, st := read(layout.path)
+		fmt.Printf("%-9s layout: %d/%d samples qualify; %d pages skipped, %d decoded, %d bytes read\n",
+			layout.name, selected, n, st.PagesSkipped, st.PagesDecoded, st.BytesRead)
+	}
 	fmt.Println("see `go run ./cmd/experiments -exp fig7` for the measured I/O gap")
 }

@@ -372,9 +372,6 @@ func (w *Writer) WriteBit(b bool) {
 // Bytes returns the accumulated bytes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// BitLen returns the number of bits written.
-func (w *Writer) BitLen() int { return w.bitPos }
-
 // Reader reads the bit stream produced by Writer.
 type Reader struct {
 	buf    []byte
@@ -415,9 +412,6 @@ func (r *Reader) ReadBit() (bool, error) {
 	v, err := r.ReadBits(1)
 	return v == 1, err
 }
-
-// BitPos returns the current read position in bits.
-func (r *Reader) BitPos() int { return r.bitPos }
 
 // Peek64 returns the 64 bits starting at bitPos as one word, built from a
 // single unaligned 64-bit load plus one spill byte. It reports false when

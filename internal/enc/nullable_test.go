@@ -77,7 +77,9 @@ func TestNullableWrapperWhenNoSentinelFree(t *testing.T) {
 	// Occupy all four candidate sentinels so the wrapper must be used.
 	vs := []int64{-1, 0, -9223372036854775808, 9223372036854775807, 5}
 	valid := bitutil.NewBitmap(len(vs))
-	valid.SetRange(0, 4) // index 4 is null
+	for i := 0; i < 4; i++ { // index 4 is null
+		valid.Set(i)
+	}
 	encoded, err := EncodeNullableInts(nil, vs, valid, opts)
 	if err != nil {
 		t.Fatal(err)

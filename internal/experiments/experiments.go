@@ -21,7 +21,6 @@ import (
 	"bullion/internal/enc"
 	"bullion/internal/iostats"
 	"bullion/internal/legacy"
-	"bullion/internal/mediastore"
 	"bullion/internal/merkle"
 	"bullion/internal/multimodal"
 	"bullion/internal/quant"
@@ -382,55 +381,61 @@ func Fig6(w io.Writer) error {
 
 // Fig7 measures the quality-aware multimodal layout: a thresholded
 // training read against presorted vs unsorted meta tables (Figure 7 and
-// §2.5's presorting claim).
+// §2.5's presorting claim). Both layouts are read by the same filtered
+// scan; only the row order differs.
 func Fig7(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 7 / §2.5: quality-aware multimodal training reads")
 	const n = 20000
 	rng := rand.New(rand.NewSource(17))
 	samples := multimodal.GenerateSamples(rng, n)
 
-	build := func(presort bool) (*core.File, *iostats.Counters, *mediastore.Reader, *iostats.Counters, error) {
+	type layout struct {
+		name  string
+		meta  *core.File
+		media *core.File
+		io    *iostats.Counters
+	}
+	build := func(name string, presort bool) (layout, error) {
 		metaOut := newMemFile()
 		mediaOut := newMemFile()
 		if err := multimodal.WriteDataset(metaOut, mediaOut, samples, presort); err != nil {
-			return nil, nil, nil, nil, err
+			return layout{}, err
 		}
-		var mc, vc iostats.Counters
-		mc.Reset()
-		vc.Reset()
-		mf, err := core.Open(&iostats.ReaderAt{R: metaOut, C: &mc}, metaOut.Size())
-		if err != nil {
-			return nil, nil, nil, nil, err
+		l := layout{name: name, io: &iostats.Counters{}}
+		l.io.Reset()
+		var err error
+		if l.meta, err = core.Open(&iostats.ReaderAt{R: metaOut, C: l.io}, metaOut.Size()); err != nil {
+			return layout{}, err
 		}
-		mr, err := mediastore.Open(&iostats.ReaderAt{R: mediaOut, C: &vc}, mediaOut.Size())
-		if err != nil {
-			return nil, nil, nil, nil, err
+		if l.media, err = core.Open(mediaOut, mediaOut.Size()); err != nil {
+			return layout{}, err
 		}
-		return mf, &mc, mr, &vc, nil
+		return l, nil
 	}
-
-	sortedFile, sc, media, vc, err := build(true)
+	sorted, err := build("presort", true)
 	if err != nil {
 		return err
 	}
-	unsortedFile, uc, _, _, err := build(false)
+	unsorted, err := build("unsorted", false)
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(w, "%-10s %9s %9s %12s %12s %7s\n",
-		"threshold", "selected", "layout", "read_bytes", "read_ops", "seeks")
+	fmt.Fprintf(w, "%-10s %9s %9s %12s %9s %7s %13s\n",
+		"threshold", "selected", "layout", "read_bytes", "read_ops", "seeks", "pages_skipped")
 	for _, threshold := range []float64{0.9, 0.7, 0.5, 0.25} {
-		s, err := multimodal.TrainingRead(sortedFile, sc, media, vc, threshold, 0.01, true)
-		if err != nil {
-			return err
+		label := fmt.Sprintf("%.2f", threshold)
+		for _, l := range []layout{sorted, unsorted} {
+			before := l.io.Snapshot()
+			st, err := multimodal.TrainingRead(l.meta, l.media, threshold, 0.01)
+			if err != nil {
+				return err
+			}
+			seeks := l.io.Snapshot().Sub(before).Seeks
+			fmt.Fprintf(w, "%-10s %9d %9s %12d %9d %7d %13d\n", label, st.SamplesRead, l.name,
+				st.Scan.BytesRead, st.Scan.ReadOps, seeks, st.Scan.PagesSkipped)
+			label = ""
 		}
-		u, err := multimodal.TrainingRead(unsortedFile, uc, media, vc, threshold, 0.01, false)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-10.2f %9d %9s %12d %12d %7d\n", threshold, s.SamplesRead, "presort", s.ReadBytes, s.ReadOps, s.Seeks)
-		fmt.Fprintf(w, "%-10s %9d %9s %12d %12d %7d\n", "", u.SamplesRead, "unsorted", u.ReadBytes, u.ReadOps, u.Seeks)
 	}
 	return nil
 }

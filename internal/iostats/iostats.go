@@ -1,8 +1,8 @@
 // Package iostats wraps readers and writers with byte/op accounting so
 // experiments report physical I/O (bytes touched, operations issued), not
 // just wall-clock time. The deletion experiment (§2.1's "up to 50× less
-// I/O") and the multimodal experiment (§2.5's sequential-read claim) are
-// measured through these counters.
+// I/O") is measured through these counters, and so are the seeks of the
+// multimodal experiment (§2.5's sequential-read claim).
 package iostats
 
 import (

@@ -1,14 +1,16 @@
 // Package multimodal implements Bullion's hybrid storage layout for LLM
 // training data (paper §2.5, Figure 7): a columnar *meta table* holding
 // text, tags, captions, audio snippets, quality scores, and inlined
-// reduced-resolution frame highlights, next to a row-oriented *media
-// table* (internal/mediastore) holding full-size video, referenced by
-// index and touched "only in rare cases".
+// reduced-resolution frame highlights, next to a *media table* holding
+// full-size video, referenced by row and touched "only in rare cases".
+// Both tables are Bullion files; the media table's 8-row pages keep one
+// video fetch to one small page read.
 //
 // The meta table is written with quality-score presorting (descending), so
 // a quality-thresholded training read — the common filter in curation
-// pipelines — touches one contiguous prefix of pages instead of scattering
-// random reads across the file.
+// pipelines — touches one contiguous prefix of pages per row group: the
+// scan's float zone maps prune every page below the threshold before any
+// I/O, the same filtered scan serving presorted and unsorted tables alike.
 package multimodal
 
 import (
@@ -17,8 +19,13 @@ import (
 	"math/rand"
 
 	"bullion/internal/core"
-	"bullion/internal/iostats"
-	"bullion/internal/mediastore"
+)
+
+// Page sizes of the two tables. TrainingRead scans the meta table in
+// batches of exactly one page, so zone-map pruning works page by page.
+const (
+	metaRowsPerPage  = 128
+	mediaRowsPerPage = 8
 )
 
 // Sample is one multimodal training example before storage.
@@ -49,29 +56,33 @@ func MetaSchema() (*core.Schema, error) {
 	)
 }
 
-// MediaSchema returns the media-table row schema.
-func MediaSchema() []mediastore.FieldDef {
-	return []mediastore.FieldDef{
-		{Name: "id", Type: mediastore.Long},
-		{Name: "video", Type: mediastore.Bytes},
-	}
+// MediaSchema returns the Bullion schema of the media table.
+func MediaSchema() (*core.Schema, error) {
+	return core.NewSchema(
+		core.Field{Name: "id", Type: core.Type{Kind: core.Int64}},
+		core.Field{Name: "video", Type: core.Type{Kind: core.Binary}},
+	)
 }
 
 // WriteDataset writes samples into a meta table (metaOut) and media table
-// (mediaOut). presort enables quality-aware row organization.
+// (mediaOut). presort enables quality-aware row organization. Sample i's
+// video is media row i, which WriteDataset records in samples[i].VideoRow.
 func WriteDataset(metaOut, mediaOut io.Writer, samples []Sample, presort bool) error {
-	mw, err := mediastore.NewWriter(mediaOut, MediaSchema(), 8)
+	n := len(samples)
+	mediaID := make(core.Int64Data, n)
+	video := make(core.BytesData, n)
+	for i := range samples {
+		mediaID[i] = samples[i].ID
+		video[i] = samples[i].videoPayload()
+		samples[i].VideoRow = int64(i)
+	}
+	mediaSchema, err := MediaSchema()
 	if err != nil {
 		return err
 	}
-	for i := range samples {
-		video := samples[i].videoPayload()
-		if err := mw.Append([]any{samples[i].ID, video}); err != nil {
-			return err
-		}
-		samples[i].VideoRow = int64(i)
-	}
-	if err := mw.Close(); err != nil {
+	mediaOpts := core.DefaultOptions()
+	mediaOpts.RowsPerPage = mediaRowsPerPage
+	if err := writeTable(mediaOut, mediaSchema, mediaOpts, mediaID, video); err != nil {
 		return err
 	}
 
@@ -80,16 +91,11 @@ func WriteDataset(metaOut, mediaOut io.Writer, samples []Sample, presort bool) e
 		return err
 	}
 	opts := core.DefaultOptions()
-	opts.RowsPerPage = 128
+	opts.RowsPerPage = metaRowsPerPage
 	opts.GroupRows = 4096
 	if presort {
 		opts.QualityColumn = "quality"
 	}
-	w, err := core.NewWriter(metaOut, schema, opts)
-	if err != nil {
-		return err
-	}
-	n := len(samples)
 	id := make(core.Int64Data, n)
 	textHash := make(core.Int64Data, n)
 	tags := make(core.BytesData, n)
@@ -110,9 +116,17 @@ func WriteDataset(metaOut, mediaOut io.Writer, samples []Sample, presort bool) e
 		frames[i] = s.Frames
 		videoRow[i] = s.VideoRow
 	}
-	batch, err := core.NewBatch(schema, []core.ColumnData{
-		id, textHash, tags, caption, audio, quality, frameIdx, frames, videoRow,
-	})
+	return writeTable(metaOut, schema, opts,
+		id, textHash, tags, caption, audio, quality, frameIdx, frames, videoRow)
+}
+
+// writeTable writes cols as one Bullion file.
+func writeTable(out io.Writer, schema *core.Schema, opts *core.Options, cols ...core.ColumnData) error {
+	batch, err := core.NewBatch(schema, cols)
+	if err != nil {
+		return err
+	}
+	w, err := core.NewWriter(out, schema, opts)
 	if err != nil {
 		return err
 	}
@@ -160,117 +174,79 @@ func GenerateSamples(rng *rand.Rand, n int) []Sample {
 	return samples
 }
 
-// TrainingStats reports the I/O profile of one filtered training read.
+// TrainingStats reports one filtered training read.
 type TrainingStats struct {
-	SamplesRead  int
-	RowsScanned  int // rows touched to find qualifying samples
-	ReadOps      int64
-	ReadBytes    int64
-	Seeks        int64
-	MediaLookups int // full-size video fetches (the rare path)
-	MediaReadOps int64
-	MediaBytes   int64
+	SamplesRead int
+	// Scan is the meta-table scan's own counters: bytes, read ops and the
+	// pages its quality filter skipped.
+	Scan core.ScanStats
+	// Videos holds the full-size videos fetched from the media table (the
+	// rare path), keyed by sample id.
+	Videos map[int64][]byte
 }
 
 // TrainingRead performs a quality-thresholded epoch read against the meta
-// table: select every sample with quality >= threshold, fetching the
-// caption, frames, and audio columns; a fraction fullVideoRate of selected
-// samples additionally fetches full-size video from the media table.
+// table: one filtered scan selects every sample with quality >= threshold
+// and fetches its caption, frames and audio; a fraction fullVideoRate of
+// the selected samples additionally fetches its full-size video from the
+// media table at the sample's video_row. media may be nil when
+// fullVideoRate is 0.
 //
-// When the file was written presorted, the reader exploits §2.5's layout:
-// it locates the qualifying prefix via the quality column and issues one
-// contiguous range read per column. Otherwise it must fetch every page and
-// filter row-by-row.
-func TrainingRead(metaFile *core.File, metaCounters *iostats.Counters,
-	media *mediastore.Reader, mediaCounters *iostats.Counters,
-	threshold float64, fullVideoRate float64, presorted bool) (TrainingStats, error) {
-
-	var stats TrainingStats
-	before := metaCounters.Snapshot()
-
-	qcol, ok := metaFile.LookupColumn("quality")
-	if !ok {
-		return stats, fmt.Errorf("multimodal: meta table has no quality column")
+// The scan reads one page per batch, and the quality filter skips every
+// page whose zone map lies below the threshold. On a presorted table the
+// surviving pages are one prefix per row group; on an unsorted one nearly
+// every page survives. Either way the rows a surviving page holds below
+// the threshold are dropped here.
+func TrainingRead(meta, media *core.File, threshold, fullVideoRate float64) (TrainingStats, error) {
+	stats := TrainingStats{Videos: map[int64][]byte{}}
+	var videoCol int
+	if fullVideoRate > 0 {
+		var ok bool
+		if videoCol, ok = media.LookupColumn("video"); !ok {
+			return stats, fmt.Errorf("multimodal: media table has no video column")
+		}
 	}
-	qData, err := metaFile.ReadColumnByIndex(qcol)
+	sc, err := meta.Scan(core.ScanOptions{
+		Columns:   []string{"quality", "caption", "frames", "audio", "id", "video_row"},
+		BatchRows: metaRowsPerPage,
+		Filters:   []core.ColumnFilter{{Column: "quality", FloatMin: &threshold}},
+		// One worker issues the reads in file order, so the I/O pattern a
+		// wrapping reader observes is the same on every run.
+		Workers: 1,
+	})
 	if err != nil {
 		return stats, err
 	}
-	quality := qData.(core.Float64Data)
-	n := len(quality)
-	stats.RowsScanned = n
+	defer sc.Close()
 
-	var selected []int
-	if presorted {
-		// Quality is presorted descending *within each row group* (the
-		// writer sorts as groups are cut), so the qualifying rows form one
-		// contiguous prefix per group: binary search each group segment,
-		// then issue one range read per group per column.
-		type span struct{ lo, hi int }
-		var spans []span
-		start := 0
-		for _, cnt := range metaFile.GroupRowCounts() {
-			seg := quality[start : start+cnt]
-			lo, hi := 0, len(seg)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if seg[mid] >= threshold {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo > 0 {
-				spans = append(spans, span{start, start + lo})
-				for i := start; i < start+lo; i++ {
-					selected = append(selected, i)
-				}
-			}
-			start += cnt
+	rng := rand.New(rand.NewSource(99))
+	for {
+		b, err := sc.Next()
+		if err == io.EOF {
+			break
 		}
-		for _, name := range []string{"caption", "frames", "audio", "video_row"} {
-			ci, ok := metaFile.LookupColumn(name)
-			if !ok {
-				return stats, fmt.Errorf("multimodal: missing column %q", name)
-			}
-			for _, sp := range spans {
-				if _, err := metaFile.ReadRows(ci, uint64(sp.lo), uint64(sp.hi)); err != nil {
-					return stats, err
-				}
-			}
+		if err != nil {
+			return stats, err
 		}
-	} else {
-		for i, q := range quality {
-			if q >= threshold {
-				selected = append(selected, i)
+		quality := b.Columns[0].(core.Float64Data)
+		ids := b.Columns[4].(core.Int64Data)
+		videoRows := b.Columns[5].(core.Int64Data)
+		for r, q := range quality {
+			if q < threshold {
+				continue
 			}
-		}
-		// Unsorted: qualifying rows are scattered; every page of every
-		// needed column must be fetched and filtered.
-		for _, name := range []string{"caption", "frames", "audio", "video_row"} {
-			if _, err := metaFile.ReadColumn(name); err != nil {
+			stats.SamplesRead++
+			if fullVideoRate <= 0 || rng.Float64() >= fullVideoRate {
+				continue
+			}
+			vr := uint64(videoRows[r])
+			v, err := media.ReadRows(videoCol, vr, vr+1)
+			if err != nil {
 				return stats, err
 			}
+			stats.Videos[ids[r]] = v.(core.BytesData)[0]
 		}
 	}
-	stats.SamplesRead = len(selected)
-	d := metaCounters.Snapshot().Sub(before)
-	stats.ReadOps, stats.ReadBytes, stats.Seeks = d.ReadOps, d.ReadBytes, d.Seeks
-
-	// Rare full-video lookups through the media table.
-	if media != nil && fullVideoRate > 0 {
-		mBefore := mediaCounters.Snapshot()
-		rng := rand.New(rand.NewSource(99))
-		for _, row := range selected {
-			if rng.Float64() < fullVideoRate {
-				if _, err := media.Get(int64(row) % media.NumRecords()); err != nil {
-					return stats, err
-				}
-				stats.MediaLookups++
-			}
-		}
-		md := mediaCounters.Snapshot().Sub(mBefore)
-		stats.MediaReadOps, stats.MediaBytes = md.ReadOps, md.ReadBytes
-	}
+	stats.Scan = sc.Stats()
 	return stats, nil
 }

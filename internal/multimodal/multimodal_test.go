@@ -1,13 +1,13 @@
 package multimodal
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"testing"
 
 	"bullion/internal/core"
 	"bullion/internal/iostats"
-	"bullion/internal/mediastore"
 )
 
 type memFile struct{ data []byte }
@@ -28,7 +28,9 @@ func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func buildDataset(t *testing.T, n int, presort bool) (*core.File, *iostats.Counters, *mediastore.Reader, *iostats.Counters) {
+// buildDataset writes n samples (seed 5) and opens both tables; meta reads
+// go through counters.
+func buildDataset(t *testing.T, n int, presort bool) (meta *core.File, counters *iostats.Counters, media *core.File) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	samples := GenerateSamples(rng, n)
@@ -37,27 +39,26 @@ func buildDataset(t *testing.T, n int, presort bool) (*core.File, *iostats.Count
 	if err := WriteDataset(metaOut, mediaOut, samples, presort); err != nil {
 		t.Fatal(err)
 	}
-	var mc, vc iostats.Counters
-	mc.Reset()
-	vc.Reset()
-	metaFile, err := core.Open(&iostats.ReaderAt{R: metaOut, C: &mc}, int64(len(metaOut.data)))
+	counters = &iostats.Counters{}
+	counters.Reset()
+	meta, err := core.Open(&iostats.ReaderAt{R: metaOut, C: counters}, int64(len(metaOut.data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	media, err := mediastore.Open(&iostats.ReaderAt{R: mediaOut, C: &vc}, int64(len(mediaOut.data)))
+	media, err = core.Open(mediaOut, int64(len(mediaOut.data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return metaFile, &mc, media, &vc
+	return meta, counters, media
 }
 
 func TestDatasetRoundTrip(t *testing.T) {
-	metaFile, _, media, _ := buildDataset(t, 500, false)
+	metaFile, _, media := buildDataset(t, 500, false)
 	if metaFile.NumRows() != 500 {
 		t.Fatalf("meta rows = %d", metaFile.NumRows())
 	}
-	if media.NumRecords() != 500 {
-		t.Fatalf("media records = %d", media.NumRecords())
+	if media.NumRows() != 500 {
+		t.Fatalf("media rows = %d", media.NumRows())
 	}
 	ids, err := metaFile.ReadColumn("id")
 	if err != nil {
@@ -82,7 +83,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 }
 
 func TestPresortOrdersQualityDescending(t *testing.T) {
-	metaFile, _, _, _ := buildDataset(t, 2000, true)
+	metaFile, _, _ := buildDataset(t, 2000, true)
 	q, err := metaFile.ReadColumn("quality")
 	if err != nil {
 		t.Fatal(err)
@@ -97,73 +98,114 @@ func TestPresortOrdersQualityDescending(t *testing.T) {
 }
 
 func TestTrainingReadEquivalence(t *testing.T) {
-	// Presorted and unsorted reads must select the same number of samples —
-	// across MULTIPLE row groups (presorting is per group, so the
-	// qualifying rows are one prefix per group, not one global prefix).
+	// Presorted and unsorted reads must select the same samples — across
+	// MULTIPLE row groups (presorting is per group, so the qualifying rows
+	// are one prefix per group, not one global prefix).
 	const n = 9000 // > 2 groups at GroupRows=4096
 	const threshold = 0.5
-	sortedFile, sc, media, vc := buildDataset(t, n, true)
-	unsortedFile, uc, _, _ := buildDataset(t, n, false)
+	sortedFile, _, media := buildDataset(t, n, true)
+	unsortedFile, _, _ := buildDataset(t, n, false)
+	if groups := len(sortedFile.GroupRowCounts()); groups <= 2 {
+		t.Fatalf("%d row groups, want more than 2", groups)
+	}
+	want := 0
+	for _, s := range GenerateSamples(rand.New(rand.NewSource(5)), n) {
+		if s.Quality >= threshold {
+			want++
+		}
+	}
 
-	sortedStats, err := TrainingRead(sortedFile, sc, media, vc, threshold, 0.02, true)
+	sortedStats, err := TrainingRead(sortedFile, media, threshold, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsortedStats, err := TrainingRead(unsortedFile, uc, media, vc, threshold, 0.02, false)
+	unsortedStats, err := TrainingRead(unsortedFile, media, threshold, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sortedStats.SamplesRead != unsortedStats.SamplesRead {
-		t.Fatalf("selected %d (sorted) vs %d (unsorted)", sortedStats.SamplesRead, unsortedStats.SamplesRead)
+	if sortedStats.SamplesRead != want || unsortedStats.SamplesRead != want {
+		t.Fatalf("selected %d (sorted) and %d (unsorted), want %d", sortedStats.SamplesRead, unsortedStats.SamplesRead, want)
 	}
-	if sortedStats.SamplesRead == 0 {
+	if want == 0 {
 		t.Fatal("threshold selected nothing; test is vacuous")
 	}
 }
 
 // The §2.5 claim: quality-aware presorting turns filtered reads into
-// contiguous I/O — fewer bytes and fewer read ops than the unsorted layout.
+// contiguous I/O — fewer bytes, fewer read ops and fewer seeks than the
+// unsorted layout.
 func TestQualityAwareReadAdvantage(t *testing.T) {
 	const n = 5000
 	const threshold = 0.7 // selects ~16% of samples (quality = U^2)
-	sortedFile, sc, _, _ := buildDataset(t, n, true)
-	unsortedFile, uc, _, _ := buildDataset(t, n, false)
+	sortedFile, sc, _ := buildDataset(t, n, true)
+	unsortedFile, uc, _ := buildDataset(t, n, false)
 
-	sortedStats, err := TrainingRead(sortedFile, sc, nil, nil, threshold, 0, true)
-	if err != nil {
-		t.Fatal(err)
+	read := func(f *core.File, c *iostats.Counters) (core.ScanStats, int64) {
+		t.Helper()
+		before := c.Snapshot()
+		st, err := TrainingRead(f, nil, threshold, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Scan, c.Snapshot().Sub(before).Seeks
 	}
-	unsortedStats, err := TrainingRead(unsortedFile, uc, nil, nil, threshold, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sortedStats.ReadBytes >= unsortedStats.ReadBytes {
-		t.Fatalf("presorted read %d bytes >= unsorted %d", sortedStats.ReadBytes, unsortedStats.ReadBytes)
-	}
-	ratio := float64(unsortedStats.ReadBytes) / float64(sortedStats.ReadBytes)
-	t.Logf("fig7: presorted %d bytes / %d ops vs unsorted %d bytes / %d ops (%.1fx fewer bytes)",
-		sortedStats.ReadBytes, sortedStats.ReadOps,
-		unsortedStats.ReadBytes, unsortedStats.ReadOps, ratio)
+	s, sSeeks := read(sortedFile, sc)
+	u, uSeeks := read(unsortedFile, uc)
+	ratio := float64(u.BytesRead) / float64(s.BytesRead)
+	t.Logf("fig7: presorted %d bytes / %d ops / %d seeks vs unsorted %d bytes / %d ops / %d seeks (%.1fx fewer bytes)",
+		s.BytesRead, s.ReadOps, sSeeks, u.BytesRead, u.ReadOps, uSeeks, ratio)
 	if ratio < 1.5 {
 		t.Fatalf("presorting advantage only %.2fx", ratio)
+	}
+	if s.ReadOps >= u.ReadOps {
+		t.Fatalf("presorted issued %d read ops, unsorted %d", s.ReadOps, u.ReadOps)
+	}
+	if sSeeks >= uSeeks {
+		t.Fatalf("presorted made %d seeks, unsorted %d", sSeeks, uSeeks)
+	}
+	if s.PagesSkipped <= u.PagesSkipped {
+		t.Fatalf("presorted skipped %d pages, unsorted %d", s.PagesSkipped, u.PagesSkipped)
 	}
 }
 
 func TestMediaLookupPath(t *testing.T) {
-	metaFile, mc, media, vc := buildDataset(t, 1000, true)
-	stats, err := TrainingRead(metaFile, mc, media, vc, 0.3, 0.1, true)
+	metaFile, _, media := buildDataset(t, 1000, true)
+	stats, err := TrainingRead(metaFile, media, 0.3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MediaLookups == 0 {
+	if len(stats.Videos) == 0 {
 		t.Fatal("no media lookups despite fullVideoRate > 0")
 	}
-	if stats.MediaBytes == 0 {
-		t.Fatal("media lookups read no bytes")
+	for id, v := range stats.Videos {
+		if len(v) == 0 {
+			t.Fatalf("media lookup for sample %d read no bytes", id)
+		}
 	}
 	// The rare path must stay rare: lookups well below selected samples.
-	if stats.MediaLookups*5 > stats.SamplesRead {
-		t.Fatalf("media lookups %d too frequent for %d samples", stats.MediaLookups, stats.SamplesRead)
+	if len(stats.Videos)*5 > stats.SamplesRead {
+		t.Fatalf("media lookups %d too frequent for %d samples", len(stats.Videos), stats.SamplesRead)
+	}
+}
+
+// A presorted meta table no longer matches media row order: every lookup
+// must follow the selected row's video_row, not its meta row index.
+func TestMediaLookupFollowsVideoRow(t *testing.T) {
+	metaFile, _, media := buildDataset(t, 9000, true)
+	if groups := len(metaFile.GroupRowCounts()); groups < 2 {
+		t.Fatalf("%d row groups, want several", groups)
+	}
+	stats, err := TrainingRead(metaFile, media, 0.3, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Videos) == 0 {
+		t.Fatal("no media lookups; test is vacuous")
+	}
+	for id, v := range stats.Videos {
+		if want := (&Sample{ID: id}).videoPayload(); !bytes.Equal(v, want) {
+			t.Fatalf("sample %d: fetched a %d-byte video, want its own %d-byte video", id, len(v), len(want))
+		}
 	}
 }
 
