@@ -210,8 +210,9 @@
 // encoded-size ratio drifts past EncodingOptions.ResampleDrift (default
 // ±25% relative). Set ResampleDrift negative to re-select on every page
 // (the pre-pipeline behavior); Writer.SelectorStats reports the realized
-// reuse. Sparse (§2.2) columns use their own composite codec and bypass
-// the selector cache.
+// reuse. A Sparse (§2.2) column's page encodes its value stream with
+// Options.Sparse.Enc and a cache of its own, so that is where its
+// ResampleDrift is read.
 //
 // # Datasets and compaction
 //

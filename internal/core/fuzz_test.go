@@ -11,24 +11,28 @@ import (
 
 	"bullion/internal/enc"
 	"bullion/internal/footer"
+	"bullion/internal/sparse"
 )
 
 // FuzzWriterRoundTrip drives the pipelined writer across odd
 // GroupRows/RowsPerPage boundaries (1 row, group-1, group, group+1, …)
 // and asserts that a streaming Scan reproduces the input exactly. The
 // corpus pins the boundary cases; the fuzzer then explores the rest of
-// the (rows, groupRows, rowsPerPage, workers, seed) space.
+// the (rows, groupRows, rowsPerPage, workers, seed, windows) space. The
+// windows bytes shape a sparse column (slidingWindows), whose value
+// streams go through its selector cache.
 func FuzzWriterRoundTrip(f *testing.F) {
 	const g = 64 // baseline group size for the seeded boundaries
-	f.Add(uint16(1), uint16(g), uint16(16), uint8(1), int64(1))
-	f.Add(uint16(g-1), uint16(g), uint16(16), uint8(4), int64(2))
-	f.Add(uint16(g), uint16(g), uint16(16), uint8(8), int64(3))
-	f.Add(uint16(g+1), uint16(g), uint16(16), uint8(2), int64(4))
-	f.Add(uint16(3*g+7), uint16(g), uint16(17), uint8(3), int64(5))
-	f.Add(uint16(200), uint16(1), uint16(1), uint8(4), int64(6)) // 1-row groups
-	f.Add(uint16(97), uint16(13), uint16(5), uint8(0), int64(7)) // nothing aligns
+	grow := []byte{1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 3, 0, 0, 7}
+	f.Add(uint16(1), uint16(g), uint16(16), uint8(1), int64(1), grow)
+	f.Add(uint16(g-1), uint16(g), uint16(16), uint8(4), int64(2), grow)
+	f.Add(uint16(g), uint16(g), uint16(16), uint8(8), int64(3), []byte{})
+	f.Add(uint16(g+1), uint16(g), uint16(16), uint8(2), int64(4), []byte{3, 2, 1})
+	f.Add(uint16(3*g+7), uint16(g), uint16(17), uint8(3), int64(5), grow)
+	f.Add(uint16(200), uint16(1), uint16(1), uint8(4), int64(6), grow)                        // 1-row groups
+	f.Add(uint16(97), uint16(13), uint16(5), uint8(0), int64(7), []byte{255, 0, 127, 128, 2}) // nothing aligns
 
-	f.Fuzz(func(t *testing.T, rows, groupRows, rowsPerPage uint16, workers uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, rows, groupRows, rowsPerPage uint16, workers uint8, seed int64, windows []byte) {
 		nRows := int(rows)%2048 + 1
 		gr := int(groupRows)%512 + 1
 		rpp := int(rowsPerPage)%512 + 1
@@ -39,6 +43,7 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			Field{Name: "score", Type: Type{Kind: Float64}},
 			Field{Name: "tag", Type: Type{Kind: String}},
 			Field{Name: "seq", Type: Type{Kind: List, Elem: Int64}},
+			Field{Name: "win", Type: Type{Kind: List, Elem: Int64}, Sparse: true},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +68,8 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			}
 			seq[i] = lst
 		}
-		batch, err := NewBatch(schema, []ColumnData{id, val, score, tag, seq})
+		win := slidingWindows(windows, nRows)
+		batch, err := NewBatch(schema, []ColumnData{id, val, score, tag, seq, win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +80,7 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			GroupRows:     gr,
 			Compliance:    Level2,
 			EncodeWorkers: int(workers) % 9, // 0 = GOMAXPROCS
+			Sparse:        sparse.DefaultOptions(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +100,7 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			t.Fatalf("file has %d rows, want %d", file.NumRows(), nRows)
 		}
 		sc, err := file.Scan(ScanOptions{
-			Columns:   []string{"id", "val", "score", "tag", "seq"},
+			Columns:   []string{"id", "val", "score", "tag", "seq", "win"},
 			BatchRows: rpp + 1, // deliberately misaligned with pages
 			Workers:   2,
 		})
@@ -117,12 +124,37 @@ func FuzzWriterRoundTrip(f *testing.F) {
 				got[i] = appendColumn(got[i], c)
 			}
 		}
-		want := []ColumnData{id, val, score, tag, seq}
-		names := []string{"id", "val", "score", "tag", "seq"}
+		want := []ColumnData{id, val, score, tag, seq, win}
+		names := []string{"id", "val", "score", "tag", "seq", "win"}
 		for i := range want {
 			compareFuzzColumn(t, names[i], got[i], want[i])
 		}
 	})
+}
+
+// slidingWindows builds an n-row sparse column from the fuzz bytes, read
+// cyclically, one byte per row: bit 0 pushes a new head value derived
+// from the byte and the row, bit 1 drops the oldest value, so rows share
+// long runs with their predecessor, slide, shrink to empty and restart.
+// Windows are capped at 64 values.
+func slidingWindows(data []byte, n int) ListInt64Data {
+	col := make(ListInt64Data, n)
+	var window []int64
+	for i := range col {
+		var b byte
+		if len(data) > 0 {
+			b = data[i%len(data)]
+		}
+		if b&1 != 0 {
+			window = append([]int64{int64(int8(b))*1_000_003 + int64(i)}, window...)
+		}
+		if b&2 != 0 && len(window) > 0 {
+			window = window[:len(window)-1]
+		}
+		window = window[:min(len(window), 64)]
+		col[i] = append([]int64{}, window...)
+	}
+	return col
 }
 
 // FuzzFooterDecode feeds arbitrary bytes — seeded with real v2 and v3

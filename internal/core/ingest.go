@@ -125,17 +125,8 @@ func newIngestPipeline(w *Writer) *ingestPipeline {
 		inflight: make(chan struct{}, inflight),
 		ordered:  make(chan *groupJob, inflight),
 	}
-	for ci := range p.colOpts {
-		co := w.opts.clone()
-		if co.Enc.ResampleDrift >= 0 {
-			// Every column gets a private cache: SelectorCache is stateful
-			// and single-threaded, and per-column state is what keeps its
-			// decisions independent of worker scheduling.
-			e := *co.Enc
-			e.Cache = enc.NewSelectorCache(e.ResampleDrift)
-			co.Enc = &e
-		}
-		p.colOpts[ci] = co
+	for ci, f := range w.schema.Fields {
+		p.colOpts[ci] = columnOptions(w.opts, f)
 		p.cols[ci] = &colQueue{}
 	}
 	p.workWG.Add(workers)
@@ -145,6 +136,33 @@ func newIngestPipeline(w *Writer) *ingestPipeline {
 	p.serWG.Add(1)
 	go p.serialize()
 	return p
+}
+
+// columnOptions clones o for one column and gives the cascade options the
+// column's pages encode with (Options.pageEnc) a private selector cache,
+// unless their ResampleDrift is negative. Every column gets its own cache:
+// SelectorCache is stateful and single-threaded, and per-column state is
+// what keeps its decisions independent of worker scheduling. A sparse
+// field's Sparse options are cloned too, so no two columns share a cache
+// and the caller's options are never mutated.
+func columnOptions(o *Options, f Field) *Options {
+	co := o.clone()
+	withCache := func(e *enc.Options) *enc.Options {
+		if e == nil || e.ResampleDrift < 0 {
+			return e
+		}
+		c := *e
+		c.Cache = enc.NewSelectorCache(c.ResampleDrift)
+		return &c
+	}
+	if !f.Sparse {
+		co.Enc = withCache(co.Enc)
+	} else if co.Sparse != nil {
+		sc := *co.Sparse
+		sc.Enc = withCache(sc.Enc)
+		co.Sparse = &sc
+	}
+	return co
 }
 
 func (p *ingestPipeline) setErr(err error) {
@@ -316,9 +334,9 @@ func (p *ingestPipeline) shutdown() {
 // selectorStats sums cache reuse across the pipeline's columns. Only
 // meaningful once the pipeline is idle (after Close).
 func (p *ingestPipeline) selectorStats() (hits, resamples int64) {
-	for _, co := range p.colOpts {
-		if co.Enc.Cache != nil {
-			h, r := co.Enc.Cache.Stats()
+	for ci, co := range p.colOpts {
+		if e := co.pageEnc(p.w.schema.Fields[ci]); e != nil && e.Cache != nil {
+			h, r := e.Cache.Stats()
 			hits += h
 			resamples += r
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bullion/internal/enc"
+	"bullion/internal/sparse"
 )
 
 // failAfterWriter fails with errInjected once limit bytes have been
@@ -246,6 +247,119 @@ func TestSelectorCacheAmortizesAcrossGroups(t *testing.T) {
 	if !reflect.DeepEqual(got, batch.Columns[0]) {
 		t.Fatal("uncached file decodes differently")
 	}
+}
+
+// sparseTable is a sparse-only table: three sliding-window sequence
+// columns (§2.2) of different window lengths and churn, at 128-row pages
+// and 512-row groups, so each column spans sixteen pages in four groups.
+func sparseTable(t *testing.T) (*Schema, *Batch) {
+	t.Helper()
+	const n = 2048
+	rng := rand.New(rand.NewSource(35))
+	var fields []Field
+	var cols []ColumnData
+	for c, width := range []int{12, 24, 48} {
+		fields = append(fields, Field{Name: fmt.Sprintf("seq%d", c), Type: Type{Kind: List, Elem: Int64}, Sparse: true})
+		window := make([]int64, width)
+		for i := range window {
+			window[i] = rng.Int63n(1 << 28)
+		}
+		col := make(ListInt64Data, n)
+		for i := range col {
+			if rng.Intn(c+2) == 0 {
+				window = append([]int64{rng.Int63n(1 << 28)}, window[:width-1]...)
+			}
+			col[i] = append([]int64{}, window...)
+		}
+		cols = append(cols, col)
+	}
+	schema, err := NewSchema(fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := NewBatch(schema, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schema, batch
+}
+
+// TestSparseStreamsUseSelectorCache: a sparse page's value stream goes
+// through its column's selector cache, built from Sparse.Enc. The cache
+// must mostly reuse decisions, the bytes must not depend on the worker
+// count, the caller's options must stay untouched, and a negative
+// Sparse.Enc.ResampleDrift must disable the cache and still write a
+// readable file.
+func TestSparseStreamsUseSelectorCache(t *testing.T) {
+	schema, batch := sparseTable(t)
+	write := func(opts *Options) ([]byte, *Writer) {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, schema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), w
+	}
+	opts := DefaultOptions()
+	opts.RowsPerPage, opts.GroupRows = 128, 512
+	var base []byte
+	for _, workers := range []int{1, 4, 8} {
+		opts.EncodeWorkers = workers
+		out, w := write(opts)
+		hits, resamples := w.SelectorStats()
+		if resamples == 0 || hits < 2*resamples {
+			t.Fatalf("EncodeWorkers=%d: sparse streams barely reuse decisions: %d hits, %d resamples", workers, hits, resamples)
+		}
+		if base == nil {
+			base = out
+		} else if !bytes.Equal(out, base) {
+			t.Fatalf("EncodeWorkers=%d produced different bytes (%d vs %d)", workers, len(out), len(base))
+		}
+	}
+	if opts.Enc.Cache != nil || opts.Sparse.Enc.Cache != nil {
+		t.Fatal("the writer installed a selector cache in the caller's options")
+	}
+
+	readBack := func(out []byte) {
+		t.Helper()
+		f, err := Open(bytes.NewReader(out), int64(len(out)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, field := range schema.Fields {
+			got, err := f.ReadColumn(field.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, batch.Columns[i]) {
+				t.Fatalf("column %s decodes differently", field.Name)
+			}
+		}
+	}
+
+	off := DefaultOptions()
+	off.RowsPerPage, off.GroupRows = 128, 512
+	off.Enc.ResampleDrift, off.Sparse.Enc.ResampleDrift = -1, -1
+	out, w := write(off)
+	if h, r := w.SelectorStats(); h != 0 || r != 0 {
+		t.Fatalf("disabled cache reported stats %d/%d", h, r)
+	}
+	readBack(out)
+
+	// Sparse options without Enc get the cascade defaults at every
+	// compliance level, and with them a cache.
+	bare := &Options{RowsPerPage: 128, GroupRows: 512, Compliance: Level1, Sparse: &sparse.Options{MinOverlap: 8}}
+	out, w = write(bare)
+	if _, r := w.SelectorStats(); r == 0 {
+		t.Fatal("sparse options without Enc got no selector cache")
+	}
+	readBack(out)
 }
 
 // TestWriterRecycledBatchBuffer: Write copies the batch's top-level

@@ -143,6 +143,20 @@ func (o *Options) clone() *Options {
 	return &c
 }
 
+// pageEnc returns the cascade options f's pages encode their top-level
+// streams with: the sliding-window codec's for a sparse field, Enc for
+// every other. It is nil for a sparse field of options without Sparse,
+// whose pages encode with the sparse package's defaults and no cache.
+func (o *Options) pageEnc(f Field) *enc.Options {
+	if !f.Sparse {
+		return o.Enc
+	}
+	if o.Sparse == nil {
+		return nil
+	}
+	return o.Sparse.Enc
+}
+
 // SparsePageScheme is the PageCompression marker for sparse sliding-window
 // pages (the codec is composite; no single cascade id describes it).
 const SparsePageScheme = 0
@@ -152,8 +166,8 @@ const SparsePageScheme = 0
 // own scheme for scalar pages, the value stream's scheme for list pages,
 // and SparsePageScheme for sliding-window pages.
 func encodePage(f Field, data ColumnData, opts *Options) ([]byte, enc.SchemeID, error) {
-	if opts.Enc.Cache != nil {
-		opts.Enc.Cache.BeginPage()
+	if e := opts.pageEnc(f); e != nil && e.Cache != nil {
+		e.Cache.BeginPage()
 	}
 	switch d := data.(type) {
 	case Int64Data:

@@ -100,6 +100,11 @@ func NewWriter(w io.Writer, schema *Schema, opts *Options) (*Writer, error) {
 		if opts.Enc == nil {
 			opts.Enc = enc.DefaultOptions()
 		}
+		if opts.Sparse != nil && opts.Sparse.Enc == nil {
+			sc := *opts.Sparse
+			sc.Enc = enc.DefaultOptions()
+			opts.Sparse = &sc
+		}
 	}
 	if opts.QualityColumn != "" {
 		i, ok := schema.Lookup(opts.QualityColumn)
@@ -117,9 +122,6 @@ func NewWriter(w io.Writer, schema *Schema, opts *Options) (*Writer, error) {
 		opts.Enc = maskableEncOptions(opts.Enc)
 		if opts.Sparse != nil {
 			sc := *opts.Sparse
-			if sc.Enc == nil {
-				sc.Enc = enc.DefaultOptions()
-			}
 			sc.Enc = maskableEncOptions(sc.Enc)
 			opts.Sparse = &sc
 		}

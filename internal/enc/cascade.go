@@ -40,6 +40,11 @@ type candidate struct {
 	// gate, when set, nominates the candidate only if the sample's
 	// statistics pass it. Only kinds with a stats function have gates.
 	gate func(s intStats) bool
+	// bound, when set, is a lower bound on the candidate's trial size in
+	// bytes, from the same statistics; it is computed only for a candidate
+	// that passed its gate. choose skips the trial once the bound scores
+	// no lower than the best so far: the trial could not win.
+	bound func(s intStats) int
 }
 
 // kind describes one value type to the generic cascade.
@@ -74,7 +79,9 @@ var intKind = kind[int64]{
 		{id: FOR, cost: relCost{0.7, 0.5}, gate: func(s intStats) bool { return s.rangeWidth <= 64 }},
 		{id: PFOR, cost: relCost{1.1, 0.7}, gate: func(s intStats) bool { return s.rangeWidth <= 64 }},
 		{id: FastBP128, cost: relCost{0.8, 0.6}},
-		{id: Huffman, cost: relCost{3.0, 4.0}, gate: func(s intStats) bool { return s.distinct <= maxHuffmanSymbols/2 }},
+		{id: Huffman, cost: relCost{3.0, 4.0},
+			gate:  func(s intStats) bool { return s.distinct <= maxHuffmanSymbols/2 },
+			bound: func(s intStats) int { return huffmanLowerBound(s.counts, s.n) }},
 		{id: RLE, cost: relCost{0.7, 0.4}, nested: true, gate: func(s intStats) bool { return s.runs*2 <= s.n }},
 		{id: Dict, cost: relCost{1.4, 0.6}, nested: true, gate: func(s intStats) bool {
 			return s.distinct <= distinctCap && s.distinct*2 <= s.n
@@ -180,6 +187,9 @@ func choose[T any](k *kind[T], vs []T, opts *Options, depth int) (SchemeID, []by
 		if (c.nested && terminal) || !opts.allows(c.id) || (c.gate != nil && !c.gate(s)) {
 			continue
 		}
+		if c.bound != nil && bestScore >= 0 && loses(float64(c.bound(s)), c.cost, opts, bestScore) {
+			continue
+		}
 		trial, err := k.encode(nil, c.id, sample, opts, depth)
 		if err != nil {
 			continue
@@ -208,6 +218,14 @@ func allSame[T any](k *kind[T], vs []T) bool {
 // costs contribute proportionally to their weights.
 func objective(size float64, c relCost, opts *Options) float64 {
 	return size * (1 + opts.WriteWeight*c.enc + opts.ReadWeight*c.dec)
+}
+
+// loses reports whether every trial of at least minSize bytes scores no
+// lower than best. It holds only while the objective grows with size (its
+// weights could make it shrink), and then a skipped trial could not have
+// won, since a later candidate needs a strictly lower score.
+func loses(minSize float64, c relCost, opts *Options, best float64) bool {
+	return objective(1, c, opts) > 0 && objective(minSize, c, opts) >= best
 }
 
 // encodeDepth appends vs in the scheme the selector picks, going through

@@ -2,6 +2,7 @@ package enc
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 
 	"bullion/internal/bitutil"
@@ -116,6 +117,28 @@ func assignCanonical(codes []huffCode) {
 		code++
 		prevLen = codes[i].length
 	}
+}
+
+// huffmanLowerBound returns a lower bound on len(encodeHuffmanInts(vs))
+// from the exact histogram of the n values of vs (statsOf's, whenever
+// Huffman's gate passes): the codebook exactly, plus ⌈n·H/8⌉ bitstream
+// bytes, where H is the histogram's Shannon entropy. No prefix code
+// spends fewer than n·H bits. The entropy is computed in floating point,
+// so a hair is taken off it before rounding up: where the Huffman code
+// meets the entropy exactly, rounding error must not push the bound a
+// byte past the real size.
+func huffmanLowerBound(counts map[int64]int, n int) int {
+	var buf [binary.MaxVarintLen64]byte
+	size := len(binary.AppendUvarint(buf[:0], uint64(len(counts))))
+	bits := 0.0
+	for sym, f := range counts {
+		size += len(binary.AppendVarint(buf[:0], sym)) + 1
+		bits += float64(f) * math.Log2(float64(n)/float64(f))
+	}
+	if bits -= 1e-6; bits > 0 {
+		size += int(math.Ceil(bits / 8))
+	}
+	return size
 }
 
 func encodeHuffmanInts(dst []byte, vs []int64) ([]byte, error) {

@@ -425,6 +425,9 @@ type intStats struct {
 	deltaMax   int64
 	deltaSafe  bool // no delta overflowed int64
 	rangeWidth int  // bit width of (max-min), 65 on overflow
+	// counts is the histogram the distinct count comes from, exact while
+	// distinct <= distinctCap.
+	counts map[int64]int
 }
 
 const distinctCap = 1024
@@ -472,6 +475,7 @@ func statsOf(vs []int64) intStats {
 		}
 	}
 	s.distinct = len(counts)
+	s.counts = counts
 	s.hasNeg = s.min < 0
 	if r, ok := subOverflow(s.max, s.min); ok {
 		s.rangeWidth = bitutil.WidthOf(uint64(r))

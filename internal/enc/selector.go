@@ -13,6 +13,14 @@ package enc
 // DEFLATE state behind the BitShuffle/Chunked trials is pooled
 // (chunked.go), so a resample costs the trials and nothing more.
 //
+// The cached streams are every page's top-level streams: a scalar page's
+// one stream, a list page's lengths and values, and a sparse page's value
+// stream, which the core writer routes through a cache of its own built
+// from the sparse codec's options. Child streams of a composite winner
+// (a Dict's codes, a Delta's deltas) re-select on every page. Caching
+// them too was tried and dropped: it changed which schemes some child
+// streams pick, and so the output bytes, for no clear gain.
+//
 // One cachedEncode serves every kind: an entry is a scheme id and a ratio
 // whatever the value type, and a resample is the same table-driven choose
 // the uncached path runs, so a scheme added to a kind's table is cached
@@ -24,10 +32,12 @@ package enc
 const DefaultResampleDrift = 0.25
 
 // SelectorCache caches top-level cascade decisions across the successive
-// pages of one logical column. A page may carry several top-level streams
-// (list columns encode a lengths stream and a values stream); entries are
-// keyed by the stream's ordinal within the page, which is fixed by the
-// column's type. The cache is deterministic: given the same sequence of
+// pages of one logical column: every stream an Encode* call of these
+// Options makes at depth 0, including a sparse page's value stream, and
+// no child stream. A page may carry several top-level streams (list
+// columns encode a lengths stream and a values stream); entries are keyed
+// by the stream's ordinal within the page, which is fixed by the column's
+// type. The cache is deterministic: given the same sequence of
 // pages it makes the same decisions, regardless of what other columns do —
 // this is what keeps parallel writers byte-identical to sequential ones.
 //

@@ -35,7 +35,11 @@ type Options struct {
 	// RestartInterval forces a base vector every N vectors so page-local
 	// decodes never chase long delta chains. 0 disables forced restarts.
 	RestartInterval int
-	// Enc configures the cascade used for the bulk value stream.
+	// Enc configures the cascade used for the bulk value stream. The core
+	// writer encodes each sparse column with a copy of these options that
+	// carries the column's own selector cache (unless ResampleDrift is
+	// negative), so the cache amortizes the value stream's selection over
+	// the column's pages; the caller's options are never mutated.
 	Enc *enc.Options
 }
 
