@@ -210,9 +210,10 @@
 // encoded-size ratio drifts past EncodingOptions.ResampleDrift (default
 // ±25% relative). Set ResampleDrift negative to re-select on every page
 // (the pre-pipeline behavior); Writer.SelectorStats reports the realized
-// reuse. A Sparse (§2.2) column's page encodes its value stream with
-// Options.Sparse.Enc and a cache of its own, so that is where its
-// ResampleDrift is read.
+// reuse. The setting covers Sparse (§2.2) columns too: their pages encode
+// the value stream with Options.Sparse.Enc through a cache of their own,
+// built from the same EncodingOptions.ResampleDrift (the ResampleDrift of
+// Sparse.Enc is ignored).
 //
 // # Datasets and compaction
 //

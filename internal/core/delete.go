@@ -8,6 +8,7 @@ import (
 	"bullion/internal/enc"
 	"bullion/internal/footer"
 	"bullion/internal/merkle"
+	"bullion/internal/sparse"
 )
 
 // ErrPageGrew reports a Level-2 page rewrite that would exceed the page's
@@ -163,11 +164,19 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 				return fmt.Errorf("core: re-encoding page %d: %w", p, err)
 			}
 			if len(newPayload) > span {
-				// The cascade's sample can misjudge a masked page; retry
-				// restricted to the page's original top scheme plus the
-				// always-safe basics before declaring a violation.
+				// The cascade's sample can misjudge a masked page, and the
+				// writer may have kept a cached scheme a fresh selection
+				// would not pick; retry restricted to the page's original
+				// top scheme (for a sparse page, its value stream's) plus
+				// the always-safe basics before declaring a violation.
 				retryOpts := rewriteOptions()
-				retryOpts.Enc = restrictToScheme(retryOpts.Enc, enc.SchemeID(f.view.PageCompression(p)))
+				if field.Sparse {
+					if id, serr := sparse.ValueScheme(payload); serr == nil {
+						retryOpts.Sparse.Enc = restrictToScheme(retryOpts.Sparse.Enc, id)
+					}
+				} else {
+					retryOpts.Enc = restrictToScheme(retryOpts.Enc, enc.SchemeID(f.view.PageCompression(p)))
+				}
 				if retry, retryScheme, rerr := encodePage(field, newData, retryOpts); rerr == nil && len(retry) <= span {
 					newPayload, scheme = retry, retryScheme
 				} else {

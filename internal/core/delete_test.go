@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"bullion/internal/enc"
 	"bullion/internal/iostats"
 )
 
@@ -363,6 +365,76 @@ func TestLevel2SparseColumnErasure(t *testing.T) {
 	checkVec(129, 129)
 	checkVec(130, 133) // first row after the erased span
 	checkVec(n-4, n-1)
+	if err := f.VerifyChecksums(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLevel2SparseRetryKeepsValueScheme: when a fresh selection for a
+// masked sparse page picks a value-stream scheme that no longer fits the
+// page, the erasure retries with the page's original value-stream scheme.
+// The value stream is random wide values except where the selector samples
+// it, where it draws from four symbols: a sample-based selection picks
+// Dict, which on the whole stream is larger than the BitPack the writer
+// was restricted to.
+func TestLevel2SparseRetryKeepsValueScheme(t *testing.T) {
+	schema, err := NewSchema(Field{Name: "seq", Type: Type{Kind: List, Elem: Int64}, Sparse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, width = 1024, 16
+	const n = rows * width
+	stride := (n - 128) / 7 // the selector's sample runs start at r*stride
+	sampled := func(i int) bool {
+		for r := 0; r < 8; r++ {
+			if i >= r*stride-64 && i < r*stride+192 {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(11))
+	symbols := []int64{1<<27 + 1, 1<<27 + 77, 1<<27 + 4242, 1<<27 + 90001}
+	seq := make(ListInt64Data, rows)
+	for r := range seq {
+		v := make([]int64, width)
+		for j := range v {
+			if sampled(r*width + j) {
+				v[j] = symbols[rng.Intn(len(symbols))]
+			} else {
+				v[j] = rng.Int63n(1 << 28)
+			}
+		}
+		seq[r] = v
+	}
+	batch, err := NewBatch(schema, []ColumnData{seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.RowsPerPage, opts.GroupRows, opts.Compliance = rows, rows, Level2
+	opts.Sparse.Enc.Allowed = map[enc.SchemeID]bool{enc.BitPack: true}
+	mf, f := writeTestFile(t, schema, batch, opts)
+
+	masked := maskColumn(seq, []int{100})
+	fresh, _, err := encodePage(schema.Fields[0], masked, rewriteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, end := f.pageByteRange(0); int64(len(fresh)) <= end-off {
+		t.Fatalf("a fresh selection fits the masked page (%d <= %d bytes); the retry goes untested", len(fresh), end-off)
+	}
+	if err := f.DeleteRows(mf, []uint64{100}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := f.ReadColumn("seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(ListInt64Data{}, seq[:100]...), seq[101:]...)
+	if !reflect.DeepEqual(data, want) {
+		t.Fatal("live rows read back differently after erasure")
+	}
 	if err := f.VerifyChecksums(); err != nil {
 		t.Fatal(err)
 	}

@@ -140,19 +140,22 @@ func newIngestPipeline(w *Writer) *ingestPipeline {
 
 // columnOptions clones o for one column and gives the cascade options the
 // column's pages encode with (Options.pageEnc) a private selector cache,
-// unless their ResampleDrift is negative. Every column gets its own cache:
+// unless Enc.ResampleDrift is negative. Enc.ResampleDrift is the one drift
+// setting: a sparse field's cache is built from it too, and the
+// ResampleDrift of Sparse.Enc is ignored. Every column gets its own cache:
 // SelectorCache is stateful and single-threaded, and per-column state is
 // what keeps its decisions independent of worker scheduling. A sparse
 // field's Sparse options are cloned too, so no two columns share a cache
 // and the caller's options are never mutated.
 func columnOptions(o *Options, f Field) *Options {
 	co := o.clone()
+	drift := co.Enc.ResampleDrift
+	if drift < 0 {
+		return co
+	}
 	withCache := func(e *enc.Options) *enc.Options {
-		if e == nil || e.ResampleDrift < 0 {
-			return e
-		}
 		c := *e
-		c.Cache = enc.NewSelectorCache(c.ResampleDrift)
+		c.Cache = enc.NewSelectorCache(drift)
 		return &c
 	}
 	if !f.Sparse {

@@ -285,10 +285,11 @@ func sparseTable(t *testing.T) (*Schema, *Batch) {
 }
 
 // TestSparseStreamsUseSelectorCache: a sparse page's value stream goes
-// through its column's selector cache, built from Sparse.Enc. The cache
+// through its column's selector cache, on a copy of Sparse.Enc. The cache
 // must mostly reuse decisions, the bytes must not depend on the worker
-// count, the caller's options must stay untouched, and a negative
-// Sparse.Enc.ResampleDrift must disable the cache and still write a
+// count, the caller's options must stay untouched, a Level-2 file written
+// on the cached path must erase rows in place, and a negative
+// Enc.ResampleDrift alone must disable the cache and still write a
 // readable file.
 func TestSparseStreamsUseSelectorCache(t *testing.T) {
 	schema, batch := sparseTable(t)
@@ -343,10 +344,49 @@ func TestSparseStreamsUseSelectorCache(t *testing.T) {
 		}
 	}
 
+	// Level 2: every ninth row is erased in place and the live rows read
+	// back unchanged.
+	l2 := DefaultOptions()
+	l2.RowsPerPage, l2.GroupRows, l2.Compliance = 128, 512, Level2
+	out, w := write(l2)
+	if _, r := w.SelectorStats(); r == 0 {
+		t.Fatal("Level-2 sparse columns got no selector cache")
+	}
+	mf := &memFile{data: out}
+	f, err := Open(mf, mf.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var del []uint64
+	for r := uint64(4); r < uint64(batch.NumRows()); r += 9 {
+		del = append(del, r)
+	}
+	if err := f.DeleteRows(mf, del); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.VerifyChecksums(); err != nil {
+		t.Fatal(err)
+	}
+	for i, field := range schema.Fields {
+		got, err := f.ReadColumn(field.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want ListInt64Data
+		for r, v := range batch.Columns[i].(ListInt64Data) {
+			if r%9 != 4 {
+				want = append(want, v)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("column %s reads back differently after erasure", field.Name)
+		}
+	}
+
 	off := DefaultOptions()
 	off.RowsPerPage, off.GroupRows = 128, 512
-	off.Enc.ResampleDrift, off.Sparse.Enc.ResampleDrift = -1, -1
-	out, w := write(off)
+	off.Enc.ResampleDrift = -1
+	out, w = write(off)
 	if h, r := w.SelectorStats(); h != 0 || r != 0 {
 		t.Fatalf("disabled cache reported stats %d/%d", h, r)
 	}

@@ -128,7 +128,9 @@ type Options struct {
 	// ResampleDrift is the relative encoded-size drift beyond which a
 	// cached selector decision is re-sampled (0 selects
 	// DefaultResampleDrift). A negative value tells the core writer not to
-	// install selector caches at all, restoring per-page selection.
+	// install selector caches at all, restoring per-page selection. The
+	// core writer reads it from its Options.Enc alone, for every column,
+	// sparse ones included.
 	ResampleDrift float64
 }
 

@@ -15,8 +15,8 @@ package enc
 //
 // The cached streams are every page's top-level streams: a scalar page's
 // one stream, a list page's lengths and values, and a sparse page's value
-// stream, which the core writer routes through a cache of its own built
-// from the sparse codec's options. Child streams of a composite winner
+// stream, which the core writer routes through a cache of its own on a
+// copy of the sparse codec's options. Child streams of a composite winner
 // (a Dict's codes, a Delta's deltas) re-select on every page. Caching
 // them too was tried and dropped: it changed which schemes some child
 // streams pick, and so the output bytes, for no clear gain.

@@ -37,9 +37,11 @@ type Options struct {
 	RestartInterval int
 	// Enc configures the cascade used for the bulk value stream. The core
 	// writer encodes each sparse column with a copy of these options that
-	// carries the column's own selector cache (unless ResampleDrift is
-	// negative), so the cache amortizes the value stream's selection over
-	// the column's pages; the caller's options are never mutated.
+	// carries the column's own selector cache, so the cache amortizes the
+	// value stream's selection over the column's pages; the caller's
+	// options are never mutated. Whether there is a cache, and its drift,
+	// follow the writer's own Enc.ResampleDrift; the ResampleDrift of these
+	// options is ignored.
 	Enc *enc.Options
 }
 
@@ -129,58 +131,16 @@ func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
 
 // DecodeColumn decodes a column chunk produced by EncodeColumn.
 func DecodeColumn(src []byte) ([][]int64, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return nil, fmt.Errorf("sparse: bad vector count")
+	metas, totalValues, stream, err := parseHeader(src)
+	if err != nil {
+		return nil, err
 	}
-	src = src[sz:]
-	// Every vector costs at least one metadata byte; hostile counts must
-	// not drive allocations.
-	if n > uint64(len(src)) {
-		return nil, fmt.Errorf("sparse: %d vectors cannot fit in %d bytes", n, len(src))
-	}
-	metas := make([]vectorMeta, n)
-	totalValues := 0
-	for i := range metas {
-		if len(src) < 1 {
-			return nil, fmt.Errorf("sparse: truncated metadata at vector %d", i)
-		}
-		flag := src[0]
-		src = src[1:]
-		var m vectorMeta
-		if flag == 1 {
-			m.isDelta = true
-			fields := [4]*int{&m.rangeStart, &m.rangeLen, &m.headLen, &m.tailLen}
-			for _, f := range fields {
-				v, sz := binary.Uvarint(src)
-				if sz <= 0 {
-					return nil, fmt.Errorf("sparse: truncated delta meta at vector %d", i)
-				}
-				*f = int(v)
-				src = src[sz:]
-			}
-			totalValues += m.headLen + m.tailLen
-		} else {
-			v, sz := binary.Uvarint(src)
-			if sz <= 0 {
-				return nil, fmt.Errorf("sparse: truncated base meta at vector %d", i)
-			}
-			m.baseLen = int(v)
-			src = src[sz:]
-			totalValues += m.baseLen
-		}
-		metas[i] = m
-	}
-	streamLen, sz := binary.Uvarint(src)
-	if sz <= 0 || streamLen > uint64(len(src)-sz) {
-		return nil, fmt.Errorf("sparse: bad value stream length")
-	}
-	values, err := enc.DecodeInts(src[sz:sz+int(streamLen)], totalValues)
+	values, err := enc.DecodeInts(stream, totalValues)
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([][]int64, n)
+	out := make([][]int64, len(metas))
 	var prev []int64
 	pos := 0
 	take := func(k int) ([]int64, error) {
@@ -226,6 +186,67 @@ func DecodeColumn(src []byte) ([][]int64, error) {
 		prev = cur
 	}
 	return out, nil
+}
+
+// ValueScheme returns the cascade scheme of a column chunk's value stream,
+// the one stream EncodeColumn encodes with Options.Enc.
+func ValueScheme(src []byte) (enc.SchemeID, error) {
+	_, _, stream, err := parseHeader(src)
+	if err != nil {
+		return 0, err
+	}
+	return enc.TopScheme(stream), nil
+}
+
+// parseHeader reads a column chunk's vector metadata and returns it with
+// the number of values the metadata calls for and the value stream.
+func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte, err error) {
+	n, sz := binary.Uvarint(src)
+	if sz <= 0 {
+		return nil, 0, nil, fmt.Errorf("sparse: bad vector count")
+	}
+	src = src[sz:]
+	// Every vector costs at least one metadata byte; hostile counts must
+	// not drive allocations.
+	if n > uint64(len(src)) {
+		return nil, 0, nil, fmt.Errorf("sparse: %d vectors cannot fit in %d bytes", n, len(src))
+	}
+	metas = make([]vectorMeta, n)
+	for i := range metas {
+		if len(src) < 1 {
+			return nil, 0, nil, fmt.Errorf("sparse: truncated metadata at vector %d", i)
+		}
+		flag := src[0]
+		src = src[1:]
+		var m vectorMeta
+		if flag == 1 {
+			m.isDelta = true
+			fields := [4]*int{&m.rangeStart, &m.rangeLen, &m.headLen, &m.tailLen}
+			for _, f := range fields {
+				v, sz := binary.Uvarint(src)
+				if sz <= 0 {
+					return nil, 0, nil, fmt.Errorf("sparse: truncated delta meta at vector %d", i)
+				}
+				*f = int(v)
+				src = src[sz:]
+			}
+			totalValues += m.headLen + m.tailLen
+		} else {
+			v, sz := binary.Uvarint(src)
+			if sz <= 0 {
+				return nil, 0, nil, fmt.Errorf("sparse: truncated base meta at vector %d", i)
+			}
+			m.baseLen = int(v)
+			src = src[sz:]
+			totalValues += m.baseLen
+		}
+		metas[i] = m
+	}
+	streamLen, sz := binary.Uvarint(src)
+	if sz <= 0 || streamLen > uint64(len(src)-sz) {
+		return nil, 0, nil, fmt.Errorf("sparse: bad value stream length")
+	}
+	return metas, totalValues, src[sz : sz+int(streamLen)], nil
 }
 
 // longestCommonRun finds the longest contiguous run shared between prev and
