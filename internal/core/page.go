@@ -12,7 +12,7 @@ import (
 // maskableAllowed is the cascade subset usable in Level-2 files: the
 // schemes §2.1 enumerates as mask-friendly (bit-packing, varint, RLE,
 // dictionary, FOR) plus the trivially safe ones. Delta, Gorilla/Chimp,
-// Huffman, BitShuffle, and block compression are excluded — masking one
+// Huffman and block compression (ChunkedBytes) are excluded — masking one
 // value shifts their downstream state, so a re-encoded page could exceed
 // its original size, violating the paper's size-consistency criterion.
 // Compliance costs compression; the tradeoff is measured in the deletion

@@ -3,11 +3,11 @@ package enc
 import "sync"
 
 // Pooled scratch buffers for the temporaries the codecs need around every
-// page: bit-unpack staging ([]uint64), bit-shuffle transpose planes
-// ([]byte), and dense-value staging for nullable streams ([]int64). The
-// steady-state scan path decodes thousands of pages per second; without
-// the pools each page costs one or more short-lived heap allocations that
-// dominate the decode profile under GC pressure. Scratch never escapes a
+// page: bit-unpack staging ([]uint64), child-stream and dense-value
+// staging ([]int64) and validity planes ([]bool). The steady-state scan
+// path decodes thousands of pages per second; without the pools each page
+// costs one or more short-lived heap allocations that dominate the decode
+// profile under GC pressure. Scratch never escapes a
 // single encode/decode call, so a plain sync.Pool (pointer-to-slice to
 // keep Put allocation-free) is enough.
 
@@ -69,22 +69,3 @@ func getBoolScratch(n int) *[]bool {
 }
 
 func putBoolScratch(p *[]bool) { boolScratchPool.Put(p) }
-
-var byteScratchPool = sync.Pool{
-	New: func() any {
-		s := make([]byte, 0, 8*scratchDefaultCap)
-		return &s
-	},
-}
-
-// getByteScratch returns a pooled slice of length n (contents undefined).
-func getByteScratch(n int) *[]byte {
-	p := byteScratchPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putByteScratch(p *[]byte) { byteScratchPool.Put(p) }

@@ -19,7 +19,7 @@ import (
 const decodeBenchN = 8192
 
 // decodeBenchCases pairs every integer scheme with data it compresses
-// well, mirroring intSchemes but sized for steady-state decode.
+// well, mirroring intSchemes' live rows but sized for steady-state decode.
 var decodeBenchCases = []struct {
 	id  SchemeID
 	gen func(rng *rand.Rand, n int) []int64
@@ -38,8 +38,6 @@ var decodeBenchCases = []struct {
 	{Constant, genConstant},
 	{MainlyConst, genMainlyConstant},
 	{Huffman, genLowCardinality},
-	{BitShuffle, genSmallNonNeg},
-	{Chunked, genUniform},
 }
 
 func BenchmarkDecode(b *testing.B) {

@@ -27,7 +27,7 @@ func EncodeBoolsWith(dst []byte, id SchemeID, vs []bool) ([]byte, error) {
 	case Roaring:
 		return encodeRoaringBools(dst, vs), nil
 	default:
-		return nil, corruptf("%v is not a bool scheme", id)
+		return nil, unsupported(id, "a bool")
 	}
 }
 
@@ -58,7 +58,7 @@ func DecodeBoolsInto(dst []bool, src []byte) ([]bool, error) {
 	case Roaring:
 		return decodeRoaringBools(dst, payload)
 	default:
-		return nil, corruptf("%v is not a bool scheme", id)
+		return nil, unsupported(id, "a bool")
 	}
 }
 

@@ -44,14 +44,12 @@ func DecodeBytesInto(dst [][]byte, src []byte) ([][]byte, error) {
 		return decodePlainBytes(dst, payload)
 	case DictB:
 		return decodeDictBytes(dst, payload)
-	case FSST:
-		return decodeFSST(dst, payload)
 	case ChunkedB:
 		return decodeChunkedBytes(dst, payload)
 	case ConstantB:
 		return decodeConstantBytes(dst, payload)
 	default:
-		return nil, corruptf("%v is not a bytes scheme", id)
+		return nil, unsupported(id, "a bytes")
 	}
 }
 
@@ -62,14 +60,12 @@ func encodeBytesWithDepth(dst []byte, id SchemeID, vs [][]byte, opts *Options, d
 		return encodePlainBytes(dst, vs), nil
 	case DictB:
 		return encodeDictBytes(dst, vs, opts, depth)
-	case FSST:
-		return encodeFSST(dst, vs, opts, depth)
 	case ChunkedB:
 		return encodeChunkedBytes(dst, vs, opts, depth)
 	case ConstantB:
 		return encodeConstantBytes(dst, vs)
 	default:
-		return nil, corruptf("%v is not a bytes scheme", id)
+		return nil, unsupported(id, "a bytes")
 	}
 }
 

@@ -61,14 +61,15 @@ func TestBytesSchemesRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
 	for _, tc := range bytesSchemes {
 		t.Run(tc.id.String(), func(t *testing.T) {
+			if retired(tc.id) {
+				checkRetired(t, tc.id)
+				return
+			}
 			rng := rand.New(rand.NewSource(21))
 			for _, n := range []int{0, 1, 2, 100, 500} {
 				vs := tc.gen(rng, n)
 				encoded, err := EncodeBytesWith(nil, tc.id, vs, opts)
 				if err != nil {
-					if n == 0 && tc.id == FSST {
-						continue // FSST cannot train on an empty corpus
-					}
 					t.Fatalf("n=%d: encode: %v", n, err)
 				}
 				got, err := DecodeBytes(encoded, n)
@@ -82,20 +83,6 @@ func TestBytesSchemesRoundTrip(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestFSSTCompressesStructuredStrings(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vs := genURLs(rng, 2000)
-	opts := DefaultOptions()
-	plain, _ := EncodeBytesWith(nil, PlainB, vs, opts)
-	fsst, err := EncodeBytesWith(nil, FSST, vs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(len(fsst)) > 0.8*float64(len(plain)) {
-		t.Fatalf("FSST %d > 80%% of plain %d on URLs", len(fsst), len(plain))
 	}
 }
 
@@ -148,27 +135,8 @@ func TestBytesDecodeCorrupt(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	vs := genURLs(rand.New(rand.NewSource(1)), 50)
-	encoded, _ := EncodeBytesWith(nil, FSST, vs, opts)
-	if _, err := DecodeBytes(encoded[:4], 50); err == nil {
-		t.Fatal("truncated FSST stream decoded")
-	}
-}
-
-func TestFSSTEmptyAndEscapeHeavy(t *testing.T) {
-	opts := DefaultOptions()
-	// Values with bytes the table has never seen force the escape path.
-	vs := [][]byte{{}, {0xFF, 0xFE, 0xFD}, []byte("aaa"), {0x00}}
-	encoded, err := EncodeBytesWith(nil, FSST, vs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBytes(encoded, len(vs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if !bytes.Equal(got[i], vs[i]) {
-			t.Fatalf("value %d = %q, want %q", i, got[i], vs[i])
-		}
+	encoded, _ := EncodeBytesWith(nil, ChunkedB, vs, opts)
+	if _, err := DecodeBytes(encoded[:len(encoded)/2], 50); err == nil {
+		t.Fatal("truncated ChunkedBytes stream decoded")
 	}
 }

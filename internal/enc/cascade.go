@@ -94,8 +94,6 @@ var intKind = kind[int64]{
 		{id: DeltaDelta, cost: relCost{1.0, 0.7}, nested: true, gate: func(s intStats) bool {
 			return s.deltaSafe && s.sorted && s.n >= 3
 		}},
-		{id: BitShuffle, cost: relCost{5.0, 5.0}, nested: true},
-		{id: Chunked, cost: relCost{6.0, 3.0}, nested: true},
 	},
 }
 
@@ -112,8 +110,6 @@ var floatKind = kind[float64]{
 		{id: GorillaF, cost: relCost{1.5, 1.5}},
 		{id: ChimpF, cost: relCost{1.6, 1.6}},
 		{id: ALPF, cost: relCost{1.2, 0.8}, nested: true},
-		{id: PseudoDec, cost: relCost{1.3, 0.9}, nested: true},
-		{id: ChunkedF, cost: relCost{6.0, 3.0}, nested: true},
 	},
 }
 
@@ -133,7 +129,6 @@ var bytesKind = kind[[]byte]{
 	cands: []candidate{
 		{id: PlainB, cost: relCost{0.2, 0.2}},
 		{id: DictB, cost: relCost{1.4, 0.6}, nested: true},
-		{id: FSST, cost: relCost{3.0, 1.2}, nested: true},
 		{id: ChunkedB, cost: relCost{6.0, 3.0}, nested: true},
 	},
 }

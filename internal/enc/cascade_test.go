@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestCatalogCoverage asserts that every encoding in the paper's Table 2
-// catalog is implemented and exercisable — the tab2 experiment's
-// correctness backbone.
+// TestCatalogCoverage asserts that every scheme id of the paper's Table 2
+// catalog is distinct and named, the retired ones included: their names
+// stay reserved with their ids.
 func TestCatalogCoverage(t *testing.T) {
 	all := []SchemeID{
 		Plain, BitPack, Varint, ZigZagVar, RLE, Dict, Delta, DeltaDelta,
@@ -128,18 +130,54 @@ func TestAllowedRestriction(t *testing.T) {
 }
 
 func TestObjectiveWeights(t *testing.T) {
-	// A read-heavy objective should penalize Chunked (expensive decode)
+	// A read-heavy objective should penalize Huffman (expensive decode)
 	// relative to a size-only objective.
 	sizeOnly := &Options{MaxDepth: 2, SampleSize: 1024}
 	readHeavy := &Options{MaxDepth: 2, SampleSize: 1024, ReadWeight: 10}
 	var c relCost
 	for _, row := range intKind.cands {
-		if row.id == Chunked {
+		if row.id == Huffman {
 			c = row.cost
 		}
 	}
 	if objective(100, c, readHeavy) <= objective(100, c, sizeOnly) {
-		t.Fatal("read weight did not increase Chunked's cost")
+		t.Fatal("read weight did not increase Huffman's cost")
+	}
+}
+
+// TestEveryCandidateWins: a candidate row costs a trial encode on every
+// stream it is nominated for, so each row must be the top-level winner of
+// at least one row of the selection golden (generators x lengths x
+// option sets). A row that never wins is pure selection cost: retire it.
+func TestEveryCandidateWins(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "selection.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	won := map[string]bool{} // "<type> <scheme>"
+	for _, row := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		// "<type> <generator> n=<n> <options>: <scheme> len=<len> sha=<sha>"
+		typ, _, _ := strings.Cut(row, " ")
+		_, result, ok := strings.Cut(row, ": ")
+		winner, _, _ := strings.Cut(result, " ")
+		if !ok || winner == "" {
+			t.Fatalf("malformed golden row %q", row)
+		}
+		won[typ+" "+winner] = true
+	}
+	var never []string
+	for _, k := range []struct {
+		typ   string
+		cands []candidate
+	}{{"int", intKind.cands}, {"float", floatKind.cands}, {"bytes", bytesKind.cands}} {
+		for _, c := range k.cands {
+			if !won[k.typ+" "+c.id.String()] {
+				never = append(never, c.id.String())
+			}
+		}
+	}
+	if len(never) > 0 {
+		t.Errorf("candidates that win no selection golden row: %s", strings.Join(never, ", "))
 	}
 }
 

@@ -9,19 +9,19 @@ import (
 	"sync"
 )
 
-// DEFLATE chunk streams, the tail of the Chunked, ChunkedF, ChunkedB and
-// BitShuffle schemes. The selector trial-encodes BitShuffle and Chunked on
-// almost every page, so the compressor state behind them is pooled:
-// flate.NewWriter allocates about 1 MB of match-finder tables, which would
-// otherwise dominate both the CPU and the allocation profile of every
-// write. Writer.Reset is documented as equivalent to NewWriter, so output
-// never depends on reuse. The decode side reuses its readers through
+// DEFLATE chunk streams, the tail of the ChunkedBytes scheme. The
+// selector trial-encodes ChunkedBytes on byte-string streams below
+// MaxDepth, so the compressor state behind it is pooled: flate.NewWriter
+// allocates about 1 MB of match-finder tables, which would otherwise
+// dominate both the CPU and the allocation profile of every write.
+// Writer.Reset is documented as equivalent to NewWriter, so output never
+// depends on reuse. The decode side reuses its readers through
 // flate.Resetter and reserves at most one chunk ahead of the bytes it has
 // inflated, whatever length the stream declares.
 
-// ChunkSize is the raw-byte chunk granularity for the Chunked scheme,
-// matching the paper's 256 KB (Table 2). Each chunk compresses
-// independently so partial reads stay cheap.
+// ChunkSize is the raw-byte chunk granularity of ChunkedBytes, matching
+// the paper's 256 KB (Table 2). Each chunk compresses independently so
+// partial reads stay cheap.
 const ChunkSize = 256 << 10
 
 // flateEncoder is one pooled compressor plus the buffer it compresses a

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"bullion/internal/bitutil"
@@ -190,8 +192,8 @@ func TestChunkedBytesHostileTotal(t *testing.T) {
 
 // TestChunkedDecompressionBounded: a chunk that inflates to 16 MiB must
 // fail with ErrCorrupt after inflating no more than the bytes it may hold —
-// those 8 values need, or one ChunkSize chunk of a ChunkedB page declaring
-// 1 TiB — not after the whole bomb.
+// the 64 bytes its one value declares, or one ChunkSize chunk of a
+// ChunkedB page declaring 1 TiB — not after the whole bomb.
 func TestChunkedDecompressionBounded(t *testing.T) {
 	var bomb bytes.Buffer
 	fw, err := flate.NewWriter(&bomb, flate.DefaultCompression)
@@ -221,17 +223,12 @@ func TestChunkedDecompressionBounded(t *testing.T) {
 		}
 		return binary.AppendUvarint(appendChild([]byte{byte(ChunkedB)}, lens), uint64(total))
 	}
-	decodeInts := func(p []byte) error { _, err := DecodeInts(p, 8); return err }
 	decodeBytes := func(p []byte) error { _, err := DecodeBytes(p, 1); return err }
 	cases := []struct {
 		name   string
 		page   []byte
 		decode func([]byte) error
 	}{
-		{"Chunked", append([]byte{byte(Chunked)}, bombFirst(1)...), decodeInts},
-		{"BitShuffle", append([]byte{byte(BitShuffle), 8}, bombFirst(1)...), decodeInts},
-		{"ChunkedF", append([]byte{byte(ChunkedF)}, bombFirst(1)...),
-			func(p []byte) error { _, err := DecodeFloats(p, 8); return err }},
 		{"ChunkedB", append(chunkedB(64), bombFirst(1)...), decodeBytes},
 		{"ChunkedB 1 TiB", append(chunkedB(1<<40), bombFirst(1<<40/ChunkSize)...), decodeBytes},
 	}
@@ -246,6 +243,80 @@ func TestChunkedDecompressionBounded(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
 			t.Errorf("%s: decoding a %d-byte page allocated %d bytes", c.name, len(page), grew)
+		}
+	}
+}
+
+// retiredSchemes are the reserved ids of the retired codecs.
+var retiredSchemes = []SchemeID{BitShuffle, Chunked, PseudoDec, ChunkedF, FSST}
+
+// TestRetiredSchemesRefused sweeps every decoder with streams that start
+// with a retired id — empty, short, 0xff-filled and random payloads, at
+// several counts — and every typed encoder with the id itself.
+func TestRetiredSchemesRefused(t *testing.T) {
+	for _, id := range retiredSchemes {
+		if !retired(id) {
+			t.Errorf("%v is not retired", id)
+		}
+		t.Run(id.String(), func(t *testing.T) { checkRetired(t, id) })
+	}
+	for id := SchemeID(1); id != 0; id++ {
+		if retired(id) && !slices.Contains(retiredSchemes, id) {
+			t.Errorf("%v is retired but not swept", id)
+		}
+	}
+}
+
+// checkRetired asserts a retired id's contract: no Encode*With accepts
+// it, and every Decode* and Decode*Into returns ErrUnknownScheme naming
+// it, without panicking, whatever payload follows it.
+func checkRetired(t *testing.T, id SchemeID) {
+	t.Helper()
+	opts := DefaultOptions()
+	encoders := map[string]func() error{
+		"EncodeIntsWith":   func() error { _, err := EncodeIntsWith(nil, id, []int64{1, 2, 3}, opts); return err },
+		"EncodeFloatsWith": func() error { _, err := EncodeFloatsWith(nil, id, []float64{1.5, 2}, opts); return err },
+		"EncodeBytesWith":  func() error { _, err := EncodeBytesWith(nil, id, [][]byte{[]byte("a")}, opts); return err },
+		"EncodeBoolsWith":  func() error { _, err := EncodeBoolsWith(nil, id, []bool{true}); return err },
+	}
+	for name, encode := range encoders {
+		if encode() == nil {
+			t.Errorf("%s(%v) succeeded", name, id)
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(id)))
+	random := make([]byte, 300)
+	rng.Read(random)
+	payloads := [][]byte{nil, {0}, {8, 1}, bytes.Repeat([]byte{0xff}, 64), random}
+	for _, payload := range payloads {
+		stream := append([]byte{byte(id)}, payload...)
+		for _, n := range []int{0, 1, 3, 300} {
+			decoders := map[string]func() error{
+				"DecodeInts":       func() error { _, err := DecodeInts(stream, n); return err },
+				"DecodeIntsInto":   func() error { _, err := DecodeIntsInto(make([]int64, n), stream); return err },
+				"DecodeFloats":     func() error { _, err := DecodeFloats(stream, n); return err },
+				"DecodeFloatsInto": func() error { _, err := DecodeFloatsInto(make([]float64, n), stream); return err },
+				"DecodeBytes":      func() error { _, err := DecodeBytes(stream, n); return err },
+				"DecodeBytesInto":  func() error { _, err := DecodeBytesInto(make([][]byte, n), stream); return err },
+				"DecodeBools":      func() error { _, err := DecodeBools(stream, n); return err },
+				"DecodeBoolsInto":  func() error { _, err := DecodeBoolsInto(make([]bool, n), stream); return err },
+				"DecodeNullableInts": func() error {
+					_, _, err := DecodeNullableInts(stream, n)
+					return err
+				},
+				"DecodeNullableIntsInto": func() error {
+					return DecodeNullableIntsInto(make([]int64, n), make([]bool, n), stream)
+				},
+			}
+			for name, decode := range decoders {
+				label := fmt.Sprintf("%s(%v, %d-byte payload, n=%d)", name, id, len(payload), n)
+				noPanic(t, label, func() {
+					err := decode()
+					if !errors.Is(err, ErrUnknownScheme) || !strings.Contains(err.Error(), id.String()) {
+						t.Errorf("%s: got %v, want ErrUnknownScheme naming %v", label, err, id)
+					}
+				})
+			}
 		}
 	}
 }

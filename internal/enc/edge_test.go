@@ -2,6 +2,7 @@ package enc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -123,49 +124,22 @@ func TestChunkedMultiChunk(t *testing.T) {
 	// > 256 KB of raw data forces multiple flate chunks.
 	n := (ChunkSize/8)*2 + 1000
 	rng := rand.New(rand.NewSource(92))
-	vs := make([]int64, n)
+	vs := make([][]byte, n)
 	for i := range vs {
-		vs[i] = int64(rng.Intn(1000)) // compressible
+		vs[i] = fmt.Appendf(nil, "%07d", rng.Intn(1000)) // compressible
 	}
-	encoded, err := EncodeIntsWith(nil, Chunked, vs, DefaultOptions())
+	encoded, err := EncodeBytesWith(nil, ChunkedB, vs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInts(encoded, n)
+	got, err := DecodeBytes(encoded, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i += 997 {
-		if got[i] != vs[i] {
-			t.Fatalf("value %d mismatch", i)
-		}
-	}
-}
-
-func TestFSSTMaxLengthSymbols(t *testing.T) {
-	// A corpus dominated by one 8-byte substring exercises the max symbol
-	// length.
-	vs := make([][]byte, 500)
-	for i := range vs {
-		vs[i] = bytes.Repeat([]byte("ABCDEFGH"), 4)
-	}
-	encoded, err := EncodeBytesWith(nil, FSST, vs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBytes(encoded, len(vs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
 		if !bytes.Equal(got[i], vs[i]) {
 			t.Fatalf("value %d mismatch", i)
 		}
-	}
-	// 32 repeated bytes should compress to a handful of codes.
-	raw := 32 * len(vs)
-	if len(encoded) > raw/4 {
-		t.Fatalf("FSST %d bytes on maximally repetitive corpus (raw %d)", len(encoded), raw)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // Float64 streams get their own candidate table (floatKind in cascade.go:
-// Gorilla/Chimp/ALP/Pseudodecimal).
+// Gorilla/Chimp/ALP).
 // Narrower float formats (FP32 and the quantized FP16/BF16/FP8 of §2.4)
 // are stored as raw bit patterns through the *integer* cascade, which
-// already handles fixed-width/dictionary/bit-shuffle compression of short
-// bit strings well — see internal/quant.
+// already handles fixed-width/dictionary compression of short bit strings
+// well — see internal/quant.
 
 // EncodeFloats appends an encoded stream for vs, choosing the scheme with
 // the cascade selector.
@@ -51,14 +51,10 @@ func DecodeFloatsInto(dst []float64, src []byte) ([]float64, error) {
 		return decodeChimp(dst, payload)
 	case ALPF:
 		return decodeALP(dst, payload)
-	case PseudoDec:
-		return decodePseudoDec(dst, payload)
 	case ConstantF:
 		return decodeConstantFloats(dst, payload)
-	case ChunkedF:
-		return decodeChunkedFloats(dst, payload)
 	default:
-		return nil, corruptf("%v is not a float scheme", id)
+		return nil, unsupported(id, "a float")
 	}
 }
 
@@ -73,14 +69,10 @@ func encodeFloatsWithDepth(dst []byte, id SchemeID, vs []float64, opts *Options,
 		return encodeChimp(dst, vs), nil
 	case ALPF:
 		return encodeALP(dst, vs, opts, depth)
-	case PseudoDec:
-		return encodePseudoDec(dst, vs, opts, depth)
 	case ConstantF:
 		return encodeConstantFloats(dst, vs)
-	case ChunkedF:
-		return encodeChunkedFloats(dst, vs)
 	default:
-		return nil, corruptf("%v is not a float scheme", id)
+		return nil, unsupported(id, "a float")
 	}
 }
 
@@ -142,20 +134,6 @@ func fillFloat64(dst []float64, v float64) {
 	for filled := 1; filled < len(dst); filled *= 2 {
 		copy(dst[filled:], dst[:filled])
 	}
-}
-
-// ---- Chunked ----
-
-func encodeChunkedFloats(dst []byte, vs []float64) ([]byte, error) {
-	return appendFlateChunks(dst, encodePlainFloats(nil, vs))
-}
-
-func decodeChunkedFloats(dst []float64, src []byte) ([]float64, error) {
-	raw, err := readFlateChunks(src, len(dst)*8)
-	if err != nil {
-		return nil, err
-	}
-	return decodePlainFloats(dst, raw)
 }
 
 // ---- Gorilla (Table 2, [70]) ----
@@ -578,12 +556,11 @@ func decodeChimpScalar(dst []float64, src []byte) ([]float64, error) {
 	return dst, nil
 }
 
-// ---- ALP / Pseudodecimal (Table 2, [20] and [58]) ----
+// ---- ALP (Table 2, [20]) ----
 //
 // ALP losslessly encodes doubles that originated as decimals: one exponent
 // per stream, round(v*10^e) as a cascaded integer sub-column, bit-exact
-// exceptions patched from a side list. Pseudodecimal is the BtrBlocks
-// precursor: per-value (digits, exponent) pairs as two sub-columns.
+// exceptions patched from a side list.
 
 const alpMaxExp = 18
 
@@ -720,91 +697,6 @@ func decodeALP(dst []float64, src []byte) ([]float64, error) {
 	for i, p := range pos {
 		if p < 0 || p >= int64(len(dst)) {
 			return nil, corruptf("alp: exception position %d out of range", p)
-		}
-		dst[p] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return dst, nil
-}
-
-// payload(PseudoDec) := nExc(uvarint) childDigits childExps excPos(child) excBits(8B each)
-
-func encodePseudoDec(dst []byte, vs []float64, opts *Options, depth int) ([]byte, error) {
-	digits := make([]int64, len(vs))
-	exps := make([]int64, len(vs))
-	var excPos []int64
-	var excBits []uint64
-	for i, v := range vs {
-		e, d := decimalFor(v)
-		if e < 0 {
-			excPos = append(excPos, int64(i))
-			excBits = append(excBits, math.Float64bits(v))
-			continue
-		}
-		digits[i], exps[i] = d, int64(e)
-	}
-	if len(excPos)*2 > len(vs) {
-		return nil, ErrNotApplicable
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(excPos)))
-	var err error
-	if dst, err = encodeChildInts(dst, digits, opts, depth+1); err != nil {
-		return nil, err
-	}
-	if dst, err = encodeChildInts(dst, exps, opts, depth+1); err != nil {
-		return nil, err
-	}
-	if dst, err = encodeChildInts(dst, excPos, opts, depth+1); err != nil {
-		return nil, err
-	}
-	for _, b := range excBits {
-		dst = binary.LittleEndian.AppendUint64(dst, b)
-	}
-	return dst, nil
-}
-
-func decodePseudoDec(dst []float64, src []byte) ([]float64, error) {
-	nExc, sz := binary.Uvarint(src)
-	if sz <= 0 || nExc > uint64(len(dst)) {
-		return nil, corruptf("pseudodec: bad exception count")
-	}
-	src = src[sz:]
-	digitStream, src, err := readChild(src)
-	if err != nil {
-		return nil, err
-	}
-	expStream, src, err := readChild(src)
-	if err != nil {
-		return nil, err
-	}
-	posStream, src, err := readChild(src)
-	if err != nil {
-		return nil, err
-	}
-	digits, err := DecodeInts(digitStream, len(dst))
-	if err != nil {
-		return nil, err
-	}
-	exps, err := DecodeInts(expStream, len(dst))
-	if err != nil {
-		return nil, err
-	}
-	pos, err := DecodeInts(posStream, int(nExc))
-	if err != nil {
-		return nil, err
-	}
-	if len(src) < int(nExc)*8 {
-		return nil, corruptf("pseudodec: short exception bits")
-	}
-	for i := range dst {
-		e := exps[i]
-		if e < 0 || e > alpMaxExp {
-			return nil, corruptf("pseudodec: exponent %d out of range", e)
-		}
-		dst[i] = float64(digits[i]) / pow10[e]
-	}
-	for i, p := range pos {
-		if p < 0 || p >= int64(len(dst)) {
-			return nil, corruptf("pseudodec: exception position %d out of range", p)
 		}
 		dst[p] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}

@@ -122,7 +122,7 @@ func FuzzCascadeRoundTrip(f *testing.F) {
 }
 
 // fuzzBytesValues splits data into variable-length items using the first
-// bytes as lengths, exercising Plain/Dict/Constant/FSST paths.
+// bytes as lengths, exercising Plain/Dict/Constant/ChunkedBytes paths.
 func fuzzBytesValues(data []byte) [][]byte {
 	var vs [][]byte
 	for len(data) > 0 {

@@ -63,12 +63,8 @@ func DecodeIntsInto(dst []int64, src []byte) ([]int64, error) {
 		return decodeMainlyConstInts(dst, payload)
 	case Huffman:
 		return decodeHuffmanInts(dst, payload)
-	case BitShuffle:
-		return decodeBitShuffleInts(dst, payload)
-	case Chunked:
-		return decodeChunkedInts(dst, payload)
 	default:
-		return nil, corruptf("%v is not an integer scheme", id)
+		return nil, unsupported(id, "an integer")
 	}
 }
 
@@ -103,12 +99,8 @@ func encodeIntsWithDepth(dst []byte, id SchemeID, vs []int64, opts *Options, dep
 		return encodeMainlyConstInts(dst, vs, opts, depth)
 	case Huffman:
 		return encodeHuffmanInts(dst, vs)
-	case BitShuffle:
-		return encodeBitShuffleInts(dst, vs)
-	case Chunked:
-		return encodeChunkedInts(dst, vs)
 	default:
-		return nil, corruptf("%v is not an integer scheme", id)
+		return nil, unsupported(id, "an integer")
 	}
 }
 
@@ -325,93 +317,6 @@ func majorityValue(vs []int64) int64 {
 	return best
 }
 
-// ---- Chunked (flate over raw little-endian) ----
-
-func encodeChunkedInts(dst []byte, vs []int64) ([]byte, error) {
-	raw := encodePlainInts(nil, vs)
-	return appendFlateChunks(dst, raw)
-}
-
-func decodeChunkedInts(dst []int64, src []byte) ([]int64, error) {
-	raw, err := readFlateChunks(src, len(dst)*8)
-	if err != nil {
-		return nil, err
-	}
-	return decodePlainInts(dst, raw)
-}
-
-// ---- BitShuffle ----
-//
-// Transpose a matrix of values-by-bits so bits of equal significance are
-// contiguous, then flate the transposed buffer. Low-entropy high bits
-// become long zero runs.
-//
-// payload := width(1B) flateChunks(transposed)
-
-func encodeBitShuffleInts(dst []byte, vs []int64) ([]byte, error) {
-	up := getUint64Scratch(len(vs))
-	defer putUint64Scratch(up)
-	us := *up
-	anyNeg := false
-	for i, v := range vs {
-		if v < 0 {
-			anyNeg = true
-		}
-		us[i] = uint64(v)
-	}
-	w := 64
-	if !anyNeg {
-		w = bitutil.MaxWidth(us)
-		if w == 0 {
-			w = 1
-		}
-	}
-	dst = append(dst, byte(w&0xff)) // 64 encodes as 64; width <= 64
-	n := len(vs)
-	tp := getByteScratch(bitutil.PackedLen(n*w, 1))
-	defer putByteScratch(tp)
-	trans := *tp
-	clear(trans)
-	for bit := 0; bit < w; bit++ {
-		base := bit * n
-		for i, u := range us {
-			if u&(1<<uint(bit)) != 0 {
-				p := base + i
-				trans[p>>3] |= 1 << uint(p&7)
-			}
-		}
-	}
-	return appendFlateChunks(dst, trans)
-}
-
-func decodeBitShuffleInts(dst []int64, src []byte) ([]int64, error) {
-	if len(src) < 1 {
-		return nil, corruptf("bitshuffle: missing width")
-	}
-	w := int(src[0])
-	if w == 0 || w > 64 {
-		return nil, corruptf("bitshuffle: bad width %d", w)
-	}
-	n := len(dst)
-	trans, err := readFlateChunks(src[1:], bitutil.PackedLen(n*w, 1))
-	if err != nil {
-		return nil, err
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for bit := 0; bit < w; bit++ {
-		base := bit * n
-		for i := 0; i < n; i++ {
-			p := base + i
-			if trans[p>>3]&(1<<uint(p&7)) != 0 {
-				dst[i] |= 1 << uint(bit)
-			}
-		}
-	}
-	return dst, nil
-}
-
 // intStats summarizes a []int64 for the selector.
 type intStats struct {
 	n          int
@@ -439,7 +344,7 @@ func statsOf(vs []int64) intStats {
 	}
 	s.min, s.max = vs[0], vs[0]
 	s.runs = 1
-	counts := make(map[int64]int, distinctCap+1)
+	counts := make(map[int64]int, min(len(vs), distinctCap+1))
 	counts[vs[0]] = 1
 	s.majorityN = 1
 	for i := 1; i < len(vs); i++ {

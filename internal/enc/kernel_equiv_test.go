@@ -66,6 +66,10 @@ func TestKernelScalarEquivalenceInts(t *testing.T) {
 	opts := DefaultOptions()
 	for _, tc := range intSchemes {
 		t.Run(tc.id.String(), func(t *testing.T) {
+			if retired(tc.id) {
+				checkRetired(t, tc.id)
+				return
+			}
 			rng := rand.New(rand.NewSource(31))
 			for _, n := range equivLengths {
 				vs := tc.gen(rng, n)
@@ -83,6 +87,10 @@ func TestKernelScalarEquivalenceFloats(t *testing.T) {
 	opts := DefaultOptions()
 	for _, tc := range floatSchemes {
 		t.Run(tc.id.String(), func(t *testing.T) {
+			if retired(tc.id) {
+				checkRetired(t, tc.id)
+				return
+			}
 			rng := rand.New(rand.NewSource(37))
 			for _, n := range equivLengths {
 				vs := tc.gen(rng, n)

@@ -23,7 +23,10 @@ import (
 // format; never renumber them.
 type SchemeID uint8
 
-// The encoding catalog (Table 2 of the paper).
+// The encoding catalog (Table 2 of the paper). Retired IDs name schemes
+// that no stream the selector was tried on ever picked; their codecs are
+// gone, so every encoder and decoder refuses them with ErrUnknownScheme.
+// They stay reserved, and keep their names: never reuse a retired ID.
 const (
 	// Integer schemes.
 	Plain       SchemeID = 1  // Trivial: raw little-endian 64-bit
@@ -39,8 +42,8 @@ const (
 	Constant    SchemeID = 11 // single repeated value
 	MainlyConst SchemeID = 12 // constant + exceptions (a.k.a. Frequency)
 	Huffman     SchemeID = 13 // canonical Huffman for small-range ints
-	BitShuffle  SchemeID = 14 // bit transpose + flate
-	Chunked     SchemeID = 15 // flate over raw chunks (zstd substitute)
+	BitShuffle  SchemeID = 14 // retired: bit transpose + flate
+	Chunked     SchemeID = 15 // retired: flate over raw little-endian ints
 	DeltaDelta  SchemeID = 16 // zigzag delta-of-delta (timestamps, monotone ids)
 
 	// Float schemes.
@@ -48,14 +51,14 @@ const (
 	GorillaF  SchemeID = 33 // XOR leading/trailing-zero compression
 	ChimpF    SchemeID = 34 // Chimp variant of Gorilla
 	ALPF      SchemeID = 35 // adaptive lossless decimal-as-int, FOR cascade
-	PseudoDec SchemeID = 36 // pseudodecimal mantissa/exponent + exceptions
+	PseudoDec SchemeID = 36 // retired: pseudodecimal mantissa/exponent pairs
 	ConstantF SchemeID = 37 // single repeated float
-	ChunkedF  SchemeID = 38 // flate over raw floats
+	ChunkedF  SchemeID = 38 // retired: flate over raw floats
 
 	// Byte-string schemes.
 	PlainB    SchemeID = 64 // uvarint length + bytes
 	DictB     SchemeID = 65 // blob dictionary + codes
-	FSST      SchemeID = 66 // static symbol table substring compression
+	FSST      SchemeID = 66 // retired: static symbol table substring compression
 	ChunkedB  SchemeID = 67 // flate over concatenated blobs + length stream
 	ConstantB SchemeID = 68 // single repeated blob
 
@@ -102,6 +105,24 @@ var (
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// retired reports whether id is a retired, reserved scheme id.
+func retired(id SchemeID) bool {
+	switch id {
+	case BitShuffle, Chunked, PseudoDec, ChunkedF, FSST:
+		return true
+	}
+	return false
+}
+
+// unsupported is the error of a codec handed a scheme id outside its
+// type's catalog: ErrUnknownScheme for a retired id, ErrCorrupt otherwise.
+func unsupported(id SchemeID, typ string) error {
+	if retired(id) {
+		return fmt.Errorf("%w: %v (id %d) is retired", ErrUnknownScheme, id, uint8(id))
+	}
+	return corruptf("%v is not %s scheme", id, typ)
 }
 
 // Options steers the cascade selector. The zero value is NOT usable; call

@@ -10,8 +10,8 @@ package enc
 // or its compression ratio drifts past Options.ResampleDrift. A
 // re-selection over a page that fits in one sample appends the winning
 // trial instead of encoding the page again (see cascade.go), and the
-// DEFLATE state behind the BitShuffle/Chunked trials is pooled
-// (chunked.go), so a resample costs the trials and nothing more.
+// DEFLATE state behind the ChunkedBytes trial is pooled (chunked.go), so
+// a resample costs the trials and nothing more.
 //
 // The cached streams are every page's top-level streams: a scalar page's
 // one stream, a list page's lengths and values, and a sparse page's value

@@ -1,11 +1,11 @@
 // Package quant implements Bullion's storage quantization (paper §2.4,
 // Figure 6): reduced-precision float formats for features and embeddings
-// (FP16, BF16, TF32, FP8 E4M3/E5M2), the dual-column FP32 decomposition,
-// and lossless integer rehash quantization for sparse ID features.
+// (FP16, BF16, TF32, FP8 E4M3/E5M2) and the dual-column FP32
+// decomposition.
 //
 // Quantized values are stored as raw bit patterns and ride the integer
-// cascade in internal/enc (bit-packing, dictionaries and bit-shuffle work
-// directly on the narrow patterns).
+// cascade in internal/enc (bit-packing and dictionaries work directly on
+// the narrow patterns).
 package quant
 
 import (
