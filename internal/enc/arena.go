@@ -7,9 +7,9 @@ import "sync"
 // staging ([]int64) and validity planes ([]bool). The steady-state scan
 // path decodes thousands of pages per second; without the pools each page
 // costs one or more short-lived heap allocations that dominate the decode
-// profile under GC pressure. Scratch never escapes a
-// single encode/decode call, so a plain sync.Pool (pointer-to-slice to
-// keep Put allocation-free) is enough.
+// profile under GC pressure. Scratch never escapes a single encode/decode
+// call, so a plain sync.Pool (pointer-to-slice to keep Put
+// allocation-free) is enough.
 
 const scratchDefaultCap = 1024 // one default-sized page of values
 

@@ -24,9 +24,9 @@ import (
 type SchemeID uint8
 
 // The encoding catalog (Table 2 of the paper). Retired IDs name schemes
-// that no stream the selector was tried on ever picked; their codecs are
-// gone, so every encoder and decoder refuses them with ErrUnknownScheme.
-// They stay reserved, and keep their names: never reuse a retired ID.
+// whose codecs are gone: every encoder and decoder refuses them with
+// ErrUnknownScheme. They stay reserved and keep their names; never reuse
+// a retired ID.
 const (
 	// Integer schemes.
 	Plain       SchemeID = 1  // Trivial: raw little-endian 64-bit
