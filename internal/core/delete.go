@@ -158,7 +158,7 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 			for _, r := range delRows {
 				mask = append(mask, int(r-pageStart))
 			}
-			newData := maskColumn(data, mask)
+			newData := maskColumn(field, data, mask)
 			newPayload, scheme, err := encodePage(field, newData, rewriteOptions())
 			if err != nil {
 				return fmt.Errorf("core: re-encoding page %d: %w", p, err)
@@ -219,11 +219,11 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 	return nil
 }
 
-// maskColumn physically erases the values at the given row indexes by
-// overwriting each with the nearest preceding live row's value (falling
-// back to the nearest following live row at a page prefix, and to row 0's
-// slot if the whole page is deleted — the copy erases it anyway when any
-// masked row precedes it).
+// maskColumn physically erases the values at the given row indexes of a
+// page of field f by overwriting each with the nearest preceding live
+// row's value (falling back to the nearest following live row at a page
+// prefix). A page with every row deleted has no live row to copy and is
+// zero-filled instead.
 //
 // Copying a neighbor rather than zero-filling is deliberate: the deleted
 // row's own value becomes unrecoverable (the compliance requirement) while
@@ -232,7 +232,7 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 // the §2.1 criterion. This generalizes the paper's per-encoding masking
 // rules (bitmap mask for bit-packing, reserved dictionary entry, RLE
 // shrink) into one rule that is safe for every catalog encoding.
-func maskColumn(c ColumnData, rows []int) ColumnData {
+func maskColumn(f Field, c ColumnData, rows []int) ColumnData {
 	n := c.Len()
 	inMask := make(map[int]bool, len(rows))
 	for _, r := range rows {
@@ -240,7 +240,7 @@ func maskColumn(c ColumnData, rows []int) ColumnData {
 	}
 	if len(inMask) >= n {
 		// Whole page deleted: no live neighbor to copy; zero-fill.
-		return zeroColumn(c, n)
+		return defaultColumn(f, n)
 	}
 	perm := make([]int, n)
 	lastLive := -1
@@ -259,36 +259,7 @@ func maskColumn(c ColumnData, rows []int) ColumnData {
 			perm[i] = nextLive
 		}
 	}
-	return permuteColumn(c, perm)
-}
-
-// zeroColumn returns an n-row column of zero values matching c's type.
-func zeroColumn(c ColumnData, n int) ColumnData {
-	switch c.(type) {
-	case Int64Data:
-		return make(Int64Data, n)
-	case NullableInt64Data:
-		return NullableInt64Data{Values: make([]int64, n), Valid: make([]bool, n)}
-	case Float64Data:
-		return make(Float64Data, n)
-	case Float32Data:
-		return make(Float32Data, n)
-	case BoolData:
-		return make(BoolData, n)
-	case BytesData:
-		return make(BytesData, n)
-	case ListInt64Data:
-		return make(ListInt64Data, n)
-	case ListFloat32Data:
-		return make(ListFloat32Data, n)
-	case ListFloat64Data:
-		return make(ListFloat64Data, n)
-	case ListBytesData:
-		return make(ListBytesData, n)
-	case ListListInt64Data:
-		return make(ListListInt64Data, n)
-	}
-	panic(fmt.Sprintf("core: unknown column type %T", c))
+	return c.gather(perm)
 }
 
 // restrictToScheme narrows the cascade to the given top scheme plus the
@@ -386,7 +357,7 @@ func (f *File) RewriteWithoutRows(out io.Writer, rows []uint64, opts *Options) (
 				}
 			}
 			for c := range batch.Columns {
-				batch.Columns[c] = permuteColumn(batch.Columns[c], keep)
+				batch.Columns[c] = batch.Columns[c].gather(keep)
 			}
 		}
 		if err := w.Write(batch); err != nil {

@@ -416,7 +416,7 @@ func TestLevel2SparseRetryKeepsValueScheme(t *testing.T) {
 	opts.Sparse.Enc.Allowed = map[enc.SchemeID]bool{enc.BitPack: true}
 	mf, f := writeTestFile(t, schema, batch, opts)
 
-	masked := maskColumn(seq, []int{100})
+	masked := maskColumn(schema.Fields[0], seq, []int{100})
 	fresh, _, err := encodePage(schema.Fields[0], masked, rewriteOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -317,7 +317,7 @@ func filterDeleted(data ColumnData, f *File, rowStart uint64, logical int) Colum
 			keep = append(keep, i)
 		}
 	}
-	return permuteColumn(data, keep)
+	return data.gather(keep)
 }
 
 // collect is the read behind every whole-column and row-range accessor:

@@ -11,6 +11,7 @@ import (
 
 	"bullion/internal/enc"
 	"bullion/internal/footer"
+	"bullion/internal/quant"
 	"bullion/internal/sparse"
 )
 
@@ -19,8 +20,9 @@ import (
 // and asserts that a streaming Scan reproduces the input exactly. The
 // corpus pins the boundary cases; the fuzzer then explores the rest of
 // the (rows, groupRows, rowsPerPage, workers, seed, windows) space. The
-// windows bytes shape a sparse column (slidingWindows), whose value
-// streams go through its selector cache.
+// schema holds one column of every ColumnData type, an FP16-quantized
+// float32 column among them. The windows bytes shape a sparse column
+// (slidingWindows), whose value streams go through its selector cache.
 func FuzzWriterRoundTrip(f *testing.F) {
 	const g = 64 // baseline group size for the seeded boundaries
 	grow := []byte{1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 3, 0, 0, 7}
@@ -44,6 +46,12 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			Field{Name: "tag", Type: Type{Kind: String}},
 			Field{Name: "seq", Type: Type{Kind: List, Elem: Int64}},
 			Field{Name: "win", Type: Type{Kind: List, Elem: Int64}, Sparse: true},
+			Field{Name: "half", Type: Type{Kind: Float32, Quant: quant.FP16}},
+			Field{Name: "flag", Type: Type{Kind: Bool}},
+			Field{Name: "emb", Type: Type{Kind: List, Elem: Float32}},
+			Field{Name: "wts", Type: Type{Kind: List, Elem: Float64}},
+			Field{Name: "kws", Type: Type{Kind: List, Elem: Binary}},
+			Field{Name: "nest", Type: Type{Kind: ListList, Elem: Int64}},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -54,6 +62,12 @@ func FuzzWriterRoundTrip(f *testing.F) {
 		score := make(Float64Data, nRows)
 		tag := make(BytesData, nRows)
 		seq := make(ListInt64Data, nRows)
+		half := make(Float32Data, nRows)
+		flag := make(BoolData, nRows)
+		emb := make(ListFloat32Data, nRows)
+		wts := make(ListFloat64Data, nRows)
+		kws := make(ListBytesData, nRows)
+		nest := make(ListListInt64Data, nRows)
 		for i := 0; i < nRows; i++ {
 			id[i] = rng.Int63n(1 << 20)
 			val.Valid[i] = rng.Intn(4) != 0
@@ -67,9 +81,31 @@ func FuzzWriterRoundTrip(f *testing.F) {
 				lst[j] = rng.Int63n(256)
 			}
 			seq[i] = lst
+			half[i] = float32(rng.Intn(2048)-1024) / 8 // exact in FP16
+			flag[i] = rng.Intn(3) == 0
+			emb[i] = make([]float32, rng.Intn(4))
+			for j := range emb[i] {
+				emb[i][j] = rng.Float32()
+			}
+			wts[i] = make([]float64, rng.Intn(4))
+			for j := range wts[i] {
+				wts[i][j] = rng.NormFloat64()
+			}
+			kws[i] = make([][]byte, rng.Intn(4))
+			for j := range kws[i] {
+				kws[i][j] = []byte([]string{"x", "yy", ""}[rng.Intn(3)])
+			}
+			nest[i] = make([][]int64, rng.Intn(3))
+			for j := range nest[i] {
+				nest[i][j] = make([]int64, rng.Intn(3))
+				for k := range nest[i][j] {
+					nest[i][j][k] = rng.Int63n(100)
+				}
+			}
 		}
 		win := slidingWindows(windows, nRows)
-		batch, err := NewBatch(schema, []ColumnData{id, val, score, tag, seq, win})
+		want := []ColumnData{id, val, score, tag, seq, win, half, flag, emb, wts, kws, nest}
+		batch, err := NewBatch(schema, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +136,6 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			t.Fatalf("file has %d rows, want %d", file.NumRows(), nRows)
 		}
 		sc, err := file.Scan(ScanOptions{
-			Columns:   []string{"id", "val", "score", "tag", "seq", "win"},
 			BatchRows: rpp + 1, // deliberately misaligned with pages
 			Workers:   2,
 		})
@@ -124,10 +159,8 @@ func FuzzWriterRoundTrip(f *testing.F) {
 				got[i] = appendColumn(got[i], c)
 			}
 		}
-		want := []ColumnData{id, val, score, tag, seq, win}
-		names := []string{"id", "val", "score", "tag", "seq", "win"}
 		for i := range want {
-			compareFuzzColumn(t, names[i], got[i], want[i])
+			compareFuzzColumn(t, schema.Fields[i].Name, got[i], want[i])
 		}
 	})
 }
@@ -271,28 +304,25 @@ func compareFuzzColumn(t *testing.T, name string, got, want ColumnData) {
 		}
 		return
 	}
-	// Scan normalizes empty list slots; compare element-wise via string
-	// form only when DeepEqual disagrees on empties.
-	if !reflect.DeepEqual(got, want) && !columnsEquivalent(got, want) {
+	if reflect.TypeOf(got) != reflect.TypeOf(want) || !equivalent(reflect.ValueOf(got), reflect.ValueOf(want)) {
 		t.Fatalf("column %q: scanned data differs from source", name)
 	}
 }
 
-// columnsEquivalent treats nil and empty list slots as equal.
-func columnsEquivalent(a, b ColumnData) bool {
-	ga, ok := a.(ListInt64Data)
-	if !ok {
+// equivalent is reflect.DeepEqual, except that a nil and an empty slice
+// are equal at any depth: a scan may return either for an empty list.
+func equivalent(a, b reflect.Value) bool {
+	if a.Len() == 0 && b.Len() == 0 {
+		return true
+	}
+	if a.Type().Elem().Kind() != reflect.Slice {
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+	if a.Len() != b.Len() {
 		return false
 	}
-	gb, ok := b.(ListInt64Data)
-	if !ok || len(ga) != len(gb) {
-		return false
-	}
-	for i := range ga {
-		if len(ga[i]) == 0 && len(gb[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(ga[i], gb[i]) {
+	for i := 0; i < a.Len(); i++ {
+		if !equivalent(a.Index(i), b.Index(i)) {
 			return false
 		}
 	}

@@ -263,7 +263,7 @@ func encodeColumnChunk(field Field, col ColumnData, n int, opts *Options) (encod
 		if hi > n {
 			hi = n
 		}
-		page := sliceColumn(col, lo, hi)
+		page := col.slice(lo, hi)
 		payload, scheme, err := encodePage(field, page, opts)
 		if err != nil {
 			return encodedChunk{}, err

@@ -198,87 +198,65 @@ func encodePage(f Field, data ColumnData, opts *Options) ([]byte, enc.SchemeID, 
 			out, err := sparse.EncodeColumn(d, opts.Sparse)
 			return out, SparsePageScheme, err
 		}
-		lengths := make([]int64, len(d))
-		var flat []int64
-		for i, v := range d {
-			lengths[i] = int64(len(v))
-			flat = append(flat, v...)
-		}
-		return encodeTwoStreams(lengths, func() ([]byte, error) {
+		return encodeList(d, opts, func(flat []int64) ([]byte, error) {
 			return enc.EncodeInts(nil, flat, opts.Enc)
-		}, opts)
+		})
 	case ListFloat32Data:
-		lengths := make([]int64, len(d))
-		var flat []float32
-		for i, v := range d {
-			lengths[i] = int64(len(v))
-			flat = append(flat, v...)
-		}
-		return encodeTwoStreams(lengths, func() ([]byte, error) {
+		return encodeList(d, opts, func(flat []float32) ([]byte, error) {
 			bits, err := quant.Quantize(flat, f.Type.Quant)
 			if err != nil {
 				return nil, err
 			}
 			return enc.EncodeInts(nil, bits, opts.Enc)
-		}, opts)
+		})
 	case ListFloat64Data:
-		lengths := make([]int64, len(d))
-		var flat []float64
-		for i, v := range d {
-			lengths[i] = int64(len(v))
-			flat = append(flat, v...)
-		}
-		return encodeTwoStreams(lengths, func() ([]byte, error) {
+		return encodeList(d, opts, func(flat []float64) ([]byte, error) {
 			return enc.EncodeFloats(nil, flat, opts.Enc)
-		}, opts)
+		})
 	case ListBytesData:
-		lengths := make([]int64, len(d))
-		var flat [][]byte
-		for i, v := range d {
-			lengths[i] = int64(len(v))
-			flat = append(flat, v...)
-		}
-		return encodeTwoStreams(lengths, func() ([]byte, error) {
+		return encodeList(d, opts, func(flat [][]byte) ([]byte, error) {
 			return enc.EncodeBytes(nil, flat, opts.Enc)
-		}, opts)
+		})
 	case ListListInt64Data:
-		outer := make([]int64, len(d))
-		var inner []int64
-		var flat []int64
-		for i, lst := range d {
-			outer[i] = int64(len(lst))
-			for _, v := range lst {
-				inner = append(inner, int64(len(v)))
-				flat = append(flat, v...)
-			}
-		}
-		outerStream, err := enc.EncodeInts(nil, outer, opts.Enc)
+		// The outer lengths, then the inner lists as a list<int64> page.
+		lengths, lists := flatten(d)
+		outer, err := enc.EncodeInts(nil, lengths, opts.Enc)
 		if err != nil {
 			return nil, 0, err
 		}
-		innerStream, err := enc.EncodeInts(nil, inner, opts.Enc)
+		inner, scheme, err := encodeList(lists, opts, func(flat []int64) ([]byte, error) {
+			return enc.EncodeInts(nil, flat, opts.Enc)
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		flatStream, err := enc.EncodeInts(nil, flat, opts.Enc)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := enc.AppendLengthPrefixed(nil, outerStream)
-		out = enc.AppendLengthPrefixed(out, innerStream)
-		return enc.AppendLengthPrefixed(out, flatStream), enc.TopScheme(flatStream), nil
+		return append(enc.AppendLengthPrefixed(nil, outer), inner...), scheme, nil
 	}
 	return nil, 0, fmt.Errorf("core: cannot encode column type %T", data)
 }
 
-// encodeTwoStreams frames a lengths stream plus a values stream, reporting
-// the values stream's scheme.
-func encodeTwoStreams(lengths []int64, values func() ([]byte, error), opts *Options) ([]byte, enc.SchemeID, error) {
+// flatten returns each row's list length and every list's values
+// concatenated in row order.
+func flatten[E any](rows [][]E) ([]int64, []E) {
+	lengths := make([]int64, len(rows))
+	var flat []E
+	for i, v := range rows {
+		lengths[i] = int64(len(v))
+		flat = append(flat, v...)
+	}
+	return lengths, flat
+}
+
+// encodeList encodes a list page as two streams: the list lengths, then
+// the flattened values, encoded by values. It reports the values
+// stream's scheme.
+func encodeList[E any](rows [][]E, opts *Options, values func([]E) ([]byte, error)) ([]byte, enc.SchemeID, error) {
+	lengths, flat := flatten(rows)
 	lenStream, err := enc.EncodeInts(nil, lengths, opts.Enc)
 	if err != nil {
 		return nil, 0, err
 	}
-	valStream, err := values()
+	valStream, err := values(flat)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -344,157 +322,28 @@ func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
 			}
 			return ListInt64Data(vecs), nil
 		}
-		lengths, rest, err := decodeLengths(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, l := range lengths {
-			total += int(l)
-		}
-		valStream, _, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := enc.DecodeInts(valStream, total)
-		if err != nil {
-			return nil, err
-		}
-		return ListInt64Data(splitInt64(flat, lengths)), nil
+		lists, err := decodeList(payload, nRows, stream(enc.DecodeInts))
+		return ListInt64Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float32:
-		lengths, rest, err := decodeLengths(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, l := range lengths {
-			total += int(l)
-		}
-		valStream, _, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		bits, err := enc.DecodeInts(valStream, total)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := quant.Dequantize(bits, f.Type.Quant)
-		if err != nil {
-			return nil, err
-		}
-		out := make(ListFloat32Data, nRows)
-		pos := 0
-		for i, l := range lengths {
-			out[i] = flat[pos : pos+int(l)]
-			pos += int(l)
-		}
-		return out, nil
+		lists, err := decodeList(payload, nRows, stream(func(s []byte, n int) ([]float32, error) {
+			bits, err := enc.DecodeInts(s, n)
+			if err != nil {
+				return nil, err
+			}
+			return quant.Dequantize(bits, f.Type.Quant)
+		}))
+		return ListFloat32Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float64:
-		lengths, rest, err := decodeLengths(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, l := range lengths {
-			total += int(l)
-		}
-		valStream, _, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := enc.DecodeFloats(valStream, total)
-		if err != nil {
-			return nil, err
-		}
-		out := make(ListFloat64Data, nRows)
-		pos := 0
-		for i, l := range lengths {
-			out[i] = flat[pos : pos+int(l)]
-			pos += int(l)
-		}
-		return out, nil
+		lists, err := decodeList(payload, nRows, stream(enc.DecodeFloats))
+		return ListFloat64Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Binary:
-		lengths, rest, err := decodeLengths(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, l := range lengths {
-			total += int(l)
-		}
-		valStream, _, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := enc.DecodeBytes(valStream, total)
-		if err != nil {
-			return nil, err
-		}
-		out := make(ListBytesData, nRows)
-		pos := 0
-		for i, l := range lengths {
-			out[i] = flat[pos : pos+int(l)]
-			pos += int(l)
-		}
-		return out, nil
+		lists, err := decodeList(payload, nRows, stream(enc.DecodeBytes))
+		return ListBytesData(lists), err
 	case f.Type.Kind == ListList:
-		outerStream, rest, err := enc.ReadLengthPrefixed(payload)
-		if err != nil {
-			return nil, err
-		}
-		outer, err := enc.DecodeInts(outerStream, nRows)
-		if err != nil {
-			return nil, err
-		}
-		nInner := 0
-		for _, l := range outer {
-			if l < 0 || l > maxListLen {
-				return nil, fmt.Errorf("core: outer list length %d out of range", l)
-			}
-			nInner += int(l)
-			if nInner > maxListLen {
-				return nil, fmt.Errorf("core: nested list cardinality overflow")
-			}
-		}
-		innerStream, rest, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := enc.DecodeInts(innerStream, nInner)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, l := range inner {
-			if l < 0 || l > maxListLen {
-				return nil, fmt.Errorf("core: inner list length %d out of range", l)
-			}
-			total += int(l)
-			if total > maxListLen {
-				return nil, fmt.Errorf("core: nested value cardinality overflow")
-			}
-		}
-		flatStream, _, err := enc.ReadLengthPrefixed(rest)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := enc.DecodeInts(flatStream, total)
-		if err != nil {
-			return nil, err
-		}
-		out := make(ListListInt64Data, nRows)
-		ii, pos := 0, 0
-		for i, ol := range outer {
-			lst := make([][]int64, ol)
-			for j := range lst {
-				l := int(inner[ii])
-				ii++
-				lst[j] = flat[pos : pos+l]
-				pos += l
-			}
-			out[i] = lst
-		}
-		return out, nil
+		lists, err := decodeList(payload, nRows, func(rest []byte, n int) ([][]int64, error) {
+			return decodeList(rest, n, stream(enc.DecodeInts))
+		})
+		return ListListInt64Data(lists), err
 	}
 	return nil, fmt.Errorf("core: cannot decode field %q of type %v", f.Name, f.Type)
 }
@@ -503,34 +352,49 @@ func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
 // cannot drive unbounded allocations (2^28 values ≈ 2 GB of int64s).
 const maxListLen = 1 << 28
 
-func decodeLengths(payload []byte, nRows int) ([]int64, []byte, error) {
+// decodeList decodes a list page written by encodeList into nRows lists.
+// It bounds the lengths before values decodes the rest of the page to
+// their sum, and each list slices that one flat result.
+func decodeList[E any](payload []byte, nRows int, values func(rest []byte, n int) ([]E, error)) ([][]E, error) {
 	lenStream, rest, err := enc.ReadLengthPrefixed(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lengths, err := enc.DecodeInts(lenStream, nRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	total := 0
 	for _, l := range lengths {
 		if l < 0 || l > maxListLen {
-			return nil, nil, fmt.Errorf("core: list length %d out of range", l)
+			return nil, fmt.Errorf("core: list length %d out of range", l)
 		}
 		total += int(l)
 		if total > maxListLen {
-			return nil, nil, fmt.Errorf("core: list cardinality overflow")
+			return nil, fmt.Errorf("core: list cardinality overflow")
 		}
 	}
-	return lengths, rest, nil
-}
-
-func splitInt64(flat []int64, lengths []int64) [][]int64 {
-	out := make([][]int64, len(lengths))
+	flat, err := values(rest, total)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]E, nRows)
 	pos := 0
 	for i, l := range lengths {
 		out[i] = flat[pos : pos+int(l)]
 		pos += int(l)
 	}
-	return out
+	return out, nil
+}
+
+// stream adapts a stream decoder to decode a list page's values: the one
+// length-prefixed stream after its lengths.
+func stream[E any](decode func([]byte, int) ([]E, error)) func([]byte, int) ([]E, error) {
+	return func(rest []byte, n int) ([]E, error) {
+		s, _, err := enc.ReadLengthPrefixed(rest)
+		if err != nil {
+			return nil, err
+		}
+		return decode(s, n)
+	}
 }

@@ -28,7 +28,7 @@ func liveMinus(cols []ColumnData, n int, deleted, dropped []uint64) []ColumnData
 	}
 	out := make([]ColumnData, len(cols))
 	for i, c := range cols {
-		out[i] = permuteColumn(c, keep)
+		out[i] = c.gather(keep)
 	}
 	return out
 }

@@ -918,7 +918,7 @@ func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnDat
 			return err
 		}
 		if pg.clipLo != 0 || pg.clipHi != pg.logical {
-			data = sliceColumn(data, pg.clipLo, pg.clipHi)
+			data = data.slice(pg.clipLo, pg.clipHi)
 		}
 		if pg.nDel > 0 {
 			data = filterDeleted(data, s.f, pg.rowStart+uint64(pg.clipLo), pg.clipHi-pg.clipLo)

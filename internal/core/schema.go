@@ -172,10 +172,20 @@ func (s *Schema) Lookup(name string) (int, bool) {
 	return 0, false
 }
 
-// ColumnData is a typed column of in-memory values.
+// ColumnData is a typed column of in-memory values. The interface is
+// sealed: a new column type implements every method below, and
+// checkColumnType, defaultColumn, encodePage, decodePage and pageStats
+// each get a case for it.
 type ColumnData interface {
 	Len() int
 	kind() Kind
+	// slice returns rows [lo,hi), sharing storage with the receiver.
+	slice(lo, hi int) ColumnData
+	// gather returns a new column of the given rows, in order; a row may
+	// repeat.
+	gather(rows []int) ColumnData
+	// concat appends src, which must have the receiver's dynamic type.
+	concat(src ColumnData) ColumnData
 }
 
 // Int64Data is a non-null int64 column.
@@ -238,6 +248,64 @@ func (ListFloat32Data) kind() Kind   { return List }
 func (ListFloat64Data) kind() Kind   { return List }
 func (ListBytesData) kind() Kind     { return List }
 func (ListListInt64Data) kind() Kind { return ListList }
+
+func (d Int64Data) slice(lo, hi int) ColumnData         { return d[lo:hi] }
+func (d Float64Data) slice(lo, hi int) ColumnData       { return d[lo:hi] }
+func (d Float32Data) slice(lo, hi int) ColumnData       { return d[lo:hi] }
+func (d BoolData) slice(lo, hi int) ColumnData          { return d[lo:hi] }
+func (d BytesData) slice(lo, hi int) ColumnData         { return d[lo:hi] }
+func (d ListInt64Data) slice(lo, hi int) ColumnData     { return d[lo:hi] }
+func (d ListFloat32Data) slice(lo, hi int) ColumnData   { return d[lo:hi] }
+func (d ListFloat64Data) slice(lo, hi int) ColumnData   { return d[lo:hi] }
+func (d ListBytesData) slice(lo, hi int) ColumnData     { return d[lo:hi] }
+func (d ListListInt64Data) slice(lo, hi int) ColumnData { return d[lo:hi] }
+
+func (d Int64Data) gather(rows []int) ColumnData         { return gatherRows(d, rows) }
+func (d Float64Data) gather(rows []int) ColumnData       { return gatherRows(d, rows) }
+func (d Float32Data) gather(rows []int) ColumnData       { return gatherRows(d, rows) }
+func (d BoolData) gather(rows []int) ColumnData          { return gatherRows(d, rows) }
+func (d BytesData) gather(rows []int) ColumnData         { return gatherRows(d, rows) }
+func (d ListInt64Data) gather(rows []int) ColumnData     { return gatherRows(d, rows) }
+func (d ListFloat32Data) gather(rows []int) ColumnData   { return gatherRows(d, rows) }
+func (d ListFloat64Data) gather(rows []int) ColumnData   { return gatherRows(d, rows) }
+func (d ListBytesData) gather(rows []int) ColumnData     { return gatherRows(d, rows) }
+func (d ListListInt64Data) gather(rows []int) ColumnData { return gatherRows(d, rows) }
+
+func (d Int64Data) concat(src ColumnData) ColumnData         { return concatRows(d, src) }
+func (d Float64Data) concat(src ColumnData) ColumnData       { return concatRows(d, src) }
+func (d Float32Data) concat(src ColumnData) ColumnData       { return concatRows(d, src) }
+func (d BoolData) concat(src ColumnData) ColumnData          { return concatRows(d, src) }
+func (d BytesData) concat(src ColumnData) ColumnData         { return concatRows(d, src) }
+func (d ListInt64Data) concat(src ColumnData) ColumnData     { return concatRows(d, src) }
+func (d ListFloat32Data) concat(src ColumnData) ColumnData   { return concatRows(d, src) }
+func (d ListFloat64Data) concat(src ColumnData) ColumnData   { return concatRows(d, src) }
+func (d ListBytesData) concat(src ColumnData) ColumnData     { return concatRows(d, src) }
+func (d ListListInt64Data) concat(src ColumnData) ColumnData { return concatRows(d, src) }
+
+func (d NullableInt64Data) slice(lo, hi int) ColumnData {
+	return NullableInt64Data{Values: d.Values[lo:hi], Valid: d.Valid[lo:hi]}
+}
+
+func (d NullableInt64Data) gather(rows []int) ColumnData {
+	return NullableInt64Data{Values: gatherRows(d.Values, rows), Valid: gatherRows(d.Valid, rows)}
+}
+
+func (d NullableInt64Data) concat(src ColumnData) ColumnData {
+	s := src.(NullableInt64Data)
+	return NullableInt64Data{Values: append(d.Values, s.Values...), Valid: append(d.Valid, s.Valid...)}
+}
+
+// concatRows appends src, asserted to d's type, onto d.
+func concatRows[S ~[]E, E any](d S, src ColumnData) S { return append(d, src.(S)...) }
+
+// gatherRows returns d's elements at rows, in order, in a new slice.
+func gatherRows[S ~[]E, E any](d S, rows []int) S {
+	out := make(S, len(rows))
+	for i, r := range rows {
+		out[i] = d[r]
+	}
+	return out
+}
 
 // Batch is a set of column slices aligned with a schema.
 type Batch struct {
@@ -313,67 +381,11 @@ func checkColumnType(f Field, c ColumnData) error {
 	return nil
 }
 
-// sliceColumn returns rows [lo,hi) of a column.
-func sliceColumn(c ColumnData, lo, hi int) ColumnData {
-	switch d := c.(type) {
-	case Int64Data:
-		return d[lo:hi]
-	case NullableInt64Data:
-		return NullableInt64Data{Values: d.Values[lo:hi], Valid: d.Valid[lo:hi]}
-	case Float64Data:
-		return d[lo:hi]
-	case Float32Data:
-		return d[lo:hi]
-	case BoolData:
-		return d[lo:hi]
-	case BytesData:
-		return d[lo:hi]
-	case ListInt64Data:
-		return d[lo:hi]
-	case ListFloat32Data:
-		return d[lo:hi]
-	case ListFloat64Data:
-		return d[lo:hi]
-	case ListBytesData:
-		return d[lo:hi]
-	case ListListInt64Data:
-		return d[lo:hi]
-	}
-	panic(fmt.Sprintf("core: unknown column type %T", c))
-}
-
-// appendColumn concatenates src onto dst (same dynamic type).
+// appendColumn concatenates src onto dst (same dynamic type); a nil dst
+// yields src itself.
 func appendColumn(dst, src ColumnData) ColumnData {
 	if dst == nil {
 		return src
 	}
-	switch d := dst.(type) {
-	case Int64Data:
-		return append(d, src.(Int64Data)...)
-	case NullableInt64Data:
-		s := src.(NullableInt64Data)
-		return NullableInt64Data{
-			Values: append(d.Values, s.Values...),
-			Valid:  append(d.Valid, s.Valid...),
-		}
-	case Float64Data:
-		return append(d, src.(Float64Data)...)
-	case Float32Data:
-		return append(d, src.(Float32Data)...)
-	case BoolData:
-		return append(d, src.(BoolData)...)
-	case BytesData:
-		return append(d, src.(BytesData)...)
-	case ListInt64Data:
-		return append(d, src.(ListInt64Data)...)
-	case ListFloat32Data:
-		return append(d, src.(ListFloat32Data)...)
-	case ListFloat64Data:
-		return append(d, src.(ListFloat64Data)...)
-	case ListBytesData:
-		return append(d, src.(ListBytesData)...)
-	case ListListInt64Data:
-		return append(d, src.(ListListInt64Data)...)
-	}
-	panic(fmt.Sprintf("core: unknown column type %T", dst))
+	return dst.concat(src)
 }

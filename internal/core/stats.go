@@ -72,7 +72,7 @@ func computePageStats(f Field, data ColumnData) footer.PageStat {
 	case Float64Data:
 		return floatPageStats(d)
 	case Float32Data:
-		st := floatPageStats32(d)
+		st := floatPageStats(d)
 		if f.Type.Quant != quant.FP32 && st.Flags&footer.StatHasMinMax != 0 {
 			// Quantization rounds to nearest, which is monotone, so the
 			// decoded page's extremes are exactly the decoded raw extremes:
@@ -95,37 +95,9 @@ func computePageStats(f Field, data ColumnData) footer.PageStat {
 	return footer.PageStat{}
 }
 
-// floatPageStats folds float64 values into a StatFloatBits zone map,
-// skipping NaNs.
-func floatPageStats(vs []float64) footer.PageStat {
-	st := footer.PageStat{Flags: footer.StatHasNullCount}
-	seen := false
-	var lo, hi float64
-	for _, v := range vs {
-		if math.IsNaN(v) {
-			continue
-		}
-		if !seen {
-			lo, hi = v, v
-			seen = true
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if seen {
-		st.Flags |= footer.StatHasMinMax | footer.StatFloatBits
-		st.Min = int64(math.Float64bits(lo))
-		st.Max = int64(math.Float64bits(hi))
-	}
-	return st
-}
-
-func floatPageStats32(vs []float32) footer.PageStat {
+// floatPageStats folds float values into a StatFloatBits zone map of
+// their float64 widenings, skipping NaNs.
+func floatPageStats[F float32 | float64](vs []F) footer.PageStat {
 	st := footer.PageStat{Flags: footer.StatHasNullCount}
 	seen := false
 	var lo, hi float64

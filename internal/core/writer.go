@@ -199,7 +199,7 @@ func (w *Writer) Write(batch *Batch) error {
 func (w *Writer) cutGroup(n int) error {
 	group := make([]ColumnData, len(w.pending))
 	for i := range w.pending {
-		group[i] = sliceColumn(w.pending[i], 0, n)
+		group[i] = w.pending[i].slice(0, n)
 	}
 	if w.opts.QualityColumn != "" {
 		group = w.sortByQuality(group, n)
@@ -211,7 +211,7 @@ func (w *Writer) cutGroup(n int) error {
 		return err
 	}
 	for i := range w.pending {
-		w.pending[i] = sliceColumn(w.pending[i], n, w.pendingRows)
+		w.pending[i] = w.pending[i].slice(n, w.pendingRows)
 	}
 	w.pendingRows -= n
 	return nil
@@ -230,81 +230,9 @@ func (w *Writer) sortByQuality(group []ColumnData, n int) []ColumnData {
 	sort.SliceStable(perm, func(a, b int) bool { return quality[perm[a]] > quality[perm[b]] })
 	out := make([]ColumnData, len(group))
 	for ci, col := range group {
-		out[ci] = permuteColumn(col, perm)
+		out[ci] = col.gather(perm)
 	}
 	return out
-}
-
-func permuteColumn(c ColumnData, perm []int) ColumnData {
-	switch d := c.(type) {
-	case Int64Data:
-		out := make(Int64Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case NullableInt64Data:
-		out := NullableInt64Data{Values: make([]int64, len(perm)), Valid: make([]bool, len(perm))}
-		for i, p := range perm {
-			out.Values[i], out.Valid[i] = d.Values[p], d.Valid[p]
-		}
-		return out
-	case Float64Data:
-		out := make(Float64Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case Float32Data:
-		out := make(Float32Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case BoolData:
-		out := make(BoolData, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case BytesData:
-		out := make(BytesData, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case ListInt64Data:
-		out := make(ListInt64Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case ListFloat32Data:
-		out := make(ListFloat32Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case ListFloat64Data:
-		out := make(ListFloat64Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case ListBytesData:
-		out := make(ListBytesData, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	case ListListInt64Data:
-		out := make(ListListInt64Data, len(perm))
-		for i, p := range perm {
-			out[i] = d[p]
-		}
-		return out
-	}
-	panic(fmt.Sprintf("core: unknown column type %T", c))
 }
 
 // serializeGroup appends one encoded row group to the file and records its

@@ -215,7 +215,10 @@ func Fig4(w io.Writer) error {
 		fmt.Fprintf(w, "%-26s %12d %8.1f%% %10s %10s\n",
 			r.name, r.size, 100*float64(r.size)/float64(plainSize), r.encTime.Round(time.Millisecond), r.decTime.Round(time.Millisecond))
 	}
-	st := sparse.Analyze(vectors, sparse.DefaultOptions())
+	st, err := sparse.Analyze(vectors, sparse.DefaultOptions())
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "\nsparse codec: %d base + %d delta vectors; %d of %d values stored (%.1f%%)\n",
 		st.BaseVectors, st.DeltaVectors, st.ValuesStored, st.ValuesTotal,
 		100*float64(st.ValuesStored)/float64(st.ValuesTotal))

@@ -61,25 +61,26 @@ type vectorMeta struct {
 	baseLen    int // for base vectors
 }
 
-// EncodeColumn encodes a column chunk of sequence vectors.
-//
-// Stream layout:
-//
-//	nVectors(uvarint)
-//	meta: per vector — flag(1B) + varint fields
-//	childValues: one cascaded int64 stream of all base/head/tail values
-func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
-	if opts == nil {
-		opts = DefaultOptions()
-	}
+// maxChunkValues bounds the values one column chunk decodes to, so a
+// hostile header cannot drive unbounded allocations (2^24 int64s = 128
+// MiB, 64× a 1,024-row page of 256-value windows). EncodeColumn refuses
+// a chunk over the bound rather than write one DecodeColumn rejects.
+const maxChunkValues = 1 << 24
+
+// plan decides how each vector is stored: whole, as a base vector, or as
+// a delta against its predecessor when they share a run of at least
+// opts.MinOverlap values and no restart is due.
+func plan(vectors [][]int64, opts *Options) ([]vectorMeta, error) {
 	metas := make([]vectorMeta, len(vectors))
-	var values []int64
 	var prev []int64
-	sinceBase := 0
+	sinceBase, total := 0, 0
 	for i, cur := range vectors {
+		if total += len(cur); total > maxChunkValues {
+			return nil, fmt.Errorf("sparse: chunk of %d vectors holds more than %d values", len(vectors), maxChunkValues)
+		}
 		forceBase := prev == nil ||
 			(opts.RestartInterval > 0 && sinceBase >= opts.RestartInterval)
-		var m vectorMeta
+		m := vectorMeta{baseLen: len(cur)}
 		if !forceBase {
 			if start, l, ok := longestCommonRun(prev, cur); ok && l >= opts.MinOverlap {
 				curStart := indexOfRun(cur, prev[start:start+l])
@@ -93,19 +94,43 @@ func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
 					headLen:    curStart,
 					tailLen:    len(cur) - curStart - l,
 				}
-				values = append(values, cur[:curStart]...)
-				values = append(values, cur[curStart+l:]...)
 			}
 		}
-		if !m.isDelta {
-			m = vectorMeta{baseLen: len(cur)}
-			values = append(values, cur...)
-			sinceBase = 0
-		} else {
+		if m.isDelta {
 			sinceBase++
+		} else {
+			sinceBase = 0
 		}
 		metas[i] = m
 		prev = cur
+	}
+	return metas, nil
+}
+
+// EncodeColumn encodes a column chunk of sequence vectors.
+//
+// Stream layout:
+//
+//	nVectors(uvarint)
+//	meta: per vector — flag(1B) + varint fields
+//	childValues: one cascaded int64 stream of all base/head/tail values
+func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
+	if opts == nil {
+		opts = DefaultOptions()
+	}
+	metas, err := plan(vectors, opts)
+	if err != nil {
+		return nil, err
+	}
+	var values []int64
+	for i, m := range metas {
+		cur := vectors[i]
+		if m.isDelta {
+			values = append(values, cur[:m.headLen]...)
+			values = append(values, cur[m.headLen+m.rangeLen:]...)
+		} else {
+			values = append(values, cur...)
+		}
 	}
 
 	dst := binary.AppendUvarint(nil, uint64(len(vectors)))
@@ -199,7 +224,8 @@ func ValueScheme(src []byte) (enc.SchemeID, error) {
 }
 
 // parseHeader reads a column chunk's vector metadata and returns it with
-// the number of values the metadata calls for and the value stream.
+// the number of values the metadata calls for and the value stream. It
+// rejects metadata whose vectors add up to more than maxChunkValues.
 func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte, err error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
@@ -212,6 +238,7 @@ func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte
 		return nil, 0, nil, fmt.Errorf("sparse: %d vectors cannot fit in %d bytes", n, len(src))
 	}
 	metas = make([]vectorMeta, n)
+	logical := 0
 	for i := range metas {
 		if len(src) < 1 {
 			return nil, 0, nil, fmt.Errorf("sparse: truncated metadata at vector %d", i)
@@ -224,21 +251,26 @@ func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte
 			fields := [4]*int{&m.rangeStart, &m.rangeLen, &m.headLen, &m.tailLen}
 			for _, f := range fields {
 				v, sz := binary.Uvarint(src)
-				if sz <= 0 {
-					return nil, 0, nil, fmt.Errorf("sparse: truncated delta meta at vector %d", i)
+				if sz <= 0 || v > maxChunkValues {
+					return nil, 0, nil, fmt.Errorf("sparse: bad delta meta at vector %d", i)
 				}
 				*f = int(v)
 				src = src[sz:]
 			}
 			totalValues += m.headLen + m.tailLen
+			logical += m.headLen + m.rangeLen + m.tailLen
 		} else {
 			v, sz := binary.Uvarint(src)
-			if sz <= 0 {
-				return nil, 0, nil, fmt.Errorf("sparse: truncated base meta at vector %d", i)
+			if sz <= 0 || v > maxChunkValues {
+				return nil, 0, nil, fmt.Errorf("sparse: bad base meta at vector %d", i)
 			}
 			m.baseLen = int(v)
 			src = src[sz:]
 			totalValues += m.baseLen
+			logical += m.baseLen
+		}
+		if logical > maxChunkValues {
+			return nil, 0, nil, fmt.Errorf("sparse: chunk decodes to more than %d values", maxChunkValues)
 		}
 		metas[i] = m
 	}
@@ -264,8 +296,11 @@ func longestCommonRun(prev, cur []int64) (start, length int, ok bool) {
 	// the shorter vector; anything weirder falls through to the DP.
 	const maxShift = 8
 	bestLen, bestStart := 0, 0
-	for c := 0; c <= maxShift && c < len(cur); c++ {
-		for p := 0; p <= maxShift && p < len(prev); p++ {
+	// An alignment's run is at most min(len(cur)-c, len(prev)-p) long, a
+	// bound that only falls as c or p grows; once it cannot beat bestLen
+	// (a tie never wins), neither can any later p, nor any later c.
+	for c := 0; c <= maxShift && c < len(cur) && len(cur)-c > bestLen; c++ {
+		for p := 0; p <= maxShift && p < len(prev) && len(prev)-p > bestLen; p++ {
 			l := 0
 			for c+l < len(cur) && p+l < len(prev) && cur[c+l] == prev[p+l] {
 				l++
@@ -331,34 +366,26 @@ type Stats struct {
 	ValuesTotal  int // logical values across all vectors
 }
 
-// Analyze computes encoding statistics without serializing.
-func Analyze(vectors [][]int64, opts *Options) Stats {
+// Analyze reports how EncodeColumn stores vectors, from the same plan,
+// without serializing.
+func Analyze(vectors [][]int64, opts *Options) (Stats, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
-	var s Stats
-	s.Vectors = len(vectors)
-	var prev []int64
-	sinceBase := 0
-	for _, cur := range vectors {
-		s.ValuesTotal += len(cur)
-		forceBase := prev == nil ||
-			(opts.RestartInterval > 0 && sinceBase >= opts.RestartInterval)
-		encodedAsDelta := false
-		if !forceBase {
-			if _, l, ok := longestCommonRun(prev, cur); ok && l >= opts.MinOverlap {
-				s.DeltaVectors++
-				s.ValuesStored += len(cur) - l
-				sinceBase++
-				encodedAsDelta = true
-			}
-		}
-		if !encodedAsDelta {
-			s.BaseVectors++
-			s.ValuesStored += len(cur)
-			sinceBase = 0
-		}
-		prev = cur
+	metas, err := plan(vectors, opts)
+	if err != nil {
+		return Stats{}, err
 	}
-	return s
+	s := Stats{Vectors: len(vectors)}
+	for i, m := range metas {
+		s.ValuesTotal += len(vectors[i])
+		if m.isDelta {
+			s.DeltaVectors++
+			s.ValuesStored += m.headLen + m.tailLen
+		} else {
+			s.BaseVectors++
+			s.ValuesStored += m.baseLen
+		}
+	}
+	return s, nil
 }

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +66,10 @@ func TestPaperFigure4Example(t *testing.T) {
 
 	// Per Figure 4: vector 2 stores only the new head element, vector 3
 	// stores nothing, vector 4 only its churn.
-	s := Analyze(vectors, opts)
+	s, err := Analyze(vectors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.BaseVectors != 1 {
 		t.Fatalf("base vectors = %d, want 1", s.BaseVectors)
 	}
@@ -128,7 +133,10 @@ func TestUnrelatedVectorsFallBackToBase(t *testing.T) {
 		}
 		vectors[i] = v
 	}
-	s := Analyze(vectors, DefaultOptions())
+	s, err := Analyze(vectors, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.BaseVectors != len(vectors) {
 		t.Fatalf("unrelated vectors produced %d bases of %d", s.BaseVectors, len(vectors))
 	}
@@ -154,7 +162,10 @@ func TestRestartInterval(t *testing.T) {
 	vectors := genSlidingWindows(rng, 200, 64)
 	opts := DefaultOptions()
 	opts.RestartInterval = 10
-	s := Analyze(vectors, opts)
+	s, err := Analyze(vectors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.BaseVectors < len(vectors)/11 {
 		t.Fatalf("restart interval ignored: %d bases for %d vectors", s.BaseVectors, s.Vectors)
 	}
@@ -228,6 +239,47 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// Headers whose vectors add up to more than maxChunkValues are rejected
+// before anything is sized from them: one huge base vector, and a small
+// base repeated by delta vectors until the output would pass the bound.
+func TestDecodeRejectsOversizedChunk(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1)
+	huge = append(huge, 0)
+	huge = binary.AppendUvarint(huge, 1<<40)
+	huge = binary.AppendUvarint(huge, 0)
+
+	const width = 1 << 12
+	nDeltas := maxChunkValues/width + 1
+	bomb := binary.AppendUvarint(nil, uint64(1+nDeltas))
+	bomb = append(bomb, 0)
+	bomb = binary.AppendUvarint(bomb, width)
+	for i := 0; i < nDeltas; i++ {
+		bomb = append(bomb, 1, 0)
+		bomb = binary.AppendUvarint(bomb, width)
+		bomb = append(bomb, 0, 0)
+	}
+	stream, err := enc.EncodeInts(nil, make([]int64, width), enc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb = binary.AppendUvarint(bomb, uint64(len(stream)))
+	bomb = append(bomb, stream...)
+
+	for name, src := range map[string][]byte{"huge base": huge, "delta bomb": bomb} {
+		if _, err := DecodeColumn(src); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	row := make([]int64, width)
+	repeated := make([][]int64, nDeltas+1)
+	for i := range repeated {
+		repeated[i] = row
+	}
+	if _, err := EncodeColumn(repeated, nil); err == nil {
+		t.Error("EncodeColumn wrote a chunk DecodeColumn rejects")
+	}
+}
+
 // Property: any vector sequence round-trips.
 func TestSparseProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -268,16 +320,42 @@ func TestSparseProperty(t *testing.T) {
 	}
 }
 
+// Analyze must report what EncodeColumn stores: its counts are checked
+// against the metadata parseHeader reads back from the encoded stream.
 func TestAnalyzeMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	vectors := genSlidingWindows(rng, 300, 128)
-	opts := DefaultOptions()
-	s := Analyze(vectors, opts)
-	if s.Vectors != 300 || s.BaseVectors+s.DeltaVectors != 300 {
-		t.Fatalf("inconsistent stats: %+v", s)
-	}
-	if s.ValuesStored >= s.ValuesTotal {
-		t.Fatalf("no savings on sliding windows: %+v", s)
+	tight := DefaultOptions()
+	tight.MinOverlap, tight.RestartInterval = 2, 7
+	for _, opts := range []*Options{DefaultOptions(), tight} {
+		vectors := genSlidingWindows(rng, 300, 128)
+		vectors = append(vectors, randomWindows(rng, 100, 40, 6)...)
+		s, err := Analyze(vectors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded, err := EncodeColumn(vectors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas, stored, _, err := parseHeader(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := 0
+		for _, m := range metas {
+			if m.isDelta {
+				deltas++
+			}
+		}
+		if s.Vectors != len(metas) || s.DeltaVectors != deltas || s.BaseVectors != len(metas)-deltas {
+			t.Fatalf("stats %+v, encoded %d vectors of which %d deltas", s, len(metas), deltas)
+		}
+		if s.ValuesStored != stored {
+			t.Fatalf("Analyze says %d values stored, the encoded stream holds %d", s.ValuesStored, stored)
+		}
+		if s.ValuesStored >= s.ValuesTotal {
+			t.Fatalf("no savings on sliding windows: %+v", s)
+		}
 	}
 }
 
@@ -302,4 +380,153 @@ func TestCustomEncOptions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomWindows returns n sliding-window vectors over a small alphabet,
+// so runs repeat and many shift alignments tie: each step pushes up to
+// three values at the head and drops up to three from the tail, and a
+// window is capped at width values.
+func randomWindows(rng *rand.Rand, n, width int, alphabet int64) [][]int64 {
+	out := make([][]int64, n)
+	var cur []int64
+	for i := range out {
+		for k := rng.Intn(4); k > 0; k-- {
+			cur = append([]int64{rng.Int63n(alphabet)}, cur...)
+		}
+		cur = cur[:max(0, min(len(cur)-rng.Intn(4), width))]
+		out[i] = append([]int64{}, cur...)
+	}
+	return out
+}
+
+// longestCommonRunRef is longestCommonRun without the fast path's early
+// exits: every shift alignment runs to the end of its common run.
+func longestCommonRunRef(prev, cur []int64) (start, length int, ok bool) {
+	if len(prev) == 0 || len(cur) == 0 {
+		return 0, 0, false
+	}
+	const maxShift = 8
+	bestLen, bestStart := 0, 0
+	for c := 0; c <= maxShift && c < len(cur); c++ {
+		for p := 0; p <= maxShift && p < len(prev); p++ {
+			l := 0
+			for c+l < len(cur) && p+l < len(prev) && cur[c+l] == prev[p+l] {
+				l++
+			}
+			if l > bestLen {
+				bestLen, bestStart = l, p
+			}
+		}
+	}
+	if bestLen*4 >= min(len(prev), len(cur))*3 {
+		return bestStart, bestLen, true
+	}
+	dp := make([]int, len(cur)+1)
+	bestLen, bestPrevEnd := 0, 0
+	for i := 1; i <= len(prev); i++ {
+		prevDiag := 0
+		for j := 1; j <= len(cur); j++ {
+			cell := 0
+			if prev[i-1] == cur[j-1] {
+				cell = prevDiag + 1
+			}
+			prevDiag = dp[j]
+			dp[j] = cell
+			if cell > bestLen {
+				bestLen, bestPrevEnd = cell, i
+			}
+		}
+	}
+	if bestLen == 0 {
+		return 0, 0, false
+	}
+	return bestPrevEnd - bestLen, bestLen, true
+}
+
+// TestLongestCommonRunMatchesReference checks the early-exiting search
+// against the exhaustive one on random vectors and on consecutive
+// sliding windows, both over small alphabets where alignments tie.
+func TestLongestCommonRunMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(prev, cur []int64) {
+		t.Helper()
+		gs, gl, gok := longestCommonRun(prev, cur)
+		ws, wl, wok := longestCommonRunRef(prev, cur)
+		if gs != ws || gl != wl || gok != wok {
+			t.Fatalf("longestCommonRun(%v, %v) = (%d,%d,%v), reference (%d,%d,%v)",
+				prev, cur, gs, gl, gok, ws, wl, wok)
+		}
+	}
+	random := func(n int, alphabet int64) []int64 {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = rng.Int63n(alphabet)
+		}
+		return v
+	}
+	for i := 0; i < 20000; i++ {
+		alphabet := int64(1 + rng.Intn(4))
+		check(random(rng.Intn(24), alphabet), random(rng.Intn(24), alphabet))
+	}
+	for i := 0; i < 200; i++ {
+		ws := randomWindows(rng, 100, 1+rng.Intn(40), int64(1+rng.Intn(5)))
+		for j := 1; j < len(ws); j++ {
+			check(ws[j-1], ws[j])
+		}
+	}
+}
+
+// FuzzSparseRoundTrip round-trips sliding windows shaped by the fuzz
+// input, then feeds the raw input to the decoders, which must reject it
+// or decode it without panicking.
+func FuzzSparseRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 3, 0, 0, 7}, uint8(8))
+	f.Add([]byte{3, 2, 1}, uint8(2))
+	f.Add([]byte{255, 0, 127, 128, 2}, uint8(0))
+	f.Add([]byte{}, uint8(1))
+	if seed, err := EncodeColumn([][]int64{{1, 2, 3}, {0, 1, 2, 3}, {}, {7}}, nil); err == nil {
+		f.Add(seed, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, minOverlap uint8) {
+		vectors := fuzzWindows(data)
+		opts := DefaultOptions()
+		opts.MinOverlap = int(minOverlap % 16)
+		encoded, err := EncodeColumn(vectors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeColumn(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(vectors) {
+			t.Fatalf("decoded %d vectors, want %d", len(got), len(vectors))
+		}
+		for i := range vectors {
+			if !slices.Equal(got[i], vectors[i]) {
+				t.Fatalf("vector %d = %v, want %v", i, got[i], vectors[i])
+			}
+		}
+		_, _ = DecodeColumn(data)
+		_, _ = ValueScheme(data)
+	})
+}
+
+// fuzzWindows builds one vector per input byte: bit 0 pushes a value
+// taken from the byte's high bits at the head (a small alphabet), bit 1
+// drops the oldest value, and windows are capped at 32 values.
+func fuzzWindows(data []byte) [][]int64 {
+	out := make([][]int64, len(data))
+	var window []int64
+	for i, b := range data {
+		if b&1 != 0 {
+			window = append([]int64{int64(b >> 4)}, window...)
+		}
+		if b&2 != 0 && len(window) > 0 {
+			window = window[:len(window)-1]
+		}
+		window = window[:min(len(window), 32)]
+		out[i] = append([]int64{}, window...)
+	}
+	return out
 }

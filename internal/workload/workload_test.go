@@ -86,7 +86,10 @@ func TestSlidingWindowsOverlap(t *testing.T) {
 	if len(vectors) != 500 {
 		t.Fatalf("generated %d vectors", len(vectors))
 	}
-	stats := sparse.Analyze(vectors, sparse.DefaultOptions())
+	stats, err := sparse.Analyze(vectors, sparse.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.DeltaVectors*4 < stats.Vectors*3 {
 		t.Fatalf("sliding windows should delta-encode: %+v", stats)
 	}
