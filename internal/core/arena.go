@@ -9,7 +9,7 @@ import "sync"
 // into zero allocations per batch.
 //
 // Run buffers are only recycled when no projected column's decoded values
-// can alias the encoded bytes (see scanProjectionAliases): byte-string
+// can alias the encoded bytes (see projectionAliases): byte-string
 // decoding is zero-copy out of the read buffer, so those buffers must live
 // as long as the batch that references them.
 
@@ -35,7 +35,9 @@ func getRunBuf(n int) *[]byte {
 func putRunBuf(p *[]byte) { runBufPool.Put(p) }
 
 // pageIntsPool holds per-page []int64 decode staging (float32 bit
-// patterns, boundary-page clipping).
+// patterns, list<float32> pages' flattened bit patterns, boundary-page
+// clipping). A buffer grown past maxPooledPageInts, by an unusually large
+// list page, is left to the collector rather than pinned by the pool.
 var pageIntsPool = sync.Pool{
 	New: func() any {
 		s := make([]int64, 0, 1024)
@@ -52,4 +54,10 @@ func getPageInts(n int) *[]int64 {
 	return p
 }
 
-func putPageInts(p *[]int64) { pageIntsPool.Put(p) }
+const maxPooledPageInts = 1 << 18 // 2 MiB
+
+func putPageInts(p *[]int64) {
+	if cap(*p) <= maxPooledPageInts {
+		pageIntsPool.Put(p)
+	}
+}

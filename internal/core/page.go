@@ -326,11 +326,13 @@ func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
 		return ListInt64Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float32:
 		lists, err := decodeList(payload, nRows, stream(func(s []byte, n int) ([]float32, error) {
-			bits, err := enc.DecodeInts(s, n)
+			bp := getPageInts(n)
+			defer putPageInts(bp)
+			bits, err := enc.DecodeIntsInto(*bp, s)
 			if err != nil {
 				return nil, err
 			}
-			return quant.Dequantize(bits, f.Type.Quant)
+			return quant.DequantizeInto(make([]float32, n), bits, f.Type.Quant)
 		}))
 		return ListFloat32Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float64:
@@ -354,7 +356,8 @@ const maxListLen = 1 << 28
 
 // decodeList decodes a list page written by encodeList into nRows lists.
 // It bounds the lengths before values decodes the rest of the page to
-// their sum, and each list slices that one flat result.
+// their sum, and each list slices that one flat result, capacity-capped so
+// that appending to one list never writes into the next.
 func decodeList[E any](payload []byte, nRows int, values func(rest []byte, n int) ([]E, error)) ([][]E, error) {
 	lenStream, rest, err := enc.ReadLengthPrefixed(payload)
 	if err != nil {
@@ -381,8 +384,9 @@ func decodeList[E any](payload []byte, nRows int, values func(rest []byte, n int
 	out := make([][]E, nRows)
 	pos := 0
 	for i, l := range lengths {
-		out[i] = flat[pos : pos+int(l)]
-		pos += int(l)
+		end := pos + int(l)
+		out[i] = flat[pos:end:end]
+		pos = end
 	}
 	return out, nil
 }

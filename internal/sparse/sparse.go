@@ -23,6 +23,8 @@ package sparse
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 
 	"bullion/internal/enc"
 )
@@ -66,6 +68,34 @@ type vectorMeta struct {
 // MiB, 64× a 1,024-row page of 256-value windows). EncodeColumn refuses
 // a chunk over the bound rather than write one DecodeColumn rejects.
 const maxChunkValues = 1 << 24
+
+// decodeScratch is DecodeColumn's staging: the chunk's vector metadata
+// and its decoded value stream. Nothing DecodeColumn returns aliases it.
+type decodeScratch struct {
+	metas  []vectorMeta
+	values []int64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// The pool keeps up to 2^18 values (2 MiB: a 1,024-row page of 256-value
+// windows stored whole) and 2^15 vectors' metadata (1.5 MiB); a buffer
+// grown past that by an unusually large chunk is left to the collector
+// rather than pinned by the pool.
+const (
+	maxPooledValues = 1 << 18
+	maxPooledMetas  = 1 << 15
+)
+
+func putScratch(s *decodeScratch) {
+	if cap(s.metas) > maxPooledMetas {
+		s.metas = nil
+	}
+	if cap(s.values) > maxPooledValues {
+		s.values = nil
+	}
+	scratchPool.Put(s)
+}
 
 // plan decides how each vector is stored: whole, as a base vector, or as
 // a delta against its predecessor when they share a run of at least
@@ -154,61 +184,44 @@ func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
 	return append(dst, valueStream...), nil
 }
 
-// DecodeColumn decodes a column chunk produced by EncodeColumn.
+// DecodeColumn decodes a column chunk produced by EncodeColumn. The
+// chunk's vectors share one backing array, each capacity-capped to its
+// own values, so appending to one vector never writes into another.
 func DecodeColumn(src []byte) ([][]int64, error) {
-	metas, totalValues, stream, err := parseHeader(src)
+	s := scratchPool.Get().(*decodeScratch)
+	defer putScratch(s)
+	metas, stored, logical, stream, err := parseHeader(src, s.metas)
 	if err != nil {
 		return nil, err
 	}
-	values, err := enc.DecodeInts(stream, totalValues)
+	s.metas = metas
+	s.values = slices.Grow(s.values[:0], stored)[:stored]
+	values, err := enc.DecodeIntsInto(s.values, stream)
 	if err != nil {
 		return nil, err
 	}
 
+	// values holds exactly the stored counts and arena exactly the decoded
+	// lengths, and parseHeader has checked every delta's range against its
+	// predecessor, so the copies below stay in bounds.
+	arena := make([]int64, logical)
 	out := make([][]int64, len(metas))
 	var prev []int64
-	pos := 0
-	take := func(k int) ([]int64, error) {
-		if pos+k > len(values) {
-			return nil, fmt.Errorf("sparse: value stream exhausted")
-		}
-		v := values[pos : pos+k]
-		pos += k
-		return v, nil
-	}
+	pos, end := 0, 0
 	for i, m := range metas {
-		if !m.isDelta {
-			base, err := take(m.baseLen)
-			if err != nil {
-				return nil, err
-			}
-			cur := make([]int64, m.baseLen)
-			copy(cur, base)
-			out[i] = cur
-			prev = cur
-			continue
+		start := end
+		if m.isDelta {
+			end += copy(arena[end:], values[pos:pos+m.headLen])
+			pos += m.headLen
+			end += copy(arena[end:], prev[m.rangeStart:m.rangeStart+m.rangeLen])
+			end += copy(arena[end:], values[pos:pos+m.tailLen])
+			pos += m.tailLen
+		} else {
+			end += copy(arena[end:], values[pos:pos+m.baseLen])
+			pos += m.baseLen
 		}
-		if prev == nil {
-			return nil, fmt.Errorf("sparse: vector %d is a delta with no base", i)
-		}
-		if m.rangeStart < 0 || m.rangeStart+m.rangeLen > len(prev) {
-			return nil, fmt.Errorf("sparse: vector %d range [%d,%d) outside previous of %d",
-				i, m.rangeStart, m.rangeStart+m.rangeLen, len(prev))
-		}
-		head, err := take(m.headLen)
-		if err != nil {
-			return nil, err
-		}
-		tail, err := take(m.tailLen)
-		if err != nil {
-			return nil, err
-		}
-		cur := make([]int64, 0, m.headLen+m.rangeLen+m.tailLen)
-		cur = append(cur, head...)
-		cur = append(cur, prev[m.rangeStart:m.rangeStart+m.rangeLen]...)
-		cur = append(cur, tail...)
-		out[i] = cur
-		prev = cur
+		out[i] = arena[start:end:end]
+		prev = out[i]
 	}
 	return out, nil
 }
@@ -216,32 +229,35 @@ func DecodeColumn(src []byte) ([][]int64, error) {
 // ValueScheme returns the cascade scheme of a column chunk's value stream,
 // the one stream EncodeColumn encodes with Options.Enc.
 func ValueScheme(src []byte) (enc.SchemeID, error) {
-	_, _, stream, err := parseHeader(src)
+	_, _, _, stream, err := parseHeader(src, nil)
 	if err != nil {
 		return 0, err
 	}
 	return enc.TopScheme(stream), nil
 }
 
-// parseHeader reads a column chunk's vector metadata and returns it with
-// the number of values the metadata calls for and the value stream. It
-// rejects metadata whose vectors add up to more than maxChunkValues.
-func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte, err error) {
+// parseHeader reads a column chunk's vector metadata, reusing dst's
+// storage, and returns it with the number of values the value stream
+// stores, the number the vectors decode to and the value stream. It
+// rejects a delta with no base or a range outside its predecessor, and
+// metadata whose vectors add up to more than maxChunkValues, so nothing is
+// sized from a header that cannot decode.
+func parseHeader(src []byte, dst []vectorMeta) (metas []vectorMeta, stored, logical int, stream []byte, err error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
-		return nil, 0, nil, fmt.Errorf("sparse: bad vector count")
+		return nil, 0, 0, nil, fmt.Errorf("sparse: bad vector count")
 	}
 	src = src[sz:]
 	// Every vector costs at least one metadata byte; hostile counts must
 	// not drive allocations.
 	if n > uint64(len(src)) {
-		return nil, 0, nil, fmt.Errorf("sparse: %d vectors cannot fit in %d bytes", n, len(src))
+		return nil, 0, 0, nil, fmt.Errorf("sparse: %d vectors cannot fit in %d bytes", n, len(src))
 	}
-	metas = make([]vectorMeta, n)
-	logical := 0
+	metas = slices.Grow(dst[:0], int(n))[:n]
+	prevLen := -1 // no base vector yet
 	for i := range metas {
 		if len(src) < 1 {
-			return nil, 0, nil, fmt.Errorf("sparse: truncated metadata at vector %d", i)
+			return nil, 0, 0, nil, fmt.Errorf("sparse: truncated metadata at vector %d", i)
 		}
 		flag := src[0]
 		src = src[1:]
@@ -252,33 +268,40 @@ func parseHeader(src []byte) (metas []vectorMeta, totalValues int, stream []byte
 			for _, f := range fields {
 				v, sz := binary.Uvarint(src)
 				if sz <= 0 || v > maxChunkValues {
-					return nil, 0, nil, fmt.Errorf("sparse: bad delta meta at vector %d", i)
+					return nil, 0, 0, nil, fmt.Errorf("sparse: bad delta meta at vector %d", i)
 				}
 				*f = int(v)
 				src = src[sz:]
 			}
-			totalValues += m.headLen + m.tailLen
-			logical += m.headLen + m.rangeLen + m.tailLen
+			if prevLen < 0 {
+				return nil, 0, 0, nil, fmt.Errorf("sparse: vector %d is a delta with no base", i)
+			}
+			if m.rangeStart+m.rangeLen > prevLen {
+				return nil, 0, 0, nil, fmt.Errorf("sparse: vector %d range [%d,%d) outside previous of %d",
+					i, m.rangeStart, m.rangeStart+m.rangeLen, prevLen)
+			}
+			stored += m.headLen + m.tailLen
+			prevLen = m.headLen + m.rangeLen + m.tailLen
 		} else {
 			v, sz := binary.Uvarint(src)
 			if sz <= 0 || v > maxChunkValues {
-				return nil, 0, nil, fmt.Errorf("sparse: bad base meta at vector %d", i)
+				return nil, 0, 0, nil, fmt.Errorf("sparse: bad base meta at vector %d", i)
 			}
 			m.baseLen = int(v)
 			src = src[sz:]
-			totalValues += m.baseLen
-			logical += m.baseLen
+			stored += m.baseLen
+			prevLen = m.baseLen
 		}
-		if logical > maxChunkValues {
-			return nil, 0, nil, fmt.Errorf("sparse: chunk decodes to more than %d values", maxChunkValues)
+		if logical += prevLen; logical > maxChunkValues {
+			return nil, 0, 0, nil, fmt.Errorf("sparse: chunk decodes to more than %d values", maxChunkValues)
 		}
 		metas[i] = m
 	}
 	streamLen, sz := binary.Uvarint(src)
 	if sz <= 0 || streamLen > uint64(len(src)-sz) {
-		return nil, 0, nil, fmt.Errorf("sparse: bad value stream length")
+		return nil, 0, 0, nil, fmt.Errorf("sparse: bad value stream length")
 	}
-	return metas, totalValues, src[sz : sz+int(streamLen)], nil
+	return metas, stored, logical, src[sz : sz+int(streamLen)], nil
 }
 
 // longestCommonRun finds the longest contiguous run shared between prev and

@@ -3,6 +3,7 @@ package sparse
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -239,9 +240,13 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// Headers whose vectors add up to more than maxChunkValues are rejected
-// before anything is sized from them: one huge base vector, and a small
-// base repeated by delta vectors until the output would pass the bound.
+// Headers that cannot decode are rejected before anything is sized from
+// them, allocating under 1 MiB: vectors that add up to more than
+// maxChunkValues (one huge base vector, or a small base repeated by delta
+// vectors until the output would pass the bound), a delta whose range
+// overruns its predecessor and a delta with no base. DecodeColumn sizes
+// its one output buffer from the lengths a header claims, 64 MiB for the
+// last two.
 func TestDecodeRejectsOversizedChunk(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1)
 	huge = append(huge, 0)
@@ -265,9 +270,35 @@ func TestDecodeRejectsOversizedChunk(t *testing.T) {
 	bomb = binary.AppendUvarint(bomb, uint64(len(stream)))
 	bomb = append(bomb, stream...)
 
-	for name, src := range map[string][]byte{"huge base": huge, "delta bomb": bomb} {
-		if _, err := DecodeColumn(src); err == nil {
+	const claimed = 1 << 23
+	base, err := enc.EncodeInts(nil, make([]int64, 16), enc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	overrun := binary.AppendUvarint(nil, 2)
+	overrun = append(overrun, 0, 16, 1, 0)
+	overrun = binary.AppendUvarint(overrun, claimed)
+	overrun = append(overrun, 0, 0)
+	overrun = binary.AppendUvarint(overrun, uint64(len(base)))
+	overrun = append(overrun, base...)
+
+	noBase := binary.AppendUvarint(nil, 1)
+	noBase = append(noBase, 1, 0)
+	noBase = binary.AppendUvarint(noBase, claimed)
+	noBase = append(noBase, 0, 0, 0)
+
+	for name, src := range map[string][]byte{
+		"huge base": huge, "delta bomb": bomb, "range overrun": overrun, "delta with no base": noBase,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeColumn(src)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before refusing a %d-byte chunk", name, alloc, len(src))
 		}
 	}
 	row := make([]int64, width)
@@ -277,6 +308,30 @@ func TestDecodeRejectsOversizedChunk(t *testing.T) {
 	}
 	if _, err := EncodeColumn(repeated, nil); err == nil {
 		t.Error("EncodeColumn wrote a chunk DecodeColumn rejects")
+	}
+}
+
+// DecodeColumn allocates per chunk, not per vector: one backing array for
+// every vector and one slice of row headers, with the value stream and
+// the metadata staged in pooled scratch. The windows are the ads table's
+// 32 values wide. The pool itself allocates twice after each collection,
+// so a chunk whose output is a large share of this test's small heap
+// (256-wide windows would be) reads one more.
+func TestDecodeColumnAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{64, 1024} {
+		encoded, err := EncodeColumn(genSlidingWindows(rng, n, 32), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeColumn(encoded); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%d-vector chunk: %.1f allocs per decode, want <= 3", n, allocs)
+		}
 	}
 }
 
@@ -337,7 +392,7 @@ func TestAnalyzeMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		metas, stored, _, err := parseHeader(encoded)
+		metas, stored, _, _, err := parseHeader(encoded, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +562,12 @@ func FuzzSparseRoundTrip(f *testing.F) {
 				t.Fatalf("vector %d = %v, want %v", i, got[i], vectors[i])
 			}
 		}
-		_, _ = DecodeColumn(data)
+		raw, _ := DecodeColumn(data)
+		for i, v := range append(got, raw...) {
+			if cap(v) != len(v) {
+				t.Fatalf("decoded vector %d has len %d but cap %d", i, len(v), cap(v))
+			}
+		}
 		_, _ = ValueScheme(data)
 	})
 }
