@@ -210,10 +210,10 @@
 // encoded-size ratio drifts past EncodingOptions.ResampleDrift (default
 // ±25% relative). Set ResampleDrift negative to re-select on every page
 // (the pre-pipeline behavior); Writer.SelectorStats reports the realized
-// reuse. The setting covers Sparse (§2.2) columns too: their pages encode
-// the value stream with Options.Sparse.Enc through a cache of their own,
-// built from the same EncodingOptions.ResampleDrift (the ResampleDrift of
-// Sparse.Enc is ignored).
+// reuse. Sparse (§2.2) columns are no exception: a sparse page's value
+// stream encodes with the column's Options.Enc, through the column's one
+// cache. Options.Sparse configures only the sliding window (MinOverlap,
+// RestartInterval).
 //
 // # Datasets and compaction
 //
@@ -465,7 +465,10 @@ type (
 	Level = core.Level
 	// EncodingOptions steers the §2.6 cascade selector.
 	EncodingOptions = enc.Options
-	// SparseOptions configures the §2.2 sliding-window codec.
+	// SparseOptions configures the §2.2 sliding-window codec: in a writer's
+	// Options, only its window (MinOverlap, RestartInterval). A sparse
+	// page's value stream encodes with Options.Enc; NewWriter refuses a
+	// SparseOptions.Enc that is not that same pointer.
 	SparseOptions = sparse.Options
 	// QuantFormat is a §2.4 storage float format.
 	QuantFormat = quant.Format

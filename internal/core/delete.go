@@ -169,14 +169,14 @@ func (f *File) eraseRows(w io.WriterAt, ftr *footer.Footer, fresh []uint64) erro
 				// would not pick; retry restricted to the page's original
 				// top scheme (for a sparse page, its value stream's) plus
 				// the always-safe basics before declaring a violation.
-				retryOpts := rewriteOptions()
+				id := enc.SchemeID(f.view.PageCompression(p))
 				if field.Sparse {
-					if id, serr := sparse.ValueScheme(payload); serr == nil {
-						retryOpts.Sparse.Enc = restrictToScheme(retryOpts.Sparse.Enc, id)
+					if id, err = sparse.ValueScheme(payload); err != nil {
+						return fmt.Errorf("core: corrupt sparse page %d: %w", p, err)
 					}
-				} else {
-					retryOpts.Enc = restrictToScheme(retryOpts.Enc, enc.SchemeID(f.view.PageCompression(p)))
 				}
+				retryOpts := rewriteOptions()
+				retryOpts.Enc = restrictToScheme(retryOpts.Enc, id)
 				if retry, retryScheme, rerr := encodePage(field, newData, retryOpts); rerr == nil && len(retry) <= span {
 					newPayload, scheme = retry, retryScheme
 				} else {
@@ -283,7 +283,6 @@ func restrictToScheme(base *enc.Options, id enc.SchemeID) *enc.Options {
 func rewriteOptions() *Options {
 	opts := DefaultOptions()
 	opts.Enc = maskableEncOptions(opts.Enc)
-	opts.Sparse.Enc = maskableEncOptions(opts.Sparse.Enc)
 	return opts
 }
 

@@ -413,7 +413,7 @@ func TestLevel2SparseRetryKeepsValueScheme(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.RowsPerPage, opts.GroupRows, opts.Compliance = rows, rows, Level2
-	opts.Sparse.Enc.Allowed = map[enc.SchemeID]bool{enc.BitPack: true}
+	opts.Enc.Allowed = map[enc.SchemeID]bool{enc.BitPack: true}
 	mf, f := writeTestFile(t, schema, batch, opts)
 
 	masked := maskColumn(schema.Fields[0], seq, []int{100})
@@ -437,5 +437,62 @@ func TestLevel2SparseRetryKeepsValueScheme(t *testing.T) {
 	}
 	if err := f.VerifyChecksums(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLevel2DefaultSparseValueStreamMaskable: a Level-2 writer given no
+// Sparse options still restricts a sparse page's value stream to the
+// maskable schemes, so erasing isolated rows fits in place. The value
+// stream is skewed wide values: mostly one value near 2^40, a few others.
+// Unrestricted, the cascade picks MainlyConstant over children whose
+// masked re-encode outgrows the page (ErrPageGrew).
+func TestLevel2DefaultSparseValueStreamMaskable(t *testing.T) {
+	schema, err := NewSchema(Field{Name: "seq", Type: Type{Kind: List, Elem: Int64}, Sparse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, width = 512, 16
+	common := int64(1<<40 + 12345)
+	others := []int64{1<<40 + 7, 1<<40 + 999_983, 1<<41 + 3, 1<<39 + 271_828}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seq := make(ListInt64Data, rows)
+		for r := range seq {
+			v := make([]int64, width)
+			for j := range v {
+				v[j] = common
+				if rng.Intn(8) == 0 {
+					v[j] = others[rng.Intn(len(others))]
+				}
+			}
+			seq[r] = v
+		}
+		batch, err := NewBatch(schema, []ColumnData{seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: rows, GroupRows: rows, Compliance: Level2})
+		var del []uint64
+		var want ListInt64Data
+		for r := range seq {
+			if r%7 == 3 {
+				del = append(del, uint64(r))
+			} else {
+				want = append(want, seq[r])
+			}
+		}
+		if err := f.DeleteRows(mf, del); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got, err := f.ReadColumn("seq")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: live rows read back differently after erasure", seed)
+		}
+		if err := f.VerifyChecksums(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

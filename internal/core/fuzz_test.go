@@ -19,22 +19,27 @@ import (
 // GroupRows/RowsPerPage boundaries (1 row, group-1, group, group+1, …)
 // and asserts that a streaming Scan reproduces the input exactly. The
 // corpus pins the boundary cases; the fuzzer then explores the rest of
-// the (rows, groupRows, rowsPerPage, workers, seed, windows) space. The
-// schema holds one column of every ColumnData type, an FP16-quantized
-// float32 column among them. The windows bytes shape a sparse column
-// (slidingWindows), whose value streams go through its selector cache.
+// the (rows, groupRows, rowsPerPage, workers, seed, windows, level1)
+// space. The schema holds one column of every ColumnData type, an
+// FP16-quantized float32 column among them. The windows bytes shape a
+// sparse column (slidingWindows), whose value streams go through its
+// selector cache. Each input is written twice, with no Sparse options and
+// with sparse.DefaultOptions(), at Level 1 or Level 2 as level1 says:
+// the two files must be byte-identical, since a sparse page's value
+// stream encodes with Enc either way.
 func FuzzWriterRoundTrip(f *testing.F) {
 	const g = 64 // baseline group size for the seeded boundaries
 	grow := []byte{1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 3, 0, 0, 7}
-	f.Add(uint16(1), uint16(g), uint16(16), uint8(1), int64(1), grow)
-	f.Add(uint16(g-1), uint16(g), uint16(16), uint8(4), int64(2), grow)
-	f.Add(uint16(g), uint16(g), uint16(16), uint8(8), int64(3), []byte{})
-	f.Add(uint16(g+1), uint16(g), uint16(16), uint8(2), int64(4), []byte{3, 2, 1})
-	f.Add(uint16(3*g+7), uint16(g), uint16(17), uint8(3), int64(5), grow)
-	f.Add(uint16(200), uint16(1), uint16(1), uint8(4), int64(6), grow)                        // 1-row groups
-	f.Add(uint16(97), uint16(13), uint16(5), uint8(0), int64(7), []byte{255, 0, 127, 128, 2}) // nothing aligns
+	f.Add(uint16(1), uint16(g), uint16(16), uint8(1), int64(1), grow, false)
+	f.Add(uint16(g-1), uint16(g), uint16(16), uint8(4), int64(2), grow, true)
+	f.Add(uint16(g), uint16(g), uint16(16), uint8(8), int64(3), []byte{}, false)
+	f.Add(uint16(g+1), uint16(g), uint16(16), uint8(2), int64(4), []byte{3, 2, 1}, true)
+	f.Add(uint16(3*g+7), uint16(g), uint16(17), uint8(3), int64(5), grow, false)
+	f.Add(uint16(3*g+7), uint16(g), uint16(17), uint8(3), int64(5), grow, true)
+	f.Add(uint16(200), uint16(1), uint16(1), uint8(4), int64(6), grow, false)                       // 1-row groups
+	f.Add(uint16(97), uint16(13), uint16(5), uint8(0), int64(7), []byte{255, 0, 127, 128, 2}, true) // nothing aligns
 
-	f.Fuzz(func(t *testing.T, rows, groupRows, rowsPerPage uint16, workers uint8, seed int64, windows []byte) {
+	f.Fuzz(func(t *testing.T, rows, groupRows, rowsPerPage uint16, workers uint8, seed int64, windows []byte, level1 bool) {
 		nRows := int(rows)%2048 + 1
 		gr := int(groupRows)%512 + 1
 		rpp := int(rowsPerPage)%512 + 1
@@ -110,25 +115,36 @@ func FuzzWriterRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, schema, &Options{
-			RowsPerPage:   rpp,
-			GroupRows:     gr,
-			Compliance:    Level2,
-			EncodeWorkers: int(workers) % 9, // 0 = GOMAXPROCS
-			Sparse:        sparse.DefaultOptions(),
-		})
-		if err != nil {
-			t.Fatal(err)
+		level := Level2
+		if level1 {
+			level = Level1
 		}
-		if err := w.Write(batch); err != nil {
-			t.Fatal(err)
+		write := func(so *sparse.Options) []byte {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, schema, &Options{
+				RowsPerPage:   rpp,
+				GroupRows:     gr,
+				Compliance:    level,
+				EncodeWorkers: int(workers) % 9, // 0 = GOMAXPROCS
+				Sparse:        so,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+		out := write(sparse.DefaultOptions())
+		if bare := write(nil); !bytes.Equal(bare, out) {
+			t.Fatalf("Level %d: Sparse nil and sparse.DefaultOptions() wrote different files (%d vs %d bytes)", level, len(bare), len(out))
 		}
 
-		file, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		file, err := Open(bytes.NewReader(out), int64(len(out)))
 		if err != nil {
 			t.Fatal(err)
 		}

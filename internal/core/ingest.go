@@ -125,8 +125,8 @@ func newIngestPipeline(w *Writer) *ingestPipeline {
 		inflight: make(chan struct{}, inflight),
 		ordered:  make(chan *groupJob, inflight),
 	}
-	for ci, f := range w.schema.Fields {
-		p.colOpts[ci] = columnOptions(w.opts, f)
+	for ci := range w.schema.Fields {
+		p.colOpts[ci] = columnOptions(w.opts)
 		p.cols[ci] = &colQueue{}
 	}
 	p.workWG.Add(workers)
@@ -138,32 +138,20 @@ func newIngestPipeline(w *Writer) *ingestPipeline {
 	return p
 }
 
-// columnOptions clones o for one column and gives the cascade options the
-// column's pages encode with (Options.pageEnc) a private selector cache,
-// unless Enc.ResampleDrift is negative. Enc.ResampleDrift is the one drift
-// setting: a sparse field's cache is built from it too, and the
-// ResampleDrift of Sparse.Enc is ignored. Every column gets its own cache:
-// SelectorCache is stateful and single-threaded, and per-column state is
-// what keeps its decisions independent of worker scheduling. A sparse
-// field's Sparse options are cloned too, so no two columns share a cache
-// and the caller's options are never mutated.
-func columnOptions(o *Options, f Field) *Options {
+// columnOptions clones o for one column and gives its Enc a private
+// selector cache, unless Enc.ResampleDrift is negative. Every stream of
+// the column's pages encodes with that Enc, a sparse page's value stream
+// included, so one cache amortizes selection over the whole column.
+// Every column gets its own cache: SelectorCache is stateful and
+// single-threaded, and per-column state is what keeps its decisions
+// independent of worker scheduling. The caller's options are never
+// mutated.
+func columnOptions(o *Options) *Options {
 	co := o.clone()
-	drift := co.Enc.ResampleDrift
-	if drift < 0 {
-		return co
-	}
-	withCache := func(e *enc.Options) *enc.Options {
-		c := *e
-		c.Cache = enc.NewSelectorCache(drift)
-		return &c
-	}
-	if !f.Sparse {
-		co.Enc = withCache(co.Enc)
-	} else if co.Sparse != nil {
-		sc := *co.Sparse
-		sc.Enc = withCache(sc.Enc)
-		co.Sparse = &sc
+	if drift := co.Enc.ResampleDrift; drift >= 0 {
+		e := *co.Enc
+		e.Cache = enc.NewSelectorCache(drift)
+		co.Enc = &e
 	}
 	return co
 }
@@ -337,9 +325,9 @@ func (p *ingestPipeline) shutdown() {
 // selectorStats sums cache reuse across the pipeline's columns. Only
 // meaningful once the pipeline is idle (after Close).
 func (p *ingestPipeline) selectorStats() (hits, resamples int64) {
-	for ci, co := range p.colOpts {
-		if e := co.pageEnc(p.w.schema.Fields[ci]); e != nil && e.Cache != nil {
-			h, r := e.Cache.Stats()
+	for _, co := range p.colOpts {
+		if c := co.Enc.Cache; c != nil {
+			h, r := c.Stats()
 			hits += h
 			resamples += r
 		}

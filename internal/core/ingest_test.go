@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bullion/internal/enc"
-	"bullion/internal/sparse"
 )
 
 // failAfterWriter fails with errInjected once limit bytes have been
@@ -285,12 +285,12 @@ func sparseTable(t *testing.T) (*Schema, *Batch) {
 }
 
 // TestSparseStreamsUseSelectorCache: a sparse page's value stream goes
-// through its column's selector cache, on a copy of Sparse.Enc. The cache
-// must mostly reuse decisions, the bytes must not depend on the worker
-// count, the caller's options must stay untouched, a Level-2 file written
-// on the cached path must erase rows in place, and a negative
-// Enc.ResampleDrift alone must disable the cache and still write a
-// readable file.
+// through its column's selector cache, on a copy of Enc. The cache must
+// mostly reuse decisions, the bytes must not depend on the worker count,
+// the caller's options must stay untouched, a Level-2 file written on the
+// cached path must erase rows in place, and a negative Enc.ResampleDrift
+// must disable the cache and still write a readable file. A Sparse.Enc
+// other than Enc itself is refused.
 func TestSparseStreamsUseSelectorCache(t *testing.T) {
 	schema, batch := sparseTable(t)
 	write := func(opts *Options) ([]byte, *Writer) {
@@ -323,8 +323,8 @@ func TestSparseStreamsUseSelectorCache(t *testing.T) {
 			t.Fatalf("EncodeWorkers=%d produced different bytes (%d vs %d)", workers, len(out), len(base))
 		}
 	}
-	if opts.Enc.Cache != nil || opts.Sparse.Enc.Cache != nil {
-		t.Fatal("the writer installed a selector cache in the caller's options")
+	if opts.Enc.Cache != nil || opts.Sparse.Enc != nil {
+		t.Fatal("the writer installed a selector cache or a Sparse.Enc in the caller's options")
 	}
 
 	readBack := func(out []byte) {
@@ -392,14 +392,16 @@ func TestSparseStreamsUseSelectorCache(t *testing.T) {
 	}
 	readBack(out)
 
-	// Sparse options without Enc get the cascade defaults at every
-	// compliance level, and with them a cache.
-	bare := &Options{RowsPerPage: 128, GroupRows: 512, Compliance: Level1, Sparse: &sparse.Options{MinOverlap: 8}}
-	out, w = write(bare)
-	if _, r := w.SelectorStats(); r == 0 {
-		t.Fatal("sparse options without Enc got no selector cache")
+	// A Sparse.Enc that is not Enc would be silently ignored: refused.
+	split := DefaultOptions()
+	split.Sparse.Enc = enc.DefaultOptions()
+	if _, err := NewWriter(&bytes.Buffer{}, schema, split); err == nil || !strings.Contains(err.Error(), "Sparse.Enc") {
+		t.Fatalf("a Sparse.Enc other than Enc was not refused: %v", err)
 	}
-	readBack(out)
+	split.Sparse.Enc = split.Enc
+	if _, err := NewWriter(&bytes.Buffer{}, schema, split); err != nil {
+		t.Fatalf("Sparse.Enc set to Enc itself was refused: %v", err)
+	}
 }
 
 // TestWriterRecycledBatchBuffer: Write copies the batch's top-level

@@ -70,9 +70,12 @@ type Options struct {
 	// written at (recorded per file; Level 2 files reserve dictionary mask
 	// entries, which ours always do).
 	Compliance Level
-	// Enc configures the cascade selector.
+	// Enc configures the cascade selector for every stream of every
+	// page, a sparse page's value stream included.
 	Enc *enc.Options
-	// Sparse configures the sliding-window codec for Sparse fields.
+	// Sparse configures the sliding-window codec of Sparse fields: its
+	// window (MinOverlap, RestartInterval). Its Enc must be nil or Enc
+	// itself; nil means sparse.DefaultOptions().
 	Sparse *sparse.Options
 	// QualityColumn, when set, names a float64 column; buffered rows are
 	// presorted by it in descending order before each row group is cut
@@ -143,20 +146,6 @@ func (o *Options) clone() *Options {
 	return &c
 }
 
-// pageEnc returns the cascade options f's pages encode their top-level
-// streams with: the sliding-window codec's for a sparse field, Enc for
-// every other. It is nil for a sparse field of options without Sparse,
-// whose pages encode with the sparse package's defaults and no cache.
-func (o *Options) pageEnc(f Field) *enc.Options {
-	if !f.Sparse {
-		return o.Enc
-	}
-	if o.Sparse == nil {
-		return nil
-	}
-	return o.Sparse.Enc
-}
-
 // SparsePageScheme is the PageCompression marker for sparse sliding-window
 // pages (the codec is composite; no single cascade id describes it).
 const SparsePageScheme = 0
@@ -164,10 +153,11 @@ const SparsePageScheme = 0
 // encodePage encodes one page (<= RowsPerPage rows) of a column, returning
 // the representative cascade scheme recorded in the footer: the stream's
 // own scheme for scalar pages, the value stream's scheme for list pages,
-// and SparsePageScheme for sliding-window pages.
+// and SparsePageScheme for sliding-window pages. Every stream encodes
+// with opts.Enc, and so through the column's one selector cache.
 func encodePage(f Field, data ColumnData, opts *Options) ([]byte, enc.SchemeID, error) {
-	if e := opts.pageEnc(f); e != nil && e.Cache != nil {
-		e.Cache.BeginPage()
+	if opts.Enc.Cache != nil {
+		opts.Enc.Cache.BeginPage()
 	}
 	switch d := data.(type) {
 	case Int64Data:
@@ -195,7 +185,9 @@ func encodePage(f Field, data ColumnData, opts *Options) ([]byte, enc.SchemeID, 
 		return out, enc.TopScheme(out), err
 	case ListInt64Data:
 		if f.Sparse {
-			out, err := sparse.EncodeColumn(d, opts.Sparse)
+			so := *opts.Sparse
+			so.Enc = opts.Enc
+			out, err := sparse.EncodeColumn(d, &so)
 			return out, SparsePageScheme, err
 		}
 		return encodeList(d, opts, func(flat []int64) ([]byte, error) {

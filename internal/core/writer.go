@@ -9,6 +9,7 @@ import (
 	"bullion/internal/enc"
 	"bullion/internal/footer"
 	"bullion/internal/merkle"
+	"bullion/internal/sparse"
 )
 
 // FileMagic terminates every Bullion file.
@@ -97,13 +98,13 @@ func NewWriter(w io.Writer, schema *Schema, opts *Options) (*Writer, error) {
 		if opts.GroupRows <= 0 {
 			opts.GroupRows = 1 << 16
 		}
+		if opts.Sparse == nil {
+			opts.Sparse = sparse.DefaultOptions()
+		} else if opts.Sparse.Enc != nil && opts.Sparse.Enc != opts.Enc {
+			return nil, fmt.Errorf("core: Options.Sparse.Enc must be nil or Options.Enc itself: a sparse page's value stream encodes with Enc")
+		}
 		if opts.Enc == nil {
 			opts.Enc = enc.DefaultOptions()
-		}
-		if opts.Sparse != nil && opts.Sparse.Enc == nil {
-			sc := *opts.Sparse
-			sc.Enc = enc.DefaultOptions()
-			opts.Sparse = &sc
 		}
 	}
 	if opts.QualityColumn != "" {
@@ -117,14 +118,9 @@ func NewWriter(w io.Writer, schema *Schema, opts *Options) (*Writer, error) {
 	}
 	if opts.Compliance == Level2 {
 		// Level-2 files must stay maskable in place (§2.1): restrict the
-		// cascade to the mask-friendly subset, for the bulk streams of the
-		// sparse codec too.
+		// cascade to the mask-friendly subset. Every stream encodes with
+		// Enc, a sparse page's value stream included.
 		opts.Enc = maskableEncOptions(opts.Enc)
-		if opts.Sparse != nil {
-			sc := *opts.Sparse
-			sc.Enc = maskableEncOptions(sc.Enc)
-			opts.Sparse = &sc
-		}
 	}
 	bw := &Writer{w: w, schema: schema, opts: opts}
 	bw.ftr.NumColumns = len(schema.Fields)

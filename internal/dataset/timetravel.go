@@ -265,11 +265,12 @@ func OpenAt(dir, ref string, opts *Options) (*Dataset, error) {
 	return d, nil
 }
 
-// retainedGenerations resolves the full retention set for a vacuum or
-// fsck pass over backend b: every generation a tag in tags pins (manifest
-// loaded from disk; file lists come from it) plus every generation with a
-// live in-process reader. current is excluded — it is live, not retained.
-// The returned map is generation -> files kept for it.
+// retainedGenerations resolves the full retention set for a Vacuum pass
+// over backend b: every generation a tag in tags pins (manifest loaded
+// from disk; file lists come from it) plus every generation with a live
+// in-process reader. current is excluded — it is live, not retained. The
+// returned map is generation -> files kept for it. Fsck walks the tagged
+// generations itself, in fsckRetained.
 func retainedGenerations(b storage.Backend, tags map[string]uint64, current uint64) (map[uint64][]string, error) {
 	out := map[uint64][]string{}
 	for name, g := range tags {

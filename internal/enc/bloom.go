@@ -167,6 +167,3 @@ func (f *Bloom) ContainsHash(h uint64) bool {
 	}
 	return true
 }
-
-// NumBlocks returns the filter's 256-bit block count.
-func (f *Bloom) NumBlocks() int { return f.nBlocks }

@@ -150,8 +150,9 @@ type Options struct {
 	// cached selector decision is re-sampled (0 selects
 	// DefaultResampleDrift). A negative value tells the core writer not to
 	// install selector caches at all, restoring per-page selection. The
-	// core writer reads it from its Options.Enc alone, for every column,
-	// sparse ones included.
+	// core writer encodes every stream with its Options.Enc, a sparse
+	// page's value stream included, so this one setting covers every
+	// column.
 	ResampleDrift float64
 }
 

@@ -220,9 +220,6 @@ func (v *View) PageCompression(p int) uint8 {
 	return v.buf[v.off[secPageCompression]+p]
 }
 
-// GroupOffset returns the file offset of row group g.
-func (v *View) GroupOffset(g int) uint64 { return v.u64(secGroupOffsets, g) }
-
 // GroupPages returns the page count of row group g.
 func (v *View) GroupPages(g int) int { return int(v.u32(secPagesPerGroup, g)) }
 

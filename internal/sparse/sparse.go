@@ -37,20 +37,17 @@ type Options struct {
 	// RestartInterval forces a base vector every N vectors so page-local
 	// decodes never chase long delta chains. 0 disables forced restarts.
 	RestartInterval int
-	// Enc configures the cascade used for the bulk value stream. The core
-	// writer encodes each sparse column with a copy of these options that
-	// carries the column's own selector cache, so the cache amortizes the
-	// value stream's selection over the column's pages; the caller's
-	// options are never mutated. Whether there is a cache, and its drift,
-	// follow the writer's own Enc.ResampleDrift; the ResampleDrift of these
-	// options is ignored.
+	// Enc configures the cascade used for the bulk value stream; nil means
+	// enc.DefaultOptions(). The core writer encodes a sparse page's value
+	// stream with its column's Options.Enc, so it configures only the
+	// window here and refuses a non-nil Enc other than that same pointer.
 	Enc *enc.Options
 }
 
 // DefaultOptions returns the writer defaults: 8-element minimum overlap,
-// restart every 64 vectors.
+// restart every 64 vectors, and the cascade defaults (a nil Enc).
 func DefaultOptions() *Options {
-	return &Options{MinOverlap: 8, RestartInterval: 64, Enc: enc.DefaultOptions()}
+	return &Options{MinOverlap: 8, RestartInterval: 64}
 }
 
 // vectorMeta is the per-vector index entry (Figure 4's metadata section).
@@ -176,7 +173,11 @@ func EncodeColumn(vectors [][]int64, opts *Options) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(m.baseLen))
 		}
 	}
-	valueStream, err := enc.EncodeInts(nil, values, opts.Enc)
+	e := opts.Enc
+	if e == nil {
+		e = enc.DefaultOptions()
+	}
+	valueStream, err := enc.EncodeInts(nil, values, e)
 	if err != nil {
 		return nil, err
 	}

@@ -250,14 +250,6 @@ func (f *Fault) Crash() {
 	f.crashAt = -1
 }
 
-// DurableState returns what a power cut right now would leave behind
-// (the Strict model).
-func (f *Fault) DurableState() map[string][]byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.strictLocked()
-}
-
 func (f *Fault) strictLocked() map[string][]byte {
 	out := make(map[string][]byte, len(f.ddir))
 	for name, ino := range f.ddir {
