@@ -34,10 +34,10 @@ func getRunBuf(n int) *[]byte {
 
 func putRunBuf(p *[]byte) { runBufPool.Put(p) }
 
-// pageIntsPool holds per-page []int64 decode staging (float32 bit
-// patterns, list<float32> pages' flattened bit patterns, boundary-page
-// clipping). A buffer grown past maxPooledPageInts, by an unusually large
-// list page, is left to the collector rather than pinned by the pool.
+// pageIntsPool holds per-page []int64 decode staging: the bit patterns a
+// float32 page or a list<float32> page's flattened values dequantize
+// from. A buffer grown past maxPooledPageInts, by an unusually large list
+// page, is left to the collector rather than pinned by the pool.
 var pageIntsPool = sync.Pool{
 	New: func() any {
 		s := make([]int64, 0, 1024)

@@ -49,17 +49,10 @@ func (f *File) ProjectEvolved(fields []Field) (*Batch, error) {
 // strings. ProjectEvolved fills fields the file predates with it; n = 0
 // is the typed empty column.
 func defaultColumn(f Field, n int) ColumnData {
+	if d := fixedType(f); d != nil {
+		return d.grow(n)
+	}
 	switch {
-	case f.Nullable:
-		return NullableInt64Data{Values: make([]int64, n), Valid: make([]bool, n)}
-	case f.Type.Kind == Int64 || f.Type.Kind == Int32:
-		return make(Int64Data, n)
-	case f.Type.Kind == Float64:
-		return make(Float64Data, n)
-	case f.Type.Kind == Float32:
-		return make(Float32Data, n)
-	case f.Type.Kind == Bool:
-		return make(BoolData, n)
 	case f.Type.Kind == Binary || f.Type.Kind == String:
 		return make(BytesData, n)
 	case f.Type.Kind == List && f.Type.Elem == Int64:

@@ -256,47 +256,99 @@ func encodeList[E any](rows [][]E, opts *Options, values func([]E) ([]byte, erro
 	return enc.AppendLengthPrefixed(out, valStream), enc.TopScheme(valStream), nil
 }
 
-// decodePage decodes a page of nRows rows.
-func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
+// fixedColumn is a fixed-width column type (int64 and int32, nullable
+// int64, float64, quantized float32, bool): its pages decode in place,
+// into storage sized before the first page is read.
+type fixedColumn interface {
+	ColumnData
+	// decodeRows decodes a page stream of field f, hi-lo rows long, into
+	// rows [lo,hi) of the receiver.
+	decodeRows(f Field, payload []byte, lo, hi int) error
+	// grow returns n rows of storage of the receiver's type: the
+	// receiver's own when it is non-nil and its capacity holds n rows,
+	// new storage otherwise.
+	grow(n int) fixedColumn
+}
+
+// fixedType returns a zero-valued column of f's type when f is
+// fixed-width, and nil otherwise. A zero value boxes without allocating,
+// so the probe is free on the scan path.
+func fixedType(f Field) fixedColumn {
 	switch {
 	case f.Nullable && f.Type.Kind == Int64:
-		vs := make([]int64, nRows)
-		vb := make([]bool, nRows)
-		if err := enc.DecodeNullableIntsInto(vs, vb, payload); err != nil {
-			return nil, err
-		}
-		return NullableInt64Data{Values: vs, Valid: vb}, nil
+		return NullableInt64Data{}
 	case f.Type.Kind == Int64 || f.Type.Kind == Int32:
-		vs, err := enc.DecodeInts(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		return Int64Data(vs), nil
+		return Int64Data(nil)
 	case f.Type.Kind == Float64:
-		vs, err := enc.DecodeFloats(payload, nRows)
-		if err != nil {
-			return nil, err
-		}
-		return Float64Data(vs), nil
+		return Float64Data(nil)
 	case f.Type.Kind == Float32:
-		bp := getPageInts(nRows)
-		bits, err := enc.DecodeIntsInto(*bp, payload)
-		if err != nil {
-			putPageInts(bp)
-			return nil, err
-		}
-		vs, err := quant.DequantizeInto(make([]float32, nRows), bits, f.Type.Quant)
-		putPageInts(bp)
-		if err != nil {
-			return nil, err
-		}
-		return Float32Data(vs), nil
+		return Float32Data(nil)
 	case f.Type.Kind == Bool:
-		vs, err := enc.DecodeBools(payload, nRows)
-		if err != nil {
+		return BoolData(nil)
+	}
+	return nil
+}
+
+func (d Int64Data) decodeRows(_ Field, payload []byte, lo, hi int) error {
+	_, err := enc.DecodeIntsInto(d[lo:hi], payload)
+	return err
+}
+
+func (d NullableInt64Data) decodeRows(_ Field, payload []byte, lo, hi int) error {
+	return enc.DecodeNullableIntsInto(d.Values[lo:hi], d.Valid[lo:hi], payload)
+}
+
+func (d Float64Data) decodeRows(_ Field, payload []byte, lo, hi int) error {
+	_, err := enc.DecodeFloatsInto(d[lo:hi], payload)
+	return err
+}
+
+// decodeRows decodes the stored bit patterns into pooled staging and
+// dequantizes them with the field's format.
+func (d Float32Data) decodeRows(f Field, payload []byte, lo, hi int) error {
+	bp := getPageInts(hi - lo)
+	defer putPageInts(bp)
+	bits, err := enc.DecodeIntsInto(*bp, payload)
+	if err != nil {
+		return err
+	}
+	_, err = quant.DequantizeInto(d[lo:hi], bits, f.Type.Quant)
+	return err
+}
+
+func (d BoolData) decodeRows(_ Field, payload []byte, lo, hi int) error {
+	_, err := enc.DecodeBoolsInto(d[lo:hi], payload)
+	return err
+}
+
+func (d Int64Data) grow(n int) fixedColumn   { return growRows(d, n) }
+func (d Float64Data) grow(n int) fixedColumn { return growRows(d, n) }
+func (d Float32Data) grow(n int) fixedColumn { return growRows(d, n) }
+func (d BoolData) grow(n int) fixedColumn    { return growRows(d, n) }
+
+func (d NullableInt64Data) grow(n int) fixedColumn {
+	return NullableInt64Data{Values: growRows(d.Values, n), Valid: growRows(d.Valid, n)}
+}
+
+// growRows returns d resliced to n rows when d is non-nil and has the
+// capacity, and n new rows otherwise.
+func growRows[S ~[]E, E any](d S, n int) S {
+	if d != nil && cap(d) >= n {
+		return d[:n]
+	}
+	return make(S, n)
+}
+
+// decodePage decodes a page of nRows rows.
+func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
+	if d := fixedType(f); d != nil {
+		d = d.grow(nRows)
+		if err := d.decodeRows(f, payload, 0, nRows); err != nil {
 			return nil, err
 		}
-		return BoolData(vs), nil
+		return d, nil
+	}
+	switch {
 	case f.Type.Kind == Binary || f.Type.Kind == String:
 		vs, err := enc.DecodeBytes(payload, nRows)
 		if err != nil {
@@ -318,13 +370,8 @@ func decodePage(f Field, payload []byte, nRows int) (ColumnData, error) {
 		return ListInt64Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float32:
 		lists, err := decodeList(payload, nRows, stream(func(s []byte, n int) ([]float32, error) {
-			bp := getPageInts(n)
-			defer putPageInts(bp)
-			bits, err := enc.DecodeIntsInto(*bp, s)
-			if err != nil {
-				return nil, err
-			}
-			return quant.DequantizeInto(make([]float32, n), bits, f.Type.Quant)
+			vs := make(Float32Data, n)
+			return vs, vs.decodeRows(f, s, 0, n)
 		}))
 		return ListFloat32Data(lists), err
 	case f.Type.Kind == List && f.Type.Elem == Float64:

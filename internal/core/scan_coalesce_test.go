@@ -129,46 +129,70 @@ func scanAll(t *testing.T, f *File, opts ScanOptions) ([]ColumnData, ScanStats) 
 
 // TestScanReuseBatchesCorrect asserts recycled batches decode to the same
 // data as a fresh scan: the recycled storage must be fully overwritten.
+// Batches that split pages (300 and 97 rows against 256-row pages) and
+// Level-1 deletes (rows either side of page and group boundaries, and a
+// run of 300 rows across one) decode partial pages into recycled storage.
 func TestScanReuseBatchesCorrect(t *testing.T) {
 	schema := testSchema(t)
 	rng := rand.New(rand.NewSource(29))
 	batch := testBatch(t, schema, rng, 4000)
-	_, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 256, GroupRows: 1024, Compliance: Level1})
+	mf, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 256, GroupRows: 1024, Compliance: Level1})
 
-	want, _ := scanAll(t, f, ScanOptions{BatchRows: 512, Workers: 2})
+	check := func(batchRows int) {
+		t.Helper()
+		want, _ := scanAll(t, f, ScanOptions{BatchRows: batchRows, Workers: 2})
 
-	sc, err := f.Scan(ScanOptions{BatchRows: 512, Workers: 2, ReuseBatches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	var got []ColumnData
-	for {
-		b, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
+		sc, err := f.Scan(ScanOptions{BatchRows: batchRows, Workers: 2, ReuseBatches: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == nil {
-			// Seed with typed empty columns so every append copies:
-			// appendColumn(nil, c) would alias c's soon-recycled storage.
-			got = make([]ColumnData, len(b.Columns))
-			for i := range got {
-				got[i] = defaultColumn(schema.Fields[i], 0)
+		defer sc.Close()
+		var got []ColumnData
+		for {
+			b, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == nil {
+				// Seed with typed empty columns so every append copies:
+				// appendColumn(nil, c) would alias c's soon-recycled storage.
+				got = make([]ColumnData, len(b.Columns))
+				for i := range got {
+					got[i] = defaultColumn(schema.Fields[i], 0)
+				}
+			}
+			// Deep-copy before recycling: the storage is about to be reused.
+			for i, c := range b.Columns {
+				got[i] = appendColumn(got[i], c)
+			}
+			sc.Recycle(b)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%d-row batches, %d live rows: column %q differs under ReuseBatches",
+					batchRows, f.NumLiveRows(), schema.Fields[i].Name)
 			}
 		}
-		// Deep-copy before recycling: the storage is about to be reused.
-		for i, c := range b.Columns {
-			got[i] = appendColumn(got[i], c)
-		}
-		sc.Recycle(b)
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("column %q differs under ReuseBatches", schema.Fields[i].Name)
-		}
+	batchRows := []int{512, 300, 97}
+	for _, n := range batchRows {
+		check(n)
+	}
+	del := []uint64{0, 255, 256, 1023, 1024, 2047, 3999}
+	for r := uint64(1400); r < 1700; r++ {
+		del = append(del, r)
+	}
+	if err := f.DeleteRows(mf, del); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.NumLiveRows(), uint64(4000-len(del)); got != want {
+		t.Fatalf("live rows = %d after deletes, want %d", got, want)
+	}
+	for _, n := range batchRows {
+		check(n)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"bullion/internal/enc"
 	"bullion/internal/footer"
-	"bullion/internal/quant"
 )
 
 // This file is the read engine: every read of a File — streaming scans
@@ -774,145 +773,31 @@ func spanRows(slot *scanSlot, pos int) int {
 }
 
 // decodeColumn decodes projected column pos of a slot from its planned run
-// buffers. Fixed-width columns decode straight into the output slice
-// (recycled from ScanOptions.ReuseBatches when available): pages fully
-// inside the span with no deletions — every page, when batches are
-// page-aligned — cost zero allocations. Variable-width columns decode page
-// by page and append.
+// buffers. A fixed-width column decodes into storage sized to the span
+// (recycled from ScanOptions.ReuseBatches when available), and a page
+// fully inside the span with no deleted row — every page, when batches
+// are page-aligned — decodes straight into it. Every other page decodes
+// whole through decodePage, is clipped to the span, loses its deleted rows
+// and is appended: into that storage, which holds the span and so is never
+// reallocated, or onto the output of a variable-width column.
 func (s *Scanner) decodeColumn(slot *scanSlot, pos int) (ColumnData, error) {
 	field := s.schema.Fields[pos]
-	var reuse ColumnData
-	if slot.reuse != nil {
-		reuse = slot.reuse[pos]
-	}
-	switch {
-	case field.Nullable && field.Type.Kind == Int64:
-		return s.decodeNullable(slot, pos, reuse)
-	case field.Type.Kind == Int64 || field.Type.Kind == Int32:
-		prev, _ := reuse.(Int64Data)
-		out, err := decodeFixed(s, slot, pos, prev,
-			func(dst []int64, payload []byte) error {
-				_, err := enc.DecodeIntsInto(dst, payload)
-				return err
-			})
-		return Int64Data(out), err
-	case field.Type.Kind == Float64:
-		prev, _ := reuse.(Float64Data)
-		out, err := decodeFixed(s, slot, pos, prev,
-			func(dst []float64, payload []byte) error {
-				_, err := enc.DecodeFloatsInto(dst, payload)
-				return err
-			})
-		return Float64Data(out), err
-	case field.Type.Kind == Float32:
-		prev, _ := reuse.(Float32Data)
-		qf := field.Type.Quant
-		out, err := decodeFixed(s, slot, pos, prev,
-			func(dst []float32, payload []byte) error {
-				bp := getPageInts(len(dst))
-				defer putPageInts(bp)
-				bits, err := enc.DecodeIntsInto(*bp, payload)
-				if err != nil {
-					return err
-				}
-				_, err = quant.DequantizeInto(dst, bits, qf)
-				return err
-			})
-		return Float32Data(out), err
-	case field.Type.Kind == Bool:
-		prev, _ := reuse.(BoolData)
-		out, err := decodeFixed(s, slot, pos, prev,
-			func(dst []bool, payload []byte) error {
-				_, err := enc.DecodeBoolsInto(dst, payload)
-				return err
-			})
-		return BoolData(out), err
-	default:
-		return s.decodeGeneric(slot, pos, field)
-	}
-}
-
-// decodeFixed assembles one fixed-width column of a span, decoding each
-// page into place with dec. prev, when large enough, is reused as the
-// output storage.
-func decodeFixed[T any](s *Scanner, slot *scanSlot, pos int, prev []T, dec func([]T, []byte) error) ([]T, error) {
-	want := spanRows(slot, pos)
-	var out []T
-	if cap(prev) >= want {
-		out = prev[:want]
-	} else {
-		out = make([]T, want)
-	}
-	n := 0
-	err := s.walkPages(slot, pos, func(pg pageVisit) error {
-		if pg.whole() {
-			n += pg.logical
-			return dec(out[n-pg.logical:n], pg.payload)
-		}
-		stage := make([]T, pg.logical)
-		if err := dec(stage, pg.payload); err != nil {
-			return err
-		}
-		if pg.nDel == 0 {
-			n += copy(out[n:], stage[pg.clipLo:pg.clipHi])
-			return nil
-		}
-		for i := pg.clipLo; i < pg.clipHi; i++ {
-			if !s.f.rowDeleted(pg.rowStart + uint64(i)) {
-				out[n] = stage[i]
-				n++
+	fixed := fixedType(field)
+	if fixed != nil {
+		if slot.reuse != nil {
+			if prev, ok := slot.reuse[pos].(fixedColumn); ok && checkColumnType(field, prev) == nil {
+				fixed = prev
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		fixed = fixed.grow(spanRows(slot, pos))
 	}
-	return out[:n], nil
-}
-
-// decodeNullable is decodeFixed for nullable int64 columns, which carry a
-// values slice and a validity slice.
-func (s *Scanner) decodeNullable(slot *scanSlot, pos int, reuse ColumnData) (ColumnData, error) {
-	want := spanRows(slot, pos)
-	var vals []int64
-	var valid []bool
-	if prev, ok := reuse.(NullableInt64Data); ok && cap(prev.Values) >= want && cap(prev.Valid) >= want {
-		vals, valid = prev.Values[:want], prev.Valid[:want]
-	} else {
-		vals, valid = make([]int64, want), make([]bool, want)
-	}
-	n := 0
-	err := s.walkPages(slot, pos, func(pg pageVisit) error {
-		if pg.whole() {
-			n += pg.logical
-			return enc.DecodeNullableIntsInto(vals[n-pg.logical:n], valid[n-pg.logical:n], pg.payload)
-		}
-		sv := make([]int64, pg.logical)
-		sb := make([]bool, pg.logical)
-		if err := enc.DecodeNullableIntsInto(sv, sb, pg.payload); err != nil {
-			return err
-		}
-		for i := pg.clipLo; i < pg.clipHi; i++ {
-			if pg.nDel == 0 || !s.f.rowDeleted(pg.rowStart+uint64(i)) {
-				vals[n], valid[n] = sv[i], sb[i]
-				n++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NullableInt64Data{Values: vals[:n], Valid: valid[:n]}, nil
-}
-
-// decodeGeneric handles variable-width columns (byte strings, lists,
-// sparse sequences): each page decodes to its own column, which is
-// clipped, filtered and appended.
-func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnData, error) {
 	var out ColumnData
+	n := 0
 	err := s.walkPages(slot, pos, func(pg pageVisit) error {
+		if fixed != nil && pg.whole() {
+			n += pg.logical
+			return fixed.decodeRows(field, pg.payload, n-pg.logical, n)
+		}
 		data, err := decodePage(field, pg.payload, pg.logical)
 		if err != nil {
 			return err
@@ -923,14 +808,22 @@ func (s *Scanner) decodeGeneric(slot *scanSlot, pos int, field Field) (ColumnDat
 		if pg.nDel > 0 {
 			data = filterDeleted(data, s.f, pg.rowStart+uint64(pg.clipLo), pg.clipHi-pg.clipLo)
 		}
-		out = appendColumn(out, data)
+		if fixed != nil {
+			n = fixed.slice(0, n).concat(data).Len()
+		} else {
+			out = appendColumn(out, data)
+		}
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if out == nil {
-		out = defaultColumn(field, 0)
+	case fixed != nil && n < fixed.Len():
+		return fixed.slice(0, n), nil
+	case fixed != nil:
+		return fixed, nil
+	case out == nil:
+		return defaultColumn(field, 0), nil
 	}
 	return out, nil
 }

@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"bullion/internal/enc"
 	"bullion/internal/footer"
+	"bullion/internal/quant"
 )
 
 // drainScanner collects every batch of a scan into one concatenated
@@ -489,5 +491,107 @@ func TestPageStatsRecorded(t *testing.T) {
 	}
 	if lo, hi := statFloatBounds(st4.Min, st4.Max); lo != 0 || hi != 499 {
 		t.Fatalf("float page bounds [%v,%v], want [0,499]", lo, hi)
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestScanAllocsPerPage asserts that a fixed-width page inside the batch
+// decodes into the batch's storage without allocating: a one-column scan
+// of 64 pages in a single batch makes as many allocations as one of 8
+// pages. Each case's values are picked so the cascade chooses the scheme
+// it names, which the test checks in the footer.
+func TestScanAllocsPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	const pageRows = 128
+	cases := []struct {
+		name   string
+		field  Field
+		scheme enc.SchemeID
+		gen    func(rng *rand.Rand, n int) ColumnData
+	}{
+		{"int64", Field{Type: Type{Kind: Int64}}, enc.BitPack, func(rng *rand.Rand, n int) ColumnData {
+			vs := make(Int64Data, n)
+			for i := range vs {
+				vs[i] = rng.Int63n(1 << 20)
+			}
+			return vs
+		}},
+		{"nullable int64", Field{Type: Type{Kind: Int64}, Nullable: true}, enc.Sentinel, func(rng *rand.Rand, n int) ColumnData {
+			d := NullableInt64Data{Values: make([]int64, n), Valid: make([]bool, n)}
+			for i := range d.Values {
+				d.Values[i], d.Valid[i] = rng.Int63n(1<<20), i%3 != 0
+			}
+			return d
+		}},
+		{"ALP float64", Field{Type: Type{Kind: Float64}}, enc.ALPF, func(rng *rand.Rand, n int) ColumnData {
+			vs := make(Float64Data, n)
+			for i := range vs {
+				vs[i] = float64(rng.Intn(100000)) / 100
+			}
+			return vs
+		}},
+		{"Dict int64", Field{Type: Type{Kind: Int64}}, enc.Dict, func(rng *rand.Rand, n int) ColumnData {
+			dict := []int64{-7 << 40, 3 << 50, 11, 1 << 33, -5}
+			vs := make(Int64Data, n)
+			for i := range vs {
+				vs[i] = dict[rng.Intn(len(dict))]
+			}
+			return vs
+		}},
+		{"float32", Field{Type: Type{Kind: Float32, Quant: quant.FP32}}, enc.FOR, func(rng *rand.Rand, n int) ColumnData {
+			vs := make(Float32Data, n)
+			for i := range vs {
+				vs[i] = rng.Float32()
+			}
+			return vs
+		}},
+		{"bool", Field{Type: Type{Kind: Bool}}, enc.PlainBool, func(rng *rand.Rand, n int) ColumnData {
+			vs := make(BoolData, n)
+			for i := range vs {
+				vs[i] = rng.Intn(2) == 0
+			}
+			return vs
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := make(map[int]float64)
+			for _, pages := range []int{8, 64} {
+				c.field.Name = "c"
+				schema, err := NewSchema(c.field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := pages * pageRows
+				batch, err := NewBatch(schema, []ColumnData{c.gen(rand.New(rand.NewSource(int64(pages))), n)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: pageRows})
+				for p := 0; p < pages; p++ {
+					if got := enc.SchemeID(f.view.PageCompression(p)); got != c.scheme {
+						t.Fatalf("%d pages: page %d is %v, want %v", pages, p, got, c.scheme)
+					}
+				}
+				allocs[pages] = testing.AllocsPerRun(20, func() {
+					sc, err := f.Scan(ScanOptions{BatchRows: n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sc.Close()
+					b, err := sc.Next()
+					if err != nil || b.NumRows() != n {
+						t.Fatalf("scan: %v", err)
+					}
+				})
+			}
+			if allocs[8] != allocs[64] {
+				t.Errorf("%v allocations scanning 8 pages, %v scanning 64: a page allocates", allocs[8], allocs[64])
+			}
+		})
 	}
 }

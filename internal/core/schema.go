@@ -174,8 +174,10 @@ func (s *Schema) Lookup(name string) (int, bool) {
 
 // ColumnData is a typed column of in-memory values. The interface is
 // sealed: a new column type implements every method below, and
-// checkColumnType, defaultColumn, encodePage, decodePage and pageStats
-// each get a case for it.
+// checkColumnType, encodePage and computePageStats each get a case for
+// it. A fixed-width type also implements fixedColumn (page.go) and gets a
+// case in fixedType; any other type gets one in defaultColumn and
+// decodePage.
 type ColumnData interface {
 	Len() int
 	kind() Kind

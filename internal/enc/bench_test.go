@@ -11,9 +11,10 @@ import (
 // enc.decode_mb_per_s) bottoms out in these inner loops, so each scheme gets a
 // GB/s number (SetBytes counts decoded output bytes, 8 per value) and an
 // allocs/op count. Fixed-width kernel decodes (FixedBitWidth, FOR,
-// SIMDFastPFOR, SIMDFastBP128, DeltaDelta) must stay at 0 allocs/op —
-// CI enforces the ceiling on BenchmarkDecode/FixedBitWidth and
-// BenchmarkDecode/FOR. Run with:
+// SIMDFastPFOR, SIMDFastBP128, DeltaDelta, Dictionary, ALP) must stay at 0
+// allocs/op — CI enforces the ceiling on BenchmarkDecode/FixedBitWidth,
+// BenchmarkDecode/FOR, BenchmarkDecode/Dictionary and BenchmarkDecode/ALP.
+// Run with:
 //
 //	go test -run xxx -bench BenchmarkDecode -benchmem ./internal/enc
 const decodeBenchN = 8192
@@ -68,6 +69,7 @@ func BenchmarkDecode(b *testing.B) {
 		{PlainF, genFloatsUniform},
 		{GorillaF, genFloatsWalk},
 		{ChimpF, genFloatsWalk},
+		{ALPF, genDecimals},
 	} {
 		b.Run(fc.id.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(43))

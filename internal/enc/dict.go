@@ -100,11 +100,14 @@ func decodeDictInts(dst []int64, src []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dictVals, err := DecodeInts(dictStream, int(dictLen))
+	dp := getInt64Scratch(int(dictLen))
+	defer putInt64Scratch(dp)
+	dictVals, err := DecodeIntsInto(*dp, dictStream)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := DecodeInts(codeStream, len(dst))
+	// The codes decode straight into dst and are mapped in place.
+	codes, err := DecodeIntsInto(dst, codeStream)
 	if err != nil {
 		return nil, err
 	}

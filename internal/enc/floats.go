@@ -680,11 +680,16 @@ func decodeALP(dst []float64, src []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	digits, err := DecodeInts(digitStream, len(dst))
+	// Both child streams decode into pooled scratch: no allocation per page.
+	dp := getInt64Scratch(len(dst))
+	defer putInt64Scratch(dp)
+	digits, err := DecodeIntsInto(*dp, digitStream)
 	if err != nil {
 		return nil, err
 	}
-	pos, err := DecodeInts(posStream, int(nExc))
+	pp := getInt64Scratch(int(nExc))
+	defer putInt64Scratch(pp)
+	pos, err := DecodeIntsInto(*pp, posStream)
 	if err != nil {
 		return nil, err
 	}

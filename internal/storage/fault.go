@@ -94,7 +94,6 @@ type Fault struct {
 	crashed bool
 
 	failOp func(Op) error
-	delay  func(Op) time.Duration
 
 	net    *NetFaults
 	netRng *rand.Rand
@@ -135,7 +134,7 @@ type NetFaults struct {
 
 // SetNetFaults installs (or, with nil, clears) the network fault
 // policy. Only file reads (OpRead) are shaped; metadata ops stay
-// governed by SetFailOp/SetDelay.
+// governed by SetFailOp.
 func (f *Fault) SetNetFaults(nf *NetFaults) {
 	f.mu.Lock()
 	f.net = nf
@@ -183,14 +182,6 @@ func (f *Fault) Root() string { return f.root }
 func (f *Fault) SetFailOp(hook func(Op) error) {
 	f.mu.Lock()
 	f.failOp = hook
-	f.mu.Unlock()
-}
-
-// SetDelay installs a latency hook: each operation sleeps the returned
-// duration before executing. Pass nil to clear.
-func (f *Fault) SetDelay(hook func(Op) time.Duration) {
-	f.mu.Lock()
-	f.delay = hook
 	f.mu.Unlock()
 }
 
@@ -266,20 +257,11 @@ func (f *Fault) looseLocked() map[string][]byte {
 	return out
 }
 
-// begin gates one operation: latency, crash trigger, error hook, op
-// accounting. It is called with f.mu held and may unlock/relock to
-// sleep.
+// begin gates one operation: crash trigger, error hook, op accounting.
+// It is called with f.mu held.
 func (f *Fault) begin(kind OpKind, name string) error {
 	op := Op{Index: f.ops, Kind: kind, Name: name}
 	f.ops++
-	if f.delay != nil {
-		d := f.delay(op)
-		if d > 0 {
-			f.mu.Unlock()
-			time.Sleep(d)
-			f.mu.Lock()
-		}
-	}
 	if f.crashed || (f.crashAt >= 0 && op.Index >= f.crashAt) {
 		f.crashed = true
 		return ErrCrashed
