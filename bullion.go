@@ -122,18 +122,18 @@
 //     GroupRows for I/O-bound scans: a hot-reordered projection then
 //     costs one read per row group.
 //
-//  3. Batch recycling. With ScanOptions.ReuseBatches, return each
-//     finished batch via Scanner.Recycle and later batches decode into
-//     its storage; combined with the scanner's pooled read buffers and
-//     decode scratch, steady-state Next calls are allocation-free for
-//     fixed-width columns.
+//  3. Batch recycling. Return each finished batch via Scanner.Recycle
+//     and later batches decode into its storage; combined with the
+//     scanner's pooled read buffers and decode scratch, steady-state Next
+//     calls are allocation-free for fixed-width columns. A batch is never
+//     recycled unless handed back, and handing one back twice, or after
+//     Close, does nothing.
 //
 // Putting the three together:
 //
 //	sc, _ := f.Scan(bullion.ScanOptions{
-//	    Columns:      hotFeatures, // written via ReorderFields
-//	    BatchRows:    groupRows,   // align batches with row groups
-//	    ReuseBatches: true,
+//	    Columns:   hotFeatures, // written via ReorderFields
+//	    BatchRows: groupRows,   // align batches with row groups
 //	})
 //	defer sc.Close()
 //	for {
@@ -577,11 +577,14 @@ func (w *Writer) Write(batch *Batch) error { return w.cw.Write(batch) }
 // full sampling passes) across all columns. Call it after Close.
 func (w *Writer) SelectorStats() (hits, resamples int64) { return w.cw.SelectorStats() }
 
-// Close flushes buffered rows, writes the footer, and closes the file when
-// the writer owns one.
+// Close flushes buffered rows, writes the footer, and, when the writer
+// owns the file, syncs it to stable storage and closes it.
 func (w *Writer) Close() error {
 	err := w.cw.Close()
 	if w.file != nil {
+		if err == nil {
+			err = w.file.Sync()
+		}
 		if cerr := w.file.Close(); err == nil {
 			err = cerr
 		}
@@ -705,7 +708,7 @@ func (f *File) Stats() *FileStats { return f.cf.Stats() }
 
 // DeleteRows deletes rows per the file's compliance level, writing the
 // in-place update to the file's path, which it opens read-write for the
-// call. It requires a File from OpenPath.
+// call and syncs before returning. It requires a File from OpenPath.
 func (f *File) DeleteRows(rows []uint64) error {
 	if f.path == "" {
 		return fmt.Errorf("bullion: DeleteRows requires OpenPath")
@@ -715,6 +718,9 @@ func (f *File) DeleteRows(rows []uint64) error {
 		return err
 	}
 	err = f.cf.DeleteRows(w, rows)
+	if err == nil {
+		err = w.Sync()
+	}
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}

@@ -474,7 +474,7 @@ func project(path string, cols []string) error {
 		return fmt.Errorf("project: no columns given")
 	}
 	s, err := openStream(path, bullion.DatasetScanOptions{
-		ScanOptions: bullion.ScanOptions{Columns: cols, ReuseBatches: true},
+		ScanOptions: bullion.ScanOptions{Columns: cols},
 	})
 	if err != nil {
 		return err
@@ -642,12 +642,11 @@ func scan(args []string) error {
 
 	opts := bullion.DatasetScanOptions{
 		ScanOptions: bullion.ScanOptions{
-			Columns:      cols,
-			BatchRows:    *batchRows,
-			Workers:      *workers,
-			CoalesceGap:  *coalesceGap,
-			ReuseBatches: true,
-			Filters:      filters,
+			Columns:     cols,
+			BatchRows:   *batchRows,
+			Workers:     *workers,
+			CoalesceGap: *coalesceGap,
+			Filters:     filters,
 		},
 		FileConcurrency: *fileWorkers,
 		Degraded:        *degraded,
@@ -839,7 +838,7 @@ func syntheticBatches(schema *bullion.Schema, rows, cols int) ([]*bullion.Batch,
 }
 
 // ingestFiles writes the batches round-robin across one pipelined writer
-// per path.
+// per path, and syncs and closes every file before reporting.
 func ingestFiles(paths []string, schema *bullion.Schema, opts *bullion.Options, batches []*bullion.Batch) error {
 	type target struct {
 		path     string
@@ -878,6 +877,12 @@ func ingestFiles(paths []string, schema *bullion.Schema, opts *bullion.Options, 
 	var hits, resamples int64
 	for _, tg := range targets {
 		if err := tg.w.Close(); err != nil {
+			return err
+		}
+		if err := tg.osf.Sync(); err != nil {
+			return err
+		}
+		if err := tg.osf.Close(); err != nil {
 			return err
 		}
 		h, r := tg.w.SelectorStats()

@@ -103,9 +103,8 @@ func BenchmarkDatasetScan1(b *testing.B) {
 	const wantRows = dsBenchFiles * dsBenchRows
 	opts := DatasetScanOptions{
 		ScanOptions: ScanOptions{
-			BatchRows:    dsBenchRows,
-			Workers:      1, // isolate the file-level axis
-			ReuseBatches: true,
+			BatchRows: dsBenchRows,
+			Workers:   1, // isolate the file-level axis
 		},
 		FileConcurrency: 1,
 	}

@@ -95,13 +95,12 @@ func main() {
 	// Stream the projection the way a training loader would: fixed-size
 	// row batches, columns decoded in parallel, emitted in file order.
 	// The hot columns are adjacent, so the planner fetches each group's
-	// ten chunks in one ReadAt, and ReuseBatches + Recycle keeps the
-	// steady-state loop allocation-free.
+	// ten chunks in one ReadAt, and recycling each finished batch keeps
+	// the steady-state loop allocation-free.
 	start = time.Now()
 	sc, err := f.Scan(bullion.ScanOptions{
-		Columns:      want,
-		BatchRows:    32, // tiny table; production loaders use the 4096 default
-		ReuseBatches: true,
+		Columns:   want,
+		BatchRows: 32, // tiny table; production loaders use the 4096 default
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -335,6 +335,9 @@ func (f *File) collect(cols []int, rng *RowRange) (*Batch, error) {
 	}
 	defer sc.Close()
 	batch, err := sc.Next()
+	if batch != nil {
+		batch.src = nil // the scanner closes on return
+	}
 	if err == io.EOF {
 		empty := make([]ColumnData, len(cols))
 		for i, fd := range sc.schema.Fields {

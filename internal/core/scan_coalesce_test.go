@@ -127,22 +127,54 @@ func scanAll(t *testing.T, f *File, opts ScanOptions) ([]ColumnData, ScanStats) 
 	return out, sc.Stats()
 }
 
-// TestScanReuseBatchesCorrect asserts recycled batches decode to the same
-// data as a fresh scan: the recycled storage must be fully overwritten.
-// Batches that split pages (300 and 97 rows against 256-row pages) and
+// Recycled batches must decode to the same data as a fresh scan: the
+// recycled storage must be fully overwritten. Batches that split pages (300 and 97 rows against 256-row pages) and
 // Level-1 deletes (rows either side of page and group boundaries, and a
 // run of 300 rows across one) decode partial pages into recycled storage.
+// Recycling a batch twice, a batch from another scanner or from Project,
+// or any batch after Close must leave the scanner's storage untouched:
+// the scan, the other scanner's batches and the projection all stay
+// intact, and a closed scanner keeps nothing.
 func TestScanReuseBatchesCorrect(t *testing.T) {
 	schema := testSchema(t)
+	names := make([]string, len(schema.Fields))
+	for i, fd := range schema.Fields {
+		names[i] = fd.Name
+	}
 	rng := rand.New(rand.NewSource(29))
 	batch := testBatch(t, schema, rng, 4000)
 	mf, f := writeTestFile(t, schema, batch, &Options{RowsPerPage: 256, GroupRows: 1024, Compliance: Level1})
 
-	check := func(batchRows int) {
+	// appendAll deep-copies cols onto got, seeding got with typed empty
+	// columns so every append copies: appendColumn(nil, c) would alias
+	// c's soon-recycled storage.
+	appendAll := func(got, cols []ColumnData) []ColumnData {
+		if got == nil {
+			got = make([]ColumnData, len(cols))
+			for i := range got {
+				got[i] = defaultColumn(schema.Fields[i], 0)
+			}
+		}
+		for i, c := range cols {
+			got[i] = appendColumn(got[i], c)
+		}
+		return got
+	}
+	same := func(what string, f *File, batchRows int, got, want []ColumnData) {
 		t.Helper()
-		want, _ := scanAll(t, f, ScanOptions{BatchRows: batchRows, Workers: 2})
-
-		sc, err := f.Scan(ScanOptions{BatchRows: batchRows, Workers: 2, ReuseBatches: true})
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s, %d-row batches, %d live rows: column %q differs from a scan without recycling",
+					what, batchRows, f.NumLiveRows(), schema.Fields[i].Name)
+			}
+		}
+	}
+	// check scans f, hands every batch to recycle once it is copied, and
+	// compares the copies with a scan that never recycles.
+	check := func(what string, f *File, batchRows, workers int, recycle func(sc *Scanner, b *Batch)) []ColumnData {
+		t.Helper()
+		want, _ := scanAll(t, f, ScanOptions{BatchRows: batchRows, Workers: workers})
+		sc, err := f.Scan(ScanOptions{BatchRows: batchRows, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,31 +188,69 @@ func TestScanReuseBatchesCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got == nil {
-				// Seed with typed empty columns so every append copies:
-				// appendColumn(nil, c) would alias c's soon-recycled storage.
-				got = make([]ColumnData, len(b.Columns))
-				for i := range got {
-					got[i] = defaultColumn(schema.Fields[i], 0)
-				}
-			}
-			// Deep-copy before recycling: the storage is about to be reused.
-			for i, c := range b.Columns {
-				got[i] = appendColumn(got[i], c)
-			}
-			sc.Recycle(b)
+			got = appendAll(got, b.Columns)
+			recycle(sc, b)
 		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%d-row batches, %d live rows: column %q differs under ReuseBatches",
-					batchRows, f.NumLiveRows(), schema.Fields[i].Name)
-			}
-		}
+		same(what, f, batchRows, got, want)
+		return want
 	}
+	once := func(sc *Scanner, b *Batch) { sc.Recycle(b) }
 	batchRows := []int{512, 300, 97}
 	for _, n := range batchRows {
-		check(n)
+		check("recycled", f, n, 2, once)
 	}
+
+	// Foreign batches: another scanner's, kept unrecycled, and Project's.
+	other, err := f.Scan(ScanOptions{BatchRows: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	proj, err := f.Project(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projWant := appendAll(nil, proj.Columns)
+	var foreign []*Batch
+	want := check("recycled with foreign batches", f, 512, 2, func(sc *Scanner, b *Batch) {
+		sc.Recycle(b)
+		sc.Recycle(proj)
+		RecycleBatch(proj)
+		if ob, err := other.Next(); err == nil {
+			sc.Recycle(ob)
+			foreign = append(foreign, ob)
+		}
+	})
+	var otherGot []ColumnData
+	for _, ob := range foreign {
+		otherGot = appendAll(otherGot, ob.Columns)
+	}
+	same("another scanner's batches", f, 512, otherGot, want)
+	same("Project", f, 512, proj.Columns, projWant)
+
+	// After Close, the scanner keeps nothing it is handed.
+	sc, err := f.Scan(ScanOptions{BatchRows: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sc.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	sc.Recycle(b)
+	if n := len(sc.free); n != 0 {
+		t.Errorf("closed scanner holds %d recycled column sets", n)
+	}
+
+	// Recycling each batch twice must not hand one storage set to two
+	// in-flight batches.
+	_, f8k := writeTestFile(t, schema, testBatch(t, schema, rng, 8192), nil)
+	check("recycled twice", f8k, 256, 4, func(sc *Scanner, b *Batch) {
+		sc.Recycle(b)
+		sc.Recycle(b)
+	})
+
 	del := []uint64{0, 255, 256, 1023, 1024, 2047, 3999}
 	for r := uint64(1400); r < 1700; r++ {
 		del = append(del, r)
@@ -192,7 +262,7 @@ func TestScanReuseBatchesCorrect(t *testing.T) {
 		t.Fatalf("live rows = %d after deletes, want %d", got, want)
 	}
 	for _, n := range batchRows {
-		check(n)
+		check("recycled", f, n, 2, once)
 	}
 }
 
@@ -206,7 +276,7 @@ func TestScanRecycleRace(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			sc, err := f.Scan(ScanOptions{BatchRows: 1024, Workers: 4, ReuseBatches: true})
+			sc, err := f.Scan(ScanOptions{BatchRows: 1024, Workers: 4})
 			if err != nil {
 				t.Error(err)
 				return

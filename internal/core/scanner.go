@@ -96,12 +96,6 @@ type ScanOptions struct {
 	// CoalesceLimit cap is the setting for storage that penalizes large
 	// or wasteful requests.
 	CoalesceGap int
-	// ReuseBatches opts into batch recycling: when the caller returns a
-	// finished batch via Scanner.Recycle, later batches decode into its
-	// column storage instead of allocating, making steady-state Next
-	// calls allocation-free for fixed-width columns. Batches must not be
-	// read after being recycled.
-	ReuseBatches bool
 }
 
 // ScanStats reports the physical work a scan performed so far.
@@ -165,7 +159,7 @@ type scanSlot struct {
 	// per projected column, its page segments in row order.
 	runs    []*spanRun
 	colSegs [][]segRef
-	// reuse holds a recycled batch's column storage (ReuseBatches).
+	// reuse holds a recycled batch's column storage (Scanner.Recycle).
 	reuse     []ColumnData
 	remaining atomic.Int32
 	errMu     sync.Mutex
@@ -197,7 +191,6 @@ type Scanner struct {
 	workers int
 
 	gap         int64
-	reuseOn     bool
 	poolRunBufs bool // run buffers recyclable: no projected column aliases them
 
 	tasks chan scanTask
@@ -212,6 +205,7 @@ type Scanner struct {
 	closed   bool
 	stopOnce sync.Once
 
+	// free holds recycled column sets; Recycle may race Next.
 	freeMu sync.Mutex
 	free   [][]ColumnData
 
@@ -309,7 +303,6 @@ func newScanner(f *File, cols []int, opts ScanOptions) (*Scanner, error) {
 		schema:      &Schema{Fields: fields},
 		workers:     workers,
 		gap:         gap,
-		reuseOn:     opts.ReuseBatches,
 		poolRunBufs: !projectionAliases(fields),
 		pending:     map[int]*scanSlot{},
 		stop:        make(chan struct{}),
@@ -638,7 +631,7 @@ func (s *Scanner) Next() (*Batch, error) {
 			}
 			s.batchesOut++
 			s.rowsOut += int64(slot.cols[0].Len())
-			return &Batch{Schema: s.schema, Columns: slot.cols}, nil
+			return &Batch{Schema: s.schema, Columns: slot.cols, src: s}, nil
 		}
 		slot := <-s.ready
 		s.pending[slot.idx] = slot
@@ -773,10 +766,10 @@ func spanRows(slot *scanSlot, pos int) int {
 }
 
 // decodeColumn decodes projected column pos of a slot from its planned run
-// buffers. A fixed-width column decodes into storage sized to the span
-// (recycled from ScanOptions.ReuseBatches when available), and a page
-// fully inside the span with no deleted row — every page, when batches
-// are page-aligned — decodes straight into it. Every other page decodes
+// buffers. A fixed-width column decodes into storage sized to the span (a
+// recycled batch's, when one is free), and a page fully inside the span
+// with no deleted row — every page, when batches are page-aligned —
+// decodes straight into it. Every other page decodes
 // whole through decodePage, is clipped to the span, loses its deleted rows
 // and is appended: into that storage, which holds the span and so is never
 // reallocated, or onto the output of a variable-width column.
@@ -829,24 +822,35 @@ func (s *Scanner) decodeColumn(slot *scanSlot, pos int) (ColumnData, error) {
 }
 
 // Recycle returns a finished batch's column storage to the scanner so
-// later batches can decode into it (ScanOptions.ReuseBatches). The batch
-// must have been returned by this scanner's Next and must not be read
-// afterwards. Recycle is safe to call concurrently with Next. Without
-// ReuseBatches it is a no-op.
+// later batches can decode into it, making steady-state Next calls
+// allocation-free for fixed-width columns. The batch must not be read
+// afterwards. Recycle is safe to call concurrently with Next. Recycling
+// a batch twice, a batch this scanner's Next did not return, or any
+// batch after Close is a no-op.
 func (s *Scanner) Recycle(b *Batch) {
-	if !s.reuseOn || b == nil || len(b.Columns) != len(s.cols) {
+	if b == nil || b.src != s || len(b.Columns) != len(s.cols) {
 		return
 	}
+	b.src = nil
 	s.freeMu.Lock()
-	s.free = append(s.free, b.Columns)
+	select {
+	case <-s.stop:
+	default:
+		s.free = append(s.free, b.Columns)
+	}
 	s.freeMu.Unlock()
+}
+
+// RecycleBatch returns b's storage to the scanner whose Next returned it
+// (see Scanner.Recycle); it is a no-op for any other batch.
+func RecycleBatch(b *Batch) {
+	if b != nil && b.src != nil {
+		b.src.Recycle(b)
+	}
 }
 
 // takeFree pops a recycled column set, or nil.
 func (s *Scanner) takeFree() []ColumnData {
-	if !s.reuseOn {
-		return nil
-	}
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
 	if n := len(s.free); n > 0 {
@@ -887,7 +891,10 @@ func (s *Scanner) Close() error {
 
 func (s *Scanner) shutdown() {
 	s.stopOnce.Do(func() {
+		s.freeMu.Lock()
 		close(s.stop)
+		s.free = nil
+		s.freeMu.Unlock()
 		// Drain ready so no worker stays blocked on a full channel.
 		go func() {
 			for range s.ready {

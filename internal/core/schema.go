@@ -313,6 +313,9 @@ func gatherRows[S ~[]E, E any](d S, rows []int) S {
 type Batch struct {
 	Schema  *Schema
 	Columns []ColumnData
+	// src is the scanner whose Next returned the batch, until the batch
+	// is recycled; nil for every other batch.
+	src *Scanner
 }
 
 // NewBatch validates column/shape agreement.

@@ -212,28 +212,63 @@ func TestDatasetScanZonePruning(t *testing.T) {
 	}
 }
 
-// TestScannerOwnersNotPinnedWithoutReuse asserts batches are only tracked
-// for recycling under ReuseBatches — otherwise a long scan would pin
-// every emitted batch in the owners map for the scanner's lifetime.
-func TestScannerOwnersNotPinnedWithoutReuse(t *testing.T) {
-	d := newTestDataset(t, nil, 2, 1000)
-	sc, err := d.Scan(ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestScannerRecycleConcurrent recycles every batch of a multi-member
+// scan from a second goroutine while Next runs: each batch goes back to
+// the member engine that produced it, and the rows must equal a scan
+// that never recycles. The -race build checks the hand-off.
+func TestScannerRecycleConcurrent(t *testing.T) {
+	d := newTestDataset(t, nil, 4, 3000)
+	type rows struct {
+		keys []int64
+		vals []float64
+		tags []string
 	}
-	defer sc.Close()
-	for {
-		b, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
+	scan := func(recycle bool) rows {
+		t.Helper()
+		sc, err := d.Scan(ScanOptions{
+			ScanOptions:     core.ScanOptions{BatchRows: 256, Workers: 2},
+			FileConcurrency: 2,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.Recycle(b) // no-op without ReuseBatches
+		defer sc.Close()
+		done := make(chan *core.Batch, 4)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range done {
+				sc.Recycle(b)
+			}
+		}()
+		defer wg.Wait()
+		defer close(done)
+		var out rows
+		for {
+			b, err := sc.Next()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.keys = append(out.keys, b.Columns[0].(core.Int64Data)...)
+			out.vals = append(out.vals, b.Columns[1].(core.Float64Data)...)
+			for _, tag := range b.Columns[2].(core.BytesData) {
+				out.tags = append(out.tags, string(tag))
+			}
+			if recycle {
+				done <- b
+			}
+		}
 	}
-	if n := len(sc.owners); n != 0 {
-		t.Fatalf("owners map holds %d batches without ReuseBatches", n)
+	want, got := scan(false), scan(true)
+	if len(want.keys) != 12000 {
+		t.Fatalf("scan returned %d rows, want 12000", len(want.keys))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a scan recycling every batch differs from one that never recycles")
 	}
 }
 

@@ -126,13 +126,6 @@ type Scanner struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// owners maps an emitted batch to the member engine that produced it,
-	// tracked only under ReuseBatches so batches a caller never recycles
-	// are not pinned. Guarded by ownersMu: Recycle may race Next.
-	reuseOn  bool
-	ownersMu sync.Mutex
-	owners   map[*core.Batch]*memberScan
-
 	failed error
 	closed bool
 
@@ -163,20 +156,14 @@ type Scanner struct {
 	degraded []string
 }
 
-// memberScan is one planned member file: a gate the dispatcher opens when
-// a concurrency slot frees, and the channel its engine streams batches
-// into.
+// memberScan is one planned member file and the channel its engine
+// streams batches into once the dispatcher gives it a concurrency slot.
 type memberScan struct {
 	m    *member
 	d    *Dataset
 	opts core.ScanOptions
-	gate chan struct{}
 	ch   chan *core.Batch
-	// sc is set by the member goroutine before its first send; the
-	// consumer only touches it for batches received from ch, so the
-	// channel provides the happens-before edge.
-	sc  *core.Scanner
-	err error // read by the consumer only after ch closes
+	err  error // read by the consumer only after ch closes
 }
 
 // Scan plans a dataset scan against the current manifest generation and
@@ -209,8 +196,6 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 
 	s := &Scanner{
 		schema:     schema,
-		reuseOn:    opts.ReuseBatches,
-		owners:     map[*core.Batch]*memberScan{},
 		sem:        make(chan struct{}, k),
 		stop:       make(chan struct{}),
 		degradedOK: opts.Degraded,
@@ -250,31 +235,31 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 			m:    m,
 			d:    d,
 			opts: local,
-			gate: make(chan struct{}),
 			ch:   make(chan *core.Batch, 2),
 		})
 	}
 
-	// The dispatcher opens member gates strictly in file order as
+	// The dispatcher starts member engines strictly in file order as
 	// concurrency slots free up, so the engines running at any moment are
 	// always the earliest unfinished files — the consumer can never be
-	// blocked behind a member that cannot get a slot.
+	// blocked behind a member that cannot get a slot. A stop closes the
+	// channels of the members it never started.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for _, ms := range s.members {
+		for i, ms := range s.members {
 			select {
 			case s.sem <- struct{}{}:
 			case <-s.stop:
+				for _, never := range s.members[i:] {
+					close(never.ch)
+				}
 				return
 			}
-			close(ms.gate)
+			s.wg.Add(1)
+			go s.runMember(ms)
 		}
 	}()
-	for _, ms := range s.members {
-		s.wg.Add(1)
-		go s.runMember(ms)
-	}
 	return s, nil
 }
 
@@ -323,16 +308,11 @@ func (m *member) excluded(d *Dataset, filters *core.FileFilters) bool {
 	return err == nil && st != nil && st.Excludes(filters)
 }
 
-// runMember waits for its dispatch gate, runs one scan engine over the
-// member file, and streams its batches.
+// runMember runs one scan engine over the member file, streams its
+// batches, and frees the concurrency slot the dispatcher gave it.
 func (s *Scanner) runMember(ms *memberScan) {
 	defer s.wg.Done()
 	defer close(ms.ch)
-	select {
-	case <-ms.gate:
-	case <-s.stop:
-		return
-	}
 	defer func() { <-s.sem }()
 
 	f, err := ms.m.open(ms.d)
@@ -345,7 +325,6 @@ func (s *Scanner) runMember(ms *memberScan) {
 		ms.err = fmt.Errorf("dataset: scanning %s: %w", ms.m.entry.Name, err)
 		return
 	}
-	ms.sc = sc
 	defer sc.Close()
 	for {
 		b, err := sc.Next()
@@ -405,30 +384,18 @@ func (s *Scanner) Next() (*core.Batch, error) {
 			s.cur++
 			continue
 		}
-		if s.reuseOn {
-			s.ownersMu.Lock()
-			s.owners[b] = ms
-			s.ownersMu.Unlock()
-		}
 		return b, nil
 	}
 }
 
 // Recycle returns a finished batch's storage to the member engine that
-// produced it (ScanOptions.ReuseBatches; no-op otherwise). As with the
-// core scanner, the batch must not be read afterwards; Recycle is safe to
-// call concurrently with Next.
-func (s *Scanner) Recycle(b *core.Batch) {
-	s.ownersMu.Lock()
-	ms, ok := s.owners[b]
-	if ok {
-		delete(s.owners, b)
-	}
-	s.ownersMu.Unlock()
-	if ok {
-		ms.sc.Recycle(b)
-	}
-}
+// produced it, so later batches of that member decode into it. As with
+// the core scanner, the batch must not be read afterwards; Recycle is
+// safe to call concurrently with Next. Recycling a batch twice, a batch
+// no scan engine returned (a Project result, say), or any batch after
+// Close is a no-op, as is one whose member engine has finished; a batch
+// from another scanner goes back to the engine that produced it.
+func (s *Scanner) Recycle(b *core.Batch) { core.RecycleBatch(b) }
 
 // Schema returns the projected schema, in output column order.
 func (s *Scanner) Schema() *core.Schema { return s.schema }
@@ -478,14 +445,6 @@ func (s *Scanner) Close() error {
 func (s *Scanner) shutdown() {
 	s.stopOnce.Do(func() {
 		close(s.stop)
-		// Drain member channels so no engine goroutine stays blocked on a
-		// full channel racing the stop select.
-		for _, ms := range s.members {
-			go func(ch chan *core.Batch) {
-				for range ch {
-				}
-			}(ms.ch)
-		}
 		s.wg.Wait()
 		if s.unpin != nil {
 			s.unpin()

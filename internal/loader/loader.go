@@ -132,28 +132,22 @@ type Loader struct {
 	pos          int
 	batchInShard int
 	// startSkip holds a resumed checkpoint's already-emitted batch count
-	// for the shard at pos; the shard's stream drops that many batches
-	// before emitting. Consumed once.
+	// for the shard at pos; Next drops (and recycles) that many of the
+	// shard's batches before emitting. Consumed once.
 	startSkip int
 
-	streams map[int]*shardStream
-	stop    chan struct{}
-	failed  error
-	closed  bool
+	// window holds the open scanners of the shards from pos up to
+	// ShardAhead past it, keyed by permutation position; each decodes
+	// ahead on its own engine.
+	window map[int]*dataset.Scanner
+	failed error
+	closed bool
 
 	rows, batches uint64
 	shardsDone    int
 	planTime      time.Duration
 	paceStart     time.Time
 	pacedRows     uint64
-}
-
-// shardStream is one shard's in-flight scan: a goroutine draining a
-// dataset scanner into a small buffer.
-type shardStream struct {
-	ch   chan *core.Batch
-	done chan struct{}
-	err  error // read only after ch closes
 }
 
 // New plans a loader over ds's current generation. Planning touches only
@@ -185,12 +179,11 @@ func New(ds *dataset.Dataset, opts Options) (*Loader, error) {
 	}
 	m := ds.Manifest()
 	l := &Loader{
-		ds:      ds,
-		opts:    opts,
-		gen:     m.Generation,
-		shards:  planShards(m, opts.ShardRows),
-		streams: map[int]*shardStream{},
-		stop:    make(chan struct{}),
+		ds:     ds,
+		opts:   opts,
+		gen:    m.Generation,
+		shards: planShards(m, opts.ShardRows),
+		window: map[int]*dataset.Scanner{},
 	}
 	l.planTime = time.Since(start)
 	return l, nil
@@ -283,16 +276,22 @@ func (l *Loader) Next() (*core.Batch, error) {
 		if err := l.ensureWindow(); err != nil {
 			return nil, l.fail(err)
 		}
-		ss := l.streams[l.pos]
-		b, ok := <-ss.ch
-		if !ok {
-			if ss.err != nil {
-				return nil, l.fail(ss.err)
-			}
-			delete(l.streams, l.pos)
+		sc := l.window[l.pos]
+		b, err := sc.Next()
+		if err == io.EOF {
+			sc.Close()
+			delete(l.window, l.pos)
 			l.pos++
-			l.batchInShard = 0
+			l.batchInShard, l.startSkip = 0, 0
 			l.shardsDone++
+			continue
+		}
+		if err != nil {
+			return nil, l.fail(err)
+		}
+		if l.startSkip > 0 {
+			l.startSkip--
+			sc.Recycle(b)
 			continue
 		}
 		l.batchInShard++
@@ -303,7 +302,7 @@ func (l *Loader) Next() (*core.Batch, error) {
 	}
 }
 
-// fail records a sticky error and stops the in-flight shard streams.
+// fail records a sticky error and closes the window's scanners.
 func (l *Loader) fail(err error) error {
 	l.failed = err
 	l.shutdown()
@@ -311,8 +310,9 @@ func (l *Loader) fail(err error) error {
 }
 
 // ensureWindow keeps the next ShardAhead shards of the permutation
-// streaming, verifying first that the dataset handle still serves the
-// planned generation.
+// scanning, verifying first that the dataset handle still serves the
+// planned generation. A shard whose Scan fails ends the window there; its
+// error is reported once the cursor reaches it and the Scan fails again.
 func (l *Loader) ensureWindow() error {
 	if got := l.ds.Generation(); got != l.gen {
 		return fmt.Errorf("loader: dataset moved to generation %d under a loader planned at %d (pin with dataset.OpenAt)",
@@ -323,29 +323,10 @@ func (l *Loader) ensureWindow() error {
 		end = len(l.perm)
 	}
 	for i := l.pos; i < end; i++ {
-		if _, ok := l.streams[i]; ok {
+		if _, ok := l.window[i]; ok {
 			continue
 		}
-		skip := 0
-		if i == l.pos && l.startSkip > 0 {
-			skip = l.startSkip
-			l.startSkip = 0
-		}
-		l.streams[i] = l.startShard(l.shards[l.perm[i]], skip)
-	}
-	return nil
-}
-
-// startShard scans one shard — a dataset-global row range, one member —
-// into a buffered channel, dropping the first skip batches (resume).
-func (l *Loader) startShard(sh Shard, skip int) *shardStream {
-	ss := &shardStream{
-		ch:   make(chan *core.Batch, 2),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(ss.done)
-		defer close(ss.ch)
+		sh := l.shards[l.perm[i]]
 		sc, err := l.ds.Scan(dataset.ScanOptions{
 			ScanOptions: core.ScanOptions{
 				Columns:   l.opts.Columns,
@@ -358,32 +339,14 @@ func (l *Loader) startShard(sh Shard, skip int) *shardStream {
 			FileConcurrency: 1,
 		})
 		if err != nil {
-			ss.err = err
-			return
+			if i == l.pos {
+				return err
+			}
+			break
 		}
-		defer sc.Close()
-		dropped := 0
-		for {
-			b, err := sc.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				ss.err = err
-				return
-			}
-			if dropped < skip {
-				dropped++
-				continue
-			}
-			select {
-			case ss.ch <- b:
-			case <-l.stop:
-				return
-			}
-		}
-	}()
-	return ss
+		l.window[i] = sc
+	}
+	return nil
 }
 
 // pace sleeps Next toward Options.TargetRowsPerSec. The clock starts at
@@ -496,8 +459,8 @@ func (l *Loader) Feed(consumers int, fn func(consumer int, b *core.Batch) error)
 	return firstErr
 }
 
-// Close stops in-flight shard streams and releases their scanners. The
-// dataset handle itself stays open (the caller owns it).
+// Close closes the window's shard scanners; no goroutine of theirs
+// outlives it. The dataset handle itself stays open (the caller owns it).
 func (l *Loader) Close() error {
 	if l.closed {
 		return nil
@@ -508,22 +471,10 @@ func (l *Loader) Close() error {
 }
 
 func (l *Loader) shutdown() {
-	select {
-	case <-l.stop:
-		return // already stopped (fail then Close, or double Close)
-	default:
+	for i, sc := range l.window {
+		sc.Close()
+		delete(l.window, i)
 	}
-	close(l.stop)
-	for _, ss := range l.streams {
-		// Unblock a stream parked on its full buffer, then wait for its
-		// deferred scanner Close — no goroutine outlives the loader.
-		go func(ch chan *core.Batch) {
-			for range ch {
-			}
-		}(ss.ch)
-		<-ss.done
-	}
-	l.streams = map[int]*shardStream{}
 }
 
 // permutation is a seeded Fisher-Yates shuffle of [0,n) driven by

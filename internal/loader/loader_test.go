@@ -7,6 +7,9 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -505,4 +508,76 @@ func TestLoaderPaced(t *testing.T) {
 	if elapsed < 25*time.Millisecond {
 		t.Fatalf("paced epoch took %v, want >= 25ms", elapsed)
 	}
+}
+
+// TestNothingOutlivesEarlyStop closes a dataset scan after its first
+// batch (with most of its members never started), closes a loader
+// mid-epoch with a full read-ahead window, and fails a loader on a
+// missing member: each time the goroutine count must return to where it
+// was before the scan or loader started.
+func TestNothingOutlivesEarlyStop(t *testing.T) {
+	settle := func(what string, before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines before, %d after the settle window", what, before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	d := buildDataset(t, t.TempDir(), 8, 2000)
+	defer d.Close()
+
+	before := runtime.NumGoroutine()
+	sc, err := d.Scan(dataset.ScanOptions{
+		ScanOptions:     core.ScanOptions{BatchRows: 256},
+		FileConcurrency: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	settle("dataset scan closed after its first batch", before)
+
+	l, err := New(d, Options{ShardRows: 500, BatchRows: 100, ShardAhead: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if _, err := l.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	settle("loader closed mid-epoch", before)
+
+	dir := t.TempDir()
+	built := buildDataset(t, dir, 4, 2000)
+	missing := built.Manifest().Files[2].Name
+	built.Close()
+	if err := os.Remove(filepath.Join(dir, missing)); err != nil {
+		t.Fatal(err)
+	}
+	broken, err := dataset.Open(dir, &dataset.Options{DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broken.Close()
+	before = runtime.NumGoroutine()
+	l, err = New(broken, Options{ShardRows: 500, BatchRows: 100, ShardAhead: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = l.Next()
+	}
+	if !strings.Contains(err.Error(), missing) {
+		t.Fatalf("loader over a dataset missing %s failed with %v", missing, err)
+	}
+	l.Close()
+	settle("loader failed on a missing member", before)
 }

@@ -62,7 +62,7 @@ func BenchmarkScanPrunedFloat(b *testing.B) {
 	b.ResetTimer()
 	var skipped, rows int64
 	for i := 0; i < b.N; i++ {
-		sc, err := f.Scan(ScanOptions{BatchRows: 1024, Workers: 1, Filters: filters, ReuseBatches: true})
+		sc, err := f.Scan(ScanOptions{BatchRows: 1024, Workers: 1, Filters: filters})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,10 +143,9 @@ func BenchmarkDatasetScanBloom(b *testing.B) {
 	ds := bloomBenchDataset()
 	opts := DatasetScanOptions{
 		ScanOptions: ScanOptions{
-			BatchRows:    pruneBenchPerF,
-			Workers:      1,
-			Filters:      []ColumnFilter{{Column: "tag", ValueIn: [][]byte{[]byte("m5-7")}}},
-			ReuseBatches: true,
+			BatchRows: pruneBenchPerF,
+			Workers:   1,
+			Filters:   []ColumnFilter{{Column: "tag", ValueIn: [][]byte{[]byte("m5-7")}}},
 		},
 		FileConcurrency: 8,
 	}

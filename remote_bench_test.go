@@ -76,7 +76,6 @@ func benchRemoteScan(b *testing.B, hedged bool) {
 	defer d.Close()
 	var opts dataset.ScanOptions
 	opts.BatchRows = remBenchRows
-	opts.ReuseBatches = true
 	opts.FileConcurrency = 1 // serial: per-read latency is the axis under test
 
 	// Warm member handles (footer opens) outside the timed region.

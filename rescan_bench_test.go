@@ -61,10 +61,9 @@ func rescanOnce(b *testing.B, dir string, opts *DatasetOptions) {
 	defer d.Close()
 	sc, err := d.Scan(DatasetScanOptions{
 		ScanOptions: ScanOptions{
-			Columns:      rescanHot,
-			BatchRows:    rescanRows,
-			Workers:      1,
-			ReuseBatches: true,
+			Columns:   rescanHot,
+			BatchRows: rescanRows,
+			Workers:   1,
 		},
 		FileConcurrency: 1, // serial: the latency axis
 	})

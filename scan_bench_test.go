@@ -114,10 +114,9 @@ func BenchmarkScanCoalesced1(b *testing.B) {
 	var readOps int64
 	for i := 0; i < b.N; i++ {
 		sc, err := f.Scan(ScanOptions{
-			Columns:      names,
-			Workers:      1,
-			BatchRows:    8192,
-			ReuseBatches: true,
+			Columns:   names,
+			Workers:   1,
+			BatchRows: 8192,
 		})
 		if err != nil {
 			b.Fatal(err)
